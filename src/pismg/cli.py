@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,41 +33,27 @@ from .strategies import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, normalized out of argparse."""
-
-    subcommand: str
-    game_path: str | None = None
-    matrix_path: str | None = None
-    method: str = "structural"
-    output_format: str = "text"
-    no_banner: bool = False
-    emit_matrices: bool = False
-    tables: bool = False
-    deflation_tol: float = markov.DEFLATION_TOL
-    averaging_tol: float = markov.AVERAGING_TOL
-    averaging_n_max: int = markov.AVERAGING_N_MAX
-    saddle_tol: float | None = None
-    max_arg: str | None = None
-    min_arg: str | None = None
-    start: int = 1
-    horizon: int = 10000
-    reps: int = 100
-    seed: int = 0
-
-
 def _fmt(x: float) -> str:
     return format(x, ".6g")
 
 
-def _banner(cfg: RunConfig, out: list[str]) -> None:
-    if cfg.output_format == "text" and not cfg.no_banner:
+def _banner(args: argparse.Namespace, out: list[str]) -> None:
+    if args.format == "text" and not args.no_banner:
         out.append(f"pismg {__version__}")
 
 
-def _load_game(cfg: RunConfig) -> GameSpec:
-    return parse_game(Path(cfg.game_path).read_text())
+def _load_game(args: argparse.Namespace) -> GameSpec:
+    return parse_game(Path(args.game).read_text())
+
+
+def _cesaro_options(args: argparse.Namespace) -> dict:
+    """The tolerance flags of :func:`_add_method_flags`, as keywords of
+    :func:`markov.cesaro`."""
+    return {
+        "deflation_tol": args.deflation_tol,
+        "averaging_tol": args.averaging_tol,
+        "averaging_n_max": args.averaging_n_max,
+    }
 
 
 def _strategy_jsonable(spec: GameSpec, strat: PureStationaryStrategy) -> dict:
@@ -105,10 +90,10 @@ def _parse_strategy(spec: GameSpec, player: str, text: str) -> PureStationaryStr
 # subcommands
 
 
-def _cmd_validate(cfg: RunConfig) -> int:
-    spec = _load_game(cfg)
+def _cmd_validate(args: argparse.Namespace) -> int:
+    spec = _load_game(args)
     report = validate(spec)
-    if cfg.output_format == "json":
+    if args.format == "json":
         obj = {
             "game": spec.name,
             "n": spec.n,
@@ -124,7 +109,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
         print(json.dumps(obj, indent=2, sort_keys=True))
         return 0
     out: list[str] = []
-    _banner(cfg, out)
+    _banner(args, out)
     out.append(f"game: {spec.name}")
     out.append(f"states: {spec.n}")
     out.append(
@@ -145,14 +130,14 @@ def _cmd_validate(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_enumerate(cfg: RunConfig) -> int:
-    spec = _load_game(cfg)
+def _cmd_enumerate(args: argparse.Namespace) -> int:
+    spec = _load_game(args)
     validate(spec)
     d1 = strategy_count(spec, PLAYER_I)
     d2 = strategy_count(spec, PLAYER_II)
-    if cfg.output_format == "json":
+    if args.format == "json":
         obj: dict = {"game": spec.name, "d1": d1, "d2": d2}
-        if cfg.tables:
+        if args.tables:
             obj["maximiser"] = [
                 _strategy_jsonable(spec, f) for f in enumerate_pure(spec, PLAYER_I)
             ]
@@ -162,11 +147,11 @@ def _cmd_enumerate(cfg: RunConfig) -> int:
         print(json.dumps(obj, indent=2, sort_keys=True))
         return 0
     out: list[str] = []
-    _banner(cfg, out)
+    _banner(args, out)
     out.append(f"game: {spec.name}")
     out.append(f"player I:  D1 = {d1} pure stationary strategies")
     out.append(f"player II: D2 = {d2} pure stationary strategies")
-    if cfg.tables:
+    if args.tables:
         out.append("player I strategies:")
         for f in enumerate_pure(spec, PLAYER_I):
             out.append(f"  {f.describe(spec)}")
@@ -197,15 +182,9 @@ def _matrix_text(q: np.ndarray, fmt: str) -> str:
     return json.dumps([[float(x) for x in row] for row in q])
 
 
-def _cmd_cesaro(cfg: RunConfig) -> int:
-    q, fmt = _read_matrix(cfg.matrix_path)
-    result = markov.cesaro(
-        q,
-        method=cfg.method,
-        deflation_tol=cfg.deflation_tol,
-        averaging_tol=cfg.averaging_tol,
-        averaging_n_max=cfg.averaging_n_max,
-    )
+def _cmd_cesaro(args: argparse.Namespace) -> int:
+    q, fmt = _read_matrix(args.matrix)
+    result = markov.cesaro(q, args.method, **_cesaro_options(args))
     print(_matrix_text(result.q_star, fmt))
     diag = [f"method: {result.method}"]
     if result.m1 is not None:
@@ -261,19 +240,13 @@ def _solve_jsonable(spec: GameSpec, report) -> dict:
     return obj
 
 
-def _cmd_solve(cfg: RunConfig) -> int:
-    spec = _load_game(cfg)
-    report = solve(
-        spec,
-        cfg.method,
-        saddle_eps=cfg.saddle_tol,
-        deflation_tol=cfg.deflation_tol,
-        averaging_tol=cfg.averaging_tol,
-        averaging_n_max=cfg.averaging_n_max,
-    )
-    if cfg.output_format == "json":
+def _cmd_solve(args: argparse.Namespace) -> int:
+    spec = _load_game(args)
+    report = solve(spec, args.method, saddle_eps=args.saddle_tol,
+                   **_cesaro_options(args))
+    if args.format == "json":
         obj = _solve_jsonable(spec, report)
-        if cfg.emit_matrices:
+        if args.emit_matrices:
             obj["matrices"] = [
                 {
                     "initial_state": pm.initial_state,
@@ -292,7 +265,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
         print(json.dumps(obj, indent=2, sort_keys=True))
         return 0
     out: list[str] = []
-    _banner(cfg, out)
+    _banner(args, out)
     out.append(f"game: {spec.name}")
     out.append(
         f"method: {report.method}   D1 = {report.diagnostics['d1']}   "
@@ -334,7 +307,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
             )
     elif spec.reference_values is not None:
         out.append("reference deltas: none (all within tolerance)")
-    if cfg.emit_matrices:
+    if args.emit_matrices:
         for pm in report.matrices:
             out.append(f"payoff matrix, initial state {pm.initial_state}:")
             for row in pm.entries:
@@ -343,20 +316,20 @@ def _cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
-    spec = _load_game(cfg)
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    spec = _load_game(args)
     validate(spec)
-    f = _parse_strategy(spec, PLAYER_I, cfg.max_arg)
-    g = _parse_strategy(spec, PLAYER_II, cfg.min_arg)
+    f = _parse_strategy(spec, PLAYER_I, args.max_arg)
+    g = _parse_strategy(spec, PLAYER_II, args.min_arg)
     estimate = estimate_payoff(
-        spec, f, g, cfg.start, cfg.horizon, cfg.reps, cfg.seed
+        spec, f, g, args.start, args.horizon, args.reps, args.seed
     )
-    if cfg.output_format == "json":
+    if args.format == "json":
         obj = {
             "game": spec.name,
             "maximiser": _strategy_jsonable(spec, f),
             "minimiser": _strategy_jsonable(spec, g),
-            "start": cfg.start,
+            "start": args.start,
             "horizon": estimate.horizon,
             "reps": estimate.reps,
             "seed": estimate.seed,
@@ -367,10 +340,10 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         print(json.dumps(obj, indent=2, sort_keys=True))
         return 0
     out: list[str] = []
-    _banner(cfg, out)
+    _banner(args, out)
     out.append(f"game: {spec.name}")
     out.append(
-        f"pair: ({f.label}, {g.label})   start: {cfg.start}   "
+        f"pair: ({f.label}, {g.label})   start: {args.start}   "
         f"horizon: {estimate.horizon}   reps: {estimate.reps}   seed: {estimate.seed}"
     )
     out.append(f"estimate: {_fmt(estimate.point)}   (stderr {_fmt(estimate.stderr)})")
@@ -450,30 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    get = lambda name, default=None: getattr(args, name, default)  # noqa: E731
-    return RunConfig(
-        subcommand=args.subcommand,
-        game_path=get("game"),
-        matrix_path=get("matrix"),
-        method=get("method", "structural"),
-        output_format=get("format", "text"),
-        no_banner=bool(get("no_banner", False)),
-        emit_matrices=bool(get("emit_matrices", False)),
-        tables=bool(get("tables", False)),
-        deflation_tol=get("deflation_tol", markov.DEFLATION_TOL),
-        averaging_tol=get("averaging_tol", markov.AVERAGING_TOL),
-        averaging_n_max=get("averaging_n_max", markov.AVERAGING_N_MAX),
-        saddle_tol=get("saddle_tol"),
-        max_arg=get("max_arg"),
-        min_arg=get("min_arg"),
-        start=get("start", 1),
-        horizon=get("horizon", 10000),
-        reps=get("reps", 100),
-        seed=get("seed", 0),
-    )
-
-
 _COMMANDS = {
     "validate": _cmd_validate,
     "enumerate": _cmd_enumerate,
@@ -486,9 +435,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
     try:
-        return _COMMANDS[cfg.subcommand](cfg)
+        return _COMMANDS[args.subcommand](args)
     except (PismgError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

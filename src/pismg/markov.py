@@ -374,9 +374,9 @@ def cesaro_structural(q) -> CesaroResult:
     recurrent state repeat its class's stationary distribution; rows of
     a transient state mix the class distributions with its absorption
     probabilities."""
-    q = validate_stochastic(q)
+    dec = decompose_chain(q)  # validates q
+    q = np.asarray(q, dtype=float)
     n = q.shape[0]
-    dec = decompose_chain(q)
     q_star = np.zeros((n, n))
     for idx, pi in zip(dec.recurrent_classes, dec.stationary):
         cols = np.asarray(idx, dtype=int)

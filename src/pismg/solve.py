@@ -11,29 +11,25 @@ state the payoff matrix over all pure pairs is searched for a pure
 saddle point with the row player maximising; the per-state saddle rows
 and columns assemble the optimal semi-stationary strategies. A missing
 saddle is a hard error: perfect-information games are expected to
-always have one, and the accompanying certificate checks the stronger
-statement that no 2x2 submatrix is saddle-free.
+always have one. The accompanying 2x2 certificate sweeps every 2x2
+submatrix for a saddle-free one; it is a diagnostic, not a consequence
+of the theorem, and a saddle-free 2x2 block can occur in a solvable game
+(see ``TestAdjacentPairProperty`` in ``tests/test_solve.py``).
 
-Payoff vectors are cached per (game, f, g, method), so the N per-state
-matrices of one solve reuse each pair's chain computation.
+A solve evaluates each pure pair once, into a (D1, D2, N) payoff tensor
+whose slice [:, :, s - 1] is the payoff matrix of initial state s.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import NumericalError, SaddlePointError
 from .game import GameSpec, PLAYER_I, PLAYER_II, validate
-from .markov import (
-    AVERAGING_N_MAX,
-    AVERAGING_TOL,
-    DEFLATION_TOL,
-    cesaro,
-)
+from .markov import _max_abs, cesaro
 from .strategies import (
     PureStationaryStrategy,
     SemiStationaryStrategy,
@@ -81,8 +77,6 @@ class PayoffMatrix:
 
     initial_state: int
     entries: np.ndarray
-    row_ordinals: tuple[int, ...]
-    col_ordinals: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,77 +98,51 @@ def saddle_tolerance(entries) -> float:
     """Comparison tolerance scaled to the matrix: EPS_SADDLE_REL *
     max(1, max|entry|)."""
     a = np.asarray(entries, dtype=float)
-    return EPS_SADDLE_REL * max(1.0, _finite_max_abs(a))
-
-
-def _finite_max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
-
-
-@lru_cache(maxsize=None)
-def _pair_payoff(spec: GameSpec, f: PureStationaryStrategy,
-                 g: PureStationaryStrategy, method: str,
-                 deflation_tol: float, averaging_tol: float,
-                 averaging_n_max: int) -> tuple[float, ...]:
-    chain = induce(spec, f, g)
-    result = cesaro(
-        chain.q,
-        method=method,
-        deflation_tol=deflation_tol,
-        averaging_tol=averaging_tol,
-        averaging_n_max=averaging_n_max,
-    )
-    numerator = result.q_star @ chain.r
-    denominator = result.q_star @ chain.tau
-    if float(denominator.min()) <= 0.0:
-        raise NumericalError(
-            "nonpositive expected time in the limit; sojourn validation "
-            "should have prevented this"
-        )
-    return tuple(float(x) for x in numerator / denominator)
+    return EPS_SADDLE_REL * max(1.0, _max_abs(a))
 
 
 def payoff_vector(spec: GameSpec, f: PureStationaryStrategy,
-                  g: PureStationaryStrategy, method: str = "structural", *,
-                  deflation_tol: float = DEFLATION_TOL,
-                  averaging_tol: float = AVERAGING_TOL,
-                  averaging_n_max: int = AVERAGING_N_MAX) -> np.ndarray:
+                  g: PureStationaryStrategy, method: str = "structural",
+                  **cesaro_options) -> np.ndarray:
     """phi(s, f, g) for every initial state s, as an array indexed
-    s - 1."""
+    s - 1. ``cesaro_options`` are passed to :func:`cesaro` unchanged."""
     try:
-        values = _pair_payoff(
-            spec, f, g, method, deflation_tol, averaging_tol, averaging_n_max
-        )
+        chain = induce(spec, f, g)
+        q_star = cesaro(chain.q, method, **cesaro_options).q_star
+        denominator = q_star @ chain.tau
+        if float(denominator.min()) <= 0.0:
+            raise NumericalError(
+                "nonpositive expected time in the limit; sojourn validation "
+                "should have prevented this"
+            )
     except NumericalError as e:
         raise NumericalError(f"pair ({f.label}, {g.label}): {e}") from e
-    return np.array(values)
+    return (q_star @ chain.r) / denominator
+
+
+def _payoff_tensor(spec: GameSpec, fs, gs, method: str,
+                   cesaro_options: dict) -> np.ndarray:
+    """phi(s, f, g) at [f.ordinal, g.ordinal, s - 1] for every pure pair,
+    one :func:`payoff_vector` call per pair."""
+    tensor = np.empty((len(fs), len(gs), spec.n))
+    for f in fs:
+        for g in gs:
+            tensor[f.ordinal, g.ordinal] = payoff_vector(
+                spec, f, g, method, **cesaro_options
+            )
+    return tensor
 
 
 def build_payoff_matrix(spec: GameSpec, initial_state: int,
-                        method: str = "structural", *,
-                        deflation_tol: float = DEFLATION_TOL,
-                        averaging_tol: float = AVERAGING_TOL,
-                        averaging_n_max: int = AVERAGING_N_MAX) -> PayoffMatrix:
+                        method: str = "structural",
+                        **cesaro_options) -> PayoffMatrix:
     """The D1 x D2 payoff matrix for one initial state."""
     if not 1 <= initial_state <= spec.n:
         raise ValueError(f"initial state {initial_state} out of range 1..{spec.n}")
     fs = enumerate_pure(spec, PLAYER_I)
     gs = enumerate_pure(spec, PLAYER_II)
-    entries = np.empty((len(fs), len(gs)))
-    for f in fs:
-        for g in gs:
-            entries[f.ordinal, g.ordinal] = payoff_vector(
-                spec, f, g, method,
-                deflation_tol=deflation_tol,
-                averaging_tol=averaging_tol,
-                averaging_n_max=averaging_n_max,
-            )[initial_state - 1]
-    return PayoffMatrix(
-        initial_state=initial_state,
-        entries=entries,
-        row_ordinals=tuple(range(len(fs))),
-        col_ordinals=tuple(range(len(gs))),
-    )
+    tensor = _payoff_tensor(spec, fs, gs, method, cesaro_options)
+    return PayoffMatrix(initial_state, tensor[:, :, initial_state - 1])
 
 
 def find_pure_saddle(entries, eps: float | None = None) -> SaddleResult:
@@ -274,13 +242,10 @@ def _reference_deltas(spec: GameSpec, values: tuple[float, ...]) -> tuple[dict, 
 
 
 def solve(spec: GameSpec, method: str = "structural", *,
-          saddle_eps: float | None = None,
-          deflation_tol: float = DEFLATION_TOL,
-          averaging_tol: float = AVERAGING_TOL,
-          averaging_n_max: int = AVERAGING_N_MAX) -> SolveReport:
+          saddle_eps: float | None = None, **cesaro_options) -> SolveReport:
     """Value vector and optimal pure semi-stationary strategies.
 
-    Builds the payoff matrix of every initial state, locates its pure
+    Builds the payoff tensor, locates each initial state's pure
     saddle cells (raising :class:`SaddlePointError` if a state has
     none), takes the lexicographically smallest cell per state, and
     assembles one strategy per player whose state-s component is that
@@ -296,13 +261,9 @@ def solve(spec: GameSpec, method: str = "structural", *,
     f_parts: list[PureStationaryStrategy] = []
     g_parts: list[PureStationaryStrategy] = []
     violations: list[tuple[int, int, int, int] | None] = []
+    tensor = _payoff_tensor(spec, fs, gs, method, cesaro_options)
     for s in range(1, spec.n + 1):
-        pm = build_payoff_matrix(
-            spec, s, method,
-            deflation_tol=deflation_tol,
-            averaging_tol=averaging_tol,
-            averaging_n_max=averaging_n_max,
-        )
+        pm = PayoffMatrix(s, tensor[:, :, s - 1])
         eps = saddle_eps if saddle_eps is not None else saddle_tolerance(pm.entries)
         certificate = check_all_2x2(pm.entries, eps)
         found = find_pure_saddle(pm.entries, eps)

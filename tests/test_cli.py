@@ -124,6 +124,23 @@ class TestCesaro:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_averaging_flags(self, capsys, tmp_path):
+        # the swap chain converges at n = 2 under the default flags
+        src = tmp_path / "swap.json"
+        src.write_text("[[0, 1], [1, 0]]")
+        code, out, err = _run(
+            capsys, "cesaro", "--matrix", str(src), "--method", "averaging",
+            "--averaging-n-max", "2",
+        )
+        assert code == 0
+        assert "iterations: 2; converged: false" in err
+        code, out, err = _run(
+            capsys, "cesaro", "--matrix", str(src), "--method", "averaging",
+            "--averaging-tol", "1",
+        )
+        assert code == 0
+        assert "iterations: 1; converged: true" in err
+
 
 class TestSolve:
     def test_text_report(self, capsys, example_path):
@@ -182,6 +199,15 @@ class TestSolve:
         assert code == 0
         assert "method: lazari" in out
         assert "state 1: 2.29851" in out
+
+    def test_deflation_tol_reaches_the_pair_evaluation(self, capsys, example_path):
+        code, out, err = _run(
+            capsys, "solve", str(example_path), "--method", "lazari",
+            "--deflation-tol", "0",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: pair (f2, g1): input not stochastic-like")
 
 
 class TestSimulateCommand:

@@ -67,6 +67,11 @@ class TestValidateStochastic:
         with pytest.raises(NumericalError, match="shape"):
             validate_stochastic(np.ones((2, 3)) / 3)
 
+    @pytest.mark.parametrize("routine", [decompose_chain, cesaro_structural])
+    def test_structural_routines_validate(self, routine):
+        with pytest.raises(NumericalError, match="row 1 sums"):
+            routine([[1.0, 0.0], [0.4, 0.4]])
+
 
 class TestCharPoly:
     def test_identity(self):

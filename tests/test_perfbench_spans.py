@@ -1,0 +1,27 @@
+"""The benchmark's tracer (perfbench/spans.py) wraps pismg functions at
+module attributes that pismg looks up per call. Every wrapped attribute
+must still exist, or a traced benchmark run breaks."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _wrapped():
+    loader_spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(loader_spec)
+    loader_spec.loader.exec_module(module)
+    return module.WRAPPED
+
+
+@pytest.mark.parametrize(
+    "module, attr",
+    [(module, attr) for _, module, attr in _wrapped()],
+    ids=lambda value: value,
+)
+def test_wrapped_attribute_is_callable(module, attr):
+    assert callable(getattr(importlib.import_module(module), attr, None))

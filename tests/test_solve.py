@@ -1,4 +1,6 @@
+import importlib
 import json
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +21,9 @@ from pismg import (
 
 import _corpus
 from _adjacent import adjacent_pairs, adjacent_quadruple_gaps
+
+# the package re-exports solve(), which hides the submodule attribute
+SOLVE_MODULE = importlib.import_module("pismg.solve")
 
 
 # Closed forms for the bundled example, from the stationary distributions
@@ -294,6 +299,34 @@ class TestSolve:
     def test_no_reference_values_no_deltas(self):
         for spec in _corpus.game_corpus(3, seed=5):
             assert solve(spec).diagnostics["reference_deltas"] == ()
+
+    def test_each_pure_pair_is_evaluated_once_per_solve(self, example_spec, monkeypatch):
+        # every per-state matrix is a slice of one payoff tensor, and
+        # nothing carries over from an earlier solve
+        counts = Counter()
+        for name in ("payoff_vector", "cesaro"):
+            original = getattr(SOLVE_MODULE, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(SOLVE_MODULE, name, counted)
+        for _ in range(2):
+            counts.clear()
+            report = solve(example_spec)
+            pairs = report.diagnostics["d1"] * report.diagnostics["d2"]
+            assert counts == {"payoff_vector": pairs, "cesaro": pairs}
+
+    def test_matrices_match_build_payoff_matrix(self, example_spec):
+        report = solve(example_spec)
+        for pm in report.matrices:
+            alone = build_payoff_matrix(example_spec, pm.initial_state)
+            assert np.array_equal(pm.entries, alone.entries)
+
+    def test_unknown_cesaro_option_rejected(self, example_spec):
+        with pytest.raises(TypeError):
+            solve(example_spec, deflation_tolerance=1e-7)
 
     def test_lazari_method_agrees(self, example_spec):
         a = solve(example_spec, "structural").value
