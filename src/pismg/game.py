@@ -115,7 +115,7 @@ class StateSpec:
 
 @dataclass(frozen=True)
 class GameSpec:
-    """A parsed game. Hashable, so solver caches can key on it."""
+    """A parsed game."""
 
     name: str
     states: tuple[StateSpec, ...]
@@ -253,6 +253,9 @@ def validate(spec: GameSpec) -> ValidationReport:
         raise GameValidationError(
             f"reference_values has {len(spec.reference_values)} entries, expected {spec.n}"
         )
+    for i, ref in enumerate(spec.reference_values or ()):
+        if not math.isfinite(ref):
+            raise GameValidationError(f"reference_values[{i}]: non-finite value {ref!r}")
     s1 = tuple(st.id for st in spec.states if st.controller == PLAYER_I)
     s2 = tuple(st.id for st in spec.states if st.controller == PLAYER_II)
     counts1 = tuple(len(spec.state(s).actions) for s in s1)

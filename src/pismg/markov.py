@@ -37,8 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .errors import NumericalError
 
@@ -293,28 +291,28 @@ def decompose_chain(q) -> ChainDecomposition:
     """Recurrent classes, transient states, stationary distributions and
     absorption probabilities of one stochastic matrix.
 
-    The transition graph keeps edges with probability > EPS_EDGE; its
-    strongly connected components with no outgoing edge are the
-    recurrent classes. Stationary rows come from replacing one balance
-    equation with normalization (dense LU); absorption probabilities
-    solve (I - Q_TT) x = Q_T,C 1."""
+    Edges are transitions with probability > EPS_EDGE. Squaring the
+    reflexive 0/1 reachability matrix until it stops changing gives its
+    closure. A state is recurrent when every state it reaches reaches it
+    back, and then its row of the closure is its class; classes are
+    ordered by smallest member and every other state is transient.
+    Stationary rows come from replacing one balance equation with
+    normalization (dense LU); absorption probabilities solve
+    (I - Q_TT) x = Q_T,C 1."""
     q = validate_stochastic(q)
     n = q.shape[0]
-    mask = q > EPS_EDGE
-    n_comp, labels = csgraph.connected_components(
-        sparse.csr_matrix(mask), directed=True, connection="strong"
-    )
-    members = [np.flatnonzero(labels == c) for c in range(n_comp)]
-    closed = []
-    for idx in members:
-        outside = np.setdiff1d(np.arange(n), idx)
-        if outside.size == 0 or not mask[np.ix_(idx, outside)].any():
-            closed.append(idx)
-    closed.sort(key=lambda idx: int(idx[0]))
-    in_closed = np.zeros(n, dtype=bool)
-    for idx in closed:
-        in_closed[idx] = True
-    transient = np.flatnonzero(~in_closed)
+    # squared as floats, where BLAS runs the product (numpy's boolean
+    # matmul is far slower); the sign of a path count marks reachability
+    reach = ((q > EPS_EDGE) | np.eye(n, dtype=bool)).astype(float)
+    closure = np.sign(reach @ reach)
+    while not np.array_equal(closure, reach):
+        reach, closure = closure, np.sign(closure @ closure)
+    recurrent = ~(reach > reach.T).any(axis=1)
+    # a recurrent state reaches exactly its own class, so it is the
+    # class's smallest member when it reaches no smaller state
+    closed = [np.flatnonzero(reach[i]) for i in np.flatnonzero(recurrent)
+              if not reach[i, :i].any()]
+    transient = np.flatnonzero(~recurrent)
 
     stationary = []
     for idx in closed:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameSpec, PLAYER_I
-from .strategies import PureStationaryStrategy
+from .game import GameSpec
+from .strategies import PureStationaryStrategy, selected_action
 
 SIMULATION_NOTE = "fixed-horizon ratio estimate; the long-run limit is not certified"
 
@@ -68,8 +68,7 @@ def _runtime_table(spec: GameSpec, f: PureStationaryStrategy,
     sojourn models, restricted to positive-probability transitions."""
     table = []
     for st in spec.states:
-        strat = f if st.controller == PLAYER_I else g
-        act = st.actions[strat.action_at(st.id)]
+        act = selected_action(spec, st.id, f, g)
         dests: list[int] = []
         probs: list[float] = []
         sojourns = []

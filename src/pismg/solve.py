@@ -23,6 +23,7 @@ whose slice [:, :, s - 1] is the payoff matrix of initial state s.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,7 +252,10 @@ def solve(spec: GameSpec, method: str = "structural", *,
     assembles one strategy per player whose state-s component is that
     cell's row/column strategy. Diagnostics carry the strategy-space
     sizes, per-state saddle multiplicity, the 2x2 certificate verdicts,
-    and deltas against bundled reference values if the game has any."""
+    and deltas against bundled reference values if the game has any.
+    A ``saddle_eps`` that is negative or non-finite raises ValueError."""
+    if saddle_eps is not None and not 0.0 <= saddle_eps < math.inf:
+        raise ValueError(f"saddle tolerance must be finite and >= 0, got {saddle_eps!r}")
     report = validate(spec)
     fs = enumerate_pure(spec, PLAYER_I)
     gs = enumerate_pure(spec, PLAYER_II)

@@ -209,6 +209,14 @@ class TestSolve:
         assert out == ""
         assert err.startswith("error: pair (f2, g1): input not stochastic-like")
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_saddle_tol_is_a_flag_error(self, capsys, example_path, tol):
+        code, out, err = _run(capsys, "solve", str(example_path), "--saddle-tol", tol)
+        assert code == 1
+        assert out == ""
+        assert "saddle tolerance" in err and tol in err
+        assert "guarantee" not in err
+
 
 class TestSimulateCommand:
     def test_ordinals(self, capsys, example_path):

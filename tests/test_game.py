@@ -140,6 +140,14 @@ class TestValidation:
         with pytest.raises(GameValidationError, match="reference_values"):
             parse_game(_patch_example(example_path, mutate))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_reference_values_must_be_finite(self, example_path, bad):
+        def mutate(o):
+            o["reference_values"][2] = bad
+
+        with pytest.raises(GameValidationError, match=r"reference_values\[2\]"):
+            parse_game(_patch_example(example_path, mutate))
+
     def test_report_partition(self, example_spec):
         report = validate(example_spec)
         assert report.s1 == (1, 2)

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,10 +231,18 @@ class TestDecompose:
         assert dec.transient == ()
         assert all(np.allclose(pi, [1.0]) for pi in dec.stationary)
 
-    def test_single_closed_class(self):
-        dec = decompose_chain(np.full((3, 3), 1 / 3))
-        assert dec.recurrent_classes == ((0, 1, 2),)
-        assert np.allclose(dec.stationary[0], [1 / 3] * 3, atol=1e-14)
+    @pytest.mark.parametrize(
+        "q",
+        # the 10-cycle 0 -> 1 -> ... -> 9 -> 0 closes only after 9 steps
+        [np.full((3, 3), 1 / 3), np.roll(np.eye(10), 1, axis=1)],
+        ids=["complete3", "cycle10"],
+    )
+    def test_single_closed_class(self, q):
+        n = q.shape[0]
+        dec = decompose_chain(q)
+        assert dec.recurrent_classes == (tuple(range(n)),)
+        assert dec.transient == ()
+        assert np.allclose(dec.stationary[0], [1 / n] * n, atol=1e-14)
 
     def test_four_state_structure(self):
         dec = decompose_chain(FOUR_STATE)
@@ -241,13 +252,21 @@ class TestDecompose:
         assert np.allclose(dec.stationary[1], [1.0], atol=1e-15)
         assert np.allclose(dec.absorption, [[0.5, 0.5]], atol=1e-14)
 
-    def test_chained_transients(self):
-        # 0 -> 1 -> 2 (absorbing): both 0 and 1 are transient
-        q = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_chained_transients(self, n):
+        # 0 -> 1 -> ... -> n-1 (absorbing): every other state is transient
+        q = np.eye(n, k=1)
+        q[-1, -1] = 1.0
         dec = decompose_chain(q)
-        assert dec.recurrent_classes == ((2,),)
-        assert dec.transient == (0, 1)
-        assert np.allclose(dec.absorption, [[1.0], [1.0]], atol=1e-14)
+        assert dec.recurrent_classes == ((n - 1,),)
+        assert dec.transient == tuple(range(n - 1))
+        assert np.allclose(dec.absorption, np.ones((n - 1, 1)), atol=1e-14)
+
+    def test_entry_at_edge_threshold_is_no_edge(self):
+        # 1e-13 <= EPS_EDGE, so 0 -> 1 is no edge and 0 is absorbing
+        dec = decompose_chain([[1.0 - 1e-13, 1e-13], [0.0, 1.0]])
+        assert dec.recurrent_classes == ((0,), (1,))
+        assert dec.transient == ()
 
 
 class TestStructural:
@@ -294,3 +313,11 @@ def test_structural_invariants_property(n, seed):
     for idx, pi in zip(dec.recurrent_classes, dec.stationary):
         for s in idx:
             assert np.allclose(result.q_star[s, list(idx)], pi, atol=1e-12)
+
+
+def test_import_leaves_scipy_unloaded():
+    # numpy is the only runtime dependency
+    code = "import sys, pismg; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "False\n"

@@ -296,6 +296,14 @@ class TestSolve:
         assert deltas[0]["reference"] == 0.9
         assert deltas[0]["computed"] == pytest.approx(VALUE_4, abs=1e-12)
 
+    @pytest.mark.parametrize("eps", [-1.0, float("nan"), float("inf")])
+    def test_bad_saddle_eps_rejected(self, example_spec, eps):
+        with pytest.raises(ValueError, match=f"got {eps!r}$"):
+            solve(example_spec, saddle_eps=eps)
+
+    def test_zero_saddle_eps_allowed(self, example_spec):
+        assert solve(example_spec, saddle_eps=0.0).value == solve(example_spec).value
+
     def test_no_reference_values_no_deltas(self):
         for spec in _corpus.game_corpus(3, seed=5):
             assert solve(spec).diagnostics["reference_deltas"] == ()
