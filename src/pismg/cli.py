@@ -132,7 +132,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     spec = _load_game(args)
-    validate(spec)
     d1 = strategy_count(spec, PLAYER_I)
     d2 = strategy_count(spec, PLAYER_II)
     if args.format == "json":
@@ -318,7 +317,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = _load_game(args)
-    validate(spec)
     f = _parse_strategy(spec, PLAYER_I, args.max_arg)
     g = _parse_strategy(spec, PLAYER_II, args.min_arg)
     estimate = estimate_payoff(

@@ -49,13 +49,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import GameFormatError, GameValidationError
+from .markov import EPS_STOCH
 
 PLAYER_I = "I"
 PLAYER_II = "II"
 PLAYERS = (PLAYER_I, PLAYER_II)
-
-# absolute tolerance on transition row sums
-EPS_STOCH = 1e-9
 
 SOJOURN_KINDS = ("mean", "deterministic", "exponential", "uniform")
 _SOJOURN_PARAMS = {

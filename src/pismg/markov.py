@@ -24,7 +24,7 @@ it:
 ``cesaro_structural``
     Decompose the chain into recurrent classes and transient states,
     solve for each class's stationary distribution and the transient
-    absorption probabilities, and assemble Q* row by row. The robust
+    absorption probabilities, and assemble Q* from them. The robust
     default.
 
 Polynomials are coefficient arrays in ascending order: p[k] is the
@@ -40,7 +40,8 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import NumericalError
 
-# validation tolerances for inputs and results
+# validation tolerances for inputs and results; EPS_STOCH also bounds
+# the row sums of a game's transition rows (game.validate)
 EPS_STOCH = 1e-9
 EPS_PROJ = 1e-8
 EPS_ROWSUM = 1e-6
@@ -375,14 +376,16 @@ def cesaro_structural(q) -> CesaroResult:
     dec = decompose_chain(q)  # validates q
     q = np.asarray(q, dtype=float)
     n = q.shape[0]
+    # pis[k] is class k's stationary row spread over all n states; the
+    # classes are disjoint, so each entry of absorption @ pis has at most
+    # one nonzero term
+    pis = np.zeros((len(dec.recurrent_classes), n))
     q_star = np.zeros((n, n))
-    for idx, pi in zip(dec.recurrent_classes, dec.stationary):
-        cols = np.asarray(idx, dtype=int)
-        for s in idx:
-            q_star[s, cols] = pi
-    for t_pos, s in enumerate(dec.transient):
-        for col, (idx, pi) in enumerate(zip(dec.recurrent_classes, dec.stationary)):
-            q_star[s, np.asarray(idx, dtype=int)] += dec.absorption[t_pos, col] * pi
+    for k, (idx, pi) in enumerate(zip(dec.recurrent_classes, dec.stationary)):
+        pis[k, idx] = pi
+        q_star[idx, :] = pis[k]
+    if dec.transient:
+        q_star[dec.transient, :] = dec.absorption @ pis
     _check_limit(q_star, q, "structural")
     return CesaroResult(q_star=q_star, method="structural", decomposition=dec)
 

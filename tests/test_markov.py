@@ -275,6 +275,33 @@ class TestStructural:
         assert np.allclose(result.q_star, FOUR_STATE_LIMIT, atol=1e-14)
         assert result.decomposition is not None
 
+    def test_interleaved_classes(self):
+        # classes {0, 2} (stationary (1/2, 1/2)) and {1, 3} (stationary
+        # (1/4, 3/4)) interleave; transient state 4 is absorbed into each
+        # with probability 1/2
+        q = np.array(
+            [
+                [0.0, 0.0, 1.0, 0.0, 0.0],
+                [0.0, 0.25, 0.0, 0.75, 0.0],
+                [1.0, 0.0, 0.0, 0.0, 0.0],
+                [0.0, 0.25, 0.0, 0.75, 0.0],
+                [0.25, 0.0, 0.0, 0.25, 0.5],
+            ]
+        )
+        result = cesaro_structural(q)
+        assert result.decomposition.recurrent_classes == ((0, 2), (1, 3))
+        assert result.decomposition.transient == (4,)
+        expected = np.array(
+            [
+                [0.5, 0.0, 0.5, 0.0, 0.0],
+                [0.0, 0.25, 0.0, 0.75, 0.0],
+                [0.5, 0.0, 0.5, 0.0, 0.0],
+                [0.0, 0.25, 0.0, 0.75, 0.0],
+                [0.25, 0.125, 0.25, 0.375, 0.0],
+            ]
+        )
+        assert np.allclose(result.q_star, expected, atol=1e-14)
+
     def test_agrees_with_lazari_on_corpus(self):
         for q in _corpus.matrix_corpus(30, seed=47):
             a = cesaro_structural(q).q_star

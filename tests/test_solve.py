@@ -1,5 +1,6 @@
 import importlib
 import json
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -45,6 +46,34 @@ A4 = np.array(
 )
 
 MATCHING_PENNIES = np.array([[1.0, 0.0], [0.0, 1.0]])
+
+# rows (1,3) x cols (1,4) is the first strictly saddle-free quadruple;
+# all-9 rows and column 0 can never participate
+LATE_VIOLATION = np.array(
+    [
+        [9.0, 9.0, 9.0, 9.0, 9.0],
+        [9.0, 5.0, 0.0, 9.0, 0.0],
+        [9.0, 9.0, 9.0, 9.0, 9.0],
+        [9.0, 0.0, 0.0, 9.0, 4.0],
+        [9.0, 9.0, 9.0, 9.0, 9.0],
+    ]
+)
+
+
+def _first_saddle_free_2x2(a, eps):
+    """Reference for check_all_2x2: the first 1-based (i, i', j, j') in
+    lexicographic order with min(a, d) > max(b, c) + eps or
+    max(a, d) < min(b, c) - eps, or None."""
+    d1, d2 = a.shape
+    for i in range(d1):
+        for i2 in range(i + 1, d1):
+            for j in range(d2):
+                for j2 in range(j + 1, d2):
+                    diag = (a[i, j], a[i2, j2])
+                    anti = (a[i, j2], a[i2, j])
+                    if min(diag) > max(anti) + eps or max(diag) < min(anti) - eps:
+                        return (i + 1, i2 + 1, j + 1, j2 + 1)
+    return None
 
 
 @pytest.fixture(scope="module")
@@ -188,20 +217,43 @@ class TestCertificate2x2:
             assert cert.violation is None
 
     def test_violation_is_lexicographically_first(self):
-        # rows (1,3) x cols (1,4) is the first strictly saddle-free
-        # quadruple; all-9 rows and column 0 can never participate
-        a = np.array(
-            [
-                [9.0, 9.0, 9.0, 9.0, 9.0],
-                [9.0, 5.0, 0.0, 9.0, 0.0],
-                [9.0, 9.0, 9.0, 9.0, 9.0],
-                [9.0, 0.0, 0.0, 9.0, 4.0],
-                [9.0, 9.0, 9.0, 9.0, 9.0],
-            ]
-        )
-        cert = check_all_2x2(a)
+        cert = check_all_2x2(LATE_VIOLATION)
         assert not cert.passed
         assert cert.violation == (2, 4, 2, 5)
+
+    def test_matches_four_loop_reference(self):
+        rng = np.random.default_rng(2024)
+        matrices = [LATE_VIOLATION] + [
+            rng.integers(0, 3, size=rng.integers(1, 8, size=2)).astype(float)
+            for _ in range(600)
+        ]
+        late = 0
+        for a in matrices:
+            for eps in (0.0, 0.5, None):
+                cert = check_all_2x2(a, eps)
+                expected = _first_saddle_free_2x2(
+                    a, saddle_tolerance(a) if eps is None else eps
+                )
+                assert (cert.passed, cert.violation) == (expected is None, expected)
+                if expected is not None and expected[0] >= 2 and expected[1] > expected[0] + 1:
+                    late += 1
+        # first violations away from the first row pair check the
+        # row-offset arithmetic
+        assert late >= 10
+
+    def test_full_sweep_memory(self):
+        # an additive matrix has a saddle in every 2x2 block, so the
+        # sweep runs to the end
+        rng = np.random.default_rng(5)
+        a = rng.random(100)[:, None] + rng.random(100)[None, :]
+        tracemalloc.start()
+        try:
+            cert = check_all_2x2(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.passed
+        assert peak < 64 * 2**20
 
     def test_certificate_matches_saddle_search_on_random_2x2(self):
         rng = np.random.default_rng(321)
