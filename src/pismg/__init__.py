@@ -54,7 +54,6 @@ from .strategies import (
     strategy_from_ordinal,
 )
 from .solve import (
-    PayoffMatrix,
     SaddleCertificate,
     SaddleResult,
     SolveReport,
@@ -86,7 +85,7 @@ __all__ = [
     "PureStationaryStrategy", "SemiStationaryStrategy", "InducedChain",
     "controlled_states", "strategy_count", "enumerate_pure",
     "strategy_from_ordinal", "strategy_from_labels", "ordinal_of", "induce",
-    "PayoffMatrix", "SaddleResult", "SaddleCertificate", "SolveReport",
+    "SaddleResult", "SaddleCertificate", "SolveReport",
     "payoff_vector", "build_payoff_matrix", "find_pure_saddle",
     "check_all_2x2", "saddle_tolerance", "solve",
     "TrajectoryStats", "PayoffEstimate", "simulate", "estimate_payoff",

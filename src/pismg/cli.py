@@ -12,6 +12,7 @@ with the same inputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -77,12 +78,15 @@ def _parse_strategy(spec: GameSpec, player: str, text: str) -> PureStationaryStr
         return strategy_from_ordinal(spec, player, ordinal)
     chosen: dict[int, str] = {}
     for part in text.split(","):
-        state_text, sep, label = part.partition("=")
-        if not sep or not label:
+        state_text, _, label = part.partition("=")
+        try:
+            if not label:
+                raise ValueError
+            chosen[int(state_text)] = label
+        except ValueError:
             raise ValueError(
                 f"bad strategy spec {part!r}; expected 'state=label' or an ordinal"
-            )
-        chosen[int(state_text)] = label
+            ) from None
     return strategy_from_labels(spec, player, chosen)
 
 
@@ -94,18 +98,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     spec = _load_game(args)
     report = validate(spec)
     if args.format == "json":
-        obj = {
-            "game": spec.name,
-            "n": spec.n,
-            "s1": list(report.s1),
-            "s2": list(report.s2),
-            "player1_action_counts": list(report.player1_action_counts),
-            "player2_action_counts": list(report.player2_action_counts),
-            "d1": report.d1,
-            "d2": report.d2,
-            "warnings": list(report.warnings),
-            "ok": True,
-        }
+        obj = {"game": spec.name, "n": spec.n, "ok": True, **dataclasses.asdict(report)}
         print(json.dumps(obj, indent=2, sort_keys=True))
         return 0
     out: list[str] = []
@@ -200,10 +193,11 @@ def _cmd_cesaro(args: argparse.Namespace) -> int:
 
 
 def _solve_jsonable(spec: GameSpec, report) -> dict:
-    obj: dict = {
+    certified = report.diagnostics["certificate_2x2"]
+    return {
         "game": spec.name,
         "method": report.method,
-        "value": [float(v) for v in report.value],
+        "value": report.value,
         "maximiser": [
             dict(state=s, **_strategy_jsonable(spec, report.maximiser.for_state(s)))
             for s in range(1, spec.n + 1)
@@ -217,26 +211,15 @@ def _solve_jsonable(spec: GameSpec, report) -> dict:
                 "state": s,
                 "row": sr.row,
                 "col": sr.col,
-                "value": float(sr.value),
+                "value": sr.value,
                 "multiplicity": len(sr.all_saddles),
-                "all_saddles": [list(cell) for cell in sr.all_saddles],
-                "certificate_2x2": sr.certificate_2x2,
+                "all_saddles": sr.all_saddles,
+                "certificate_2x2": certified[s - 1],
             }
             for s, sr in enumerate(report.per_state, start=1)
         ],
-        "diagnostics": {
-            "d1": report.diagnostics["d1"],
-            "d2": report.diagnostics["d2"],
-            "saddle_multiplicity": list(report.diagnostics["saddle_multiplicity"]),
-            "certificate_2x2": list(report.diagnostics["certificate_2x2"]),
-            "certificate_violations": [
-                list(v) if v is not None else None
-                for v in report.diagnostics["certificate_violations"]
-            ],
-            "reference_deltas": [dict(d) for d in report.diagnostics["reference_deltas"]],
-        },
+        "diagnostics": report.diagnostics,
     }
-    return obj
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -247,11 +230,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         obj = _solve_jsonable(spec, report)
         if args.emit_matrices:
             obj["matrices"] = [
-                {
-                    "initial_state": pm.initial_state,
-                    "entries": [[float(x) for x in row] for row in pm.entries],
-                }
-                for pm in report.matrices
+                {"initial_state": s, "entries": report.payoffs[:, :, s - 1].tolist()}
+                for s in range(1, spec.n + 1)
             ]
             obj["strategy_tables"] = {
                 "maximiser": [
@@ -307,9 +287,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     elif spec.reference_values is not None:
         out.append("reference deltas: none (all within tolerance)")
     if args.emit_matrices:
-        for pm in report.matrices:
-            out.append(f"payoff matrix, initial state {pm.initial_state}:")
-            for row in pm.entries:
+        for s in range(1, spec.n + 1):
+            out.append(f"payoff matrix, initial state {s}:")
+            for row in report.payoffs[:, :, s - 1]:
                 out.append("  " + "  ".join(f"{_fmt(x):>12}" for x in row))
     print("\n".join(out))
     return 0
@@ -328,12 +308,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "maximiser": _strategy_jsonable(spec, f),
             "minimiser": _strategy_jsonable(spec, g),
             "start": args.start,
-            "horizon": estimate.horizon,
-            "reps": estimate.reps,
-            "seed": estimate.seed,
-            "point": estimate.point,
-            "stderr": estimate.stderr,
-            "note": estimate.note,
+            **dataclasses.asdict(estimate),
         }
         print(json.dumps(obj, indent=2, sort_keys=True))
         return 0

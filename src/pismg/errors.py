@@ -29,8 +29,9 @@ class SaddlePointError(PismgError):
     """A payoff matrix turned out to have no pure saddle point.
 
     Perfect-information games are expected to always admit one, so this is
-    a hard error, not a degraded result. The offending matrix is attached
-    as ``matrix`` for inspection.
+    a hard error, not a degraded result. The offending matrix, the D1 x D2
+    slice ``payoffs[:, :, s - 1]`` of the solve's payoff tensor for
+    initial state s, is attached as ``matrix`` for inspection.
     """
 
     def __init__(self, message: str, matrix=None):

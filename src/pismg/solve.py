@@ -18,13 +18,15 @@ of the theorem, and a saddle-free 2x2 block can occur in a solvable game
 takes one first row at a time against all later rows and all column
 pairs, so it holds one (D1 - 1) x C(D2, 2) block at a time.
 
-A solve evaluates each pure pair once, into a (D1, D2, N) payoff tensor
-whose slice [:, :, s - 1] is the payoff matrix of initial state s.
+A solve evaluates each pure pair once, into the (D1, D2, N) payoff
+tensor ``SolveReport.payoffs``: ``payoffs[i, j, s - 1]`` is phi(s, f, g)
+for the maximiser's strategy of ordinal i and the minimiser's of ordinal
+j, so the slice ``payoffs[:, :, s - 1]`` is the payoff matrix of initial
+state s.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -47,11 +49,12 @@ REFERENCE_FLAG_TOL = 1e-3
 
 @dataclass(frozen=True)
 class SaddleResult:
-    """Outcome of the pure saddle search on one payoff matrix.
+    """Outcome of the pure saddle search on one payoff matrix, in a
+    solve the slice ``payoffs[:, :, s - 1]`` of :class:`SolveReport`.
 
     ``row``/``col`` are the lexicographically smallest saddle cell
-    (0-based ordinals), ``all_saddles`` every saddle cell in row-major
-    order, ``certificate_2x2`` the 2x2 sweep verdict when one was run.
+    (0-based ordinals, the i and j of ``payoffs[i, j, s - 1]``),
+    ``all_saddles`` every saddle cell in row-major order.
     """
 
     exists: bool
@@ -59,7 +62,6 @@ class SaddleResult:
     col: int | None
     value: float | None
     all_saddles: tuple[tuple[int, int], ...]
-    certificate_2x2: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -72,25 +74,21 @@ class SaddleCertificate:
 
 
 @dataclass(frozen=True, eq=False)
-class PayoffMatrix:
-    """Payoffs phi(s, f_i, g_j) for one initial state s, rows indexed by
-    the maximiser's ordinals and columns by the minimiser's."""
-
-    initial_state: int
-    entries: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Full solve outcome: value vector (index s - 1 for state s),
     optimal semi-stationary strategies for both players, the per-state
-    saddle results and payoff matrices, and a diagnostics dict."""
+    saddle results, the payoff tensor and a diagnostics dict.
+
+    ``payoffs`` is the (D1, D2, N) array with phi(s, f, g) at
+    ``[i, j, s - 1]`` for the maximiser's strategy of ordinal i and the
+    minimiser's of ordinal j; ``payoffs[:, :, s - 1]`` is the payoff
+    matrix of initial state s."""
 
     value: tuple[float, ...]
     maximiser: SemiStationaryStrategy
     minimiser: SemiStationaryStrategy
     per_state: tuple[SaddleResult, ...]
-    matrices: tuple[PayoffMatrix, ...]
+    payoffs: np.ndarray
     method: str
     diagnostics: dict
 
@@ -136,14 +134,16 @@ def _payoff_tensor(spec: GameSpec, fs, gs, method: str,
 
 def build_payoff_matrix(spec: GameSpec, initial_state: int,
                         method: str = "structural",
-                        **cesaro_options) -> PayoffMatrix:
-    """The D1 x D2 payoff matrix for one initial state."""
+                        **cesaro_options) -> np.ndarray:
+    """The D1 x D2 payoff matrix for one initial state, the slice
+    ``payoffs[:, :, initial_state - 1]`` of a solve's tensor. :func:`solve`
+    does not call it."""
     if not 1 <= initial_state <= spec.n:
         raise ValueError(f"initial state {initial_state} out of range 1..{spec.n}")
     fs = enumerate_pure(spec, PLAYER_I)
     gs = enumerate_pure(spec, PLAYER_II)
     tensor = _payoff_tensor(spec, fs, gs, method, cesaro_options)
-    return PayoffMatrix(initial_state, tensor[:, :, initial_state - 1])
+    return tensor[:, :, initial_state - 1]
 
 
 def find_pure_saddle(entries, eps: float | None = None) -> SaddleResult:
@@ -248,54 +248,45 @@ def solve(spec: GameSpec, method: str = "structural", *,
     none), takes the lexicographically smallest cell per state, and
     assembles one strategy per player whose state-s component is that
     cell's row/column strategy. Diagnostics carry the strategy-space
-    sizes, per-state saddle multiplicity, the 2x2 certificate verdicts,
-    and deltas against bundled reference values if the game has any.
+    sizes, per-state saddle multiplicity, the 2x2 certificate verdicts
+    (a state passes when its first violation is None), and deltas
+    against bundled reference values if the game has any.
     A ``saddle_eps`` that is negative or non-finite raises ValueError."""
     if saddle_eps is not None and not 0.0 <= saddle_eps < math.inf:
         raise ValueError(f"saddle tolerance must be finite and >= 0, got {saddle_eps!r}")
     report = validate(spec)
     fs = enumerate_pure(spec, PLAYER_I)
     gs = enumerate_pure(spec, PLAYER_II)
-    matrices: list[PayoffMatrix] = []
+    payoffs = _payoff_tensor(spec, fs, gs, method, cesaro_options)
     per_state: list[SaddleResult] = []
-    values: list[float] = []
-    f_parts: list[PureStationaryStrategy] = []
-    g_parts: list[PureStationaryStrategy] = []
     violations: list[tuple[int, int, int, int] | None] = []
-    tensor = _payoff_tensor(spec, fs, gs, method, cesaro_options)
     for s in range(1, spec.n + 1):
-        pm = PayoffMatrix(s, tensor[:, :, s - 1])
-        eps = saddle_eps if saddle_eps is not None else saddle_tolerance(pm.entries)
-        certificate = check_all_2x2(pm.entries, eps)
-        found = find_pure_saddle(pm.entries, eps)
-        found = dataclasses.replace(found, certificate_2x2=certificate.passed)
+        entries = payoffs[:, :, s - 1]
+        eps = saddle_eps if saddle_eps is not None else saddle_tolerance(entries)
+        violations.append(check_all_2x2(entries, eps).violation)
+        found = find_pure_saddle(entries, eps)
         if not found.exists:
             raise SaddlePointError(
                 f"no pure saddle point in the payoff matrix for initial "
                 f"state {s}; the perfect-information guarantee failed",
-                matrix=pm,
+                matrix=entries,
             )
-        matrices.append(pm)
         per_state.append(found)
-        values.append(found.value)
-        f_parts.append(fs[found.row])
-        g_parts.append(gs[found.col])
-        violations.append(certificate.violation)
-    value_t = tuple(values)
+    value = tuple(sr.value for sr in per_state)
     diagnostics = {
         "d1": report.d1,
         "d2": report.d2,
         "saddle_multiplicity": tuple(len(sr.all_saddles) for sr in per_state),
-        "certificate_2x2": tuple(sr.certificate_2x2 for sr in per_state),
+        "certificate_2x2": tuple(v is None for v in violations),
         "certificate_violations": tuple(violations),
-        "reference_deltas": _reference_deltas(spec, value_t),
+        "reference_deltas": _reference_deltas(spec, value),
     }
     return SolveReport(
-        value=value_t,
-        maximiser=SemiStationaryStrategy(PLAYER_I, tuple(f_parts)),
-        minimiser=SemiStationaryStrategy(PLAYER_II, tuple(g_parts)),
+        value=value,
+        maximiser=SemiStationaryStrategy(PLAYER_I, tuple(fs[sr.row] for sr in per_state)),
+        minimiser=SemiStationaryStrategy(PLAYER_II, tuple(gs[sr.col] for sr in per_state)),
         per_state=tuple(per_state),
-        matrices=tuple(matrices),
+        payoffs=payoffs,
         method=method,
         diagnostics=diagnostics,
     )

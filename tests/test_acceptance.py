@@ -130,8 +130,7 @@ def test_criterion_4_saddle_existence_over_corpus(tmp_path_factory):
         fs = enumerate_pure(spec, "I")
         gs = enumerate_pure(spec, "II")
         for state_index, sr in enumerate(report.per_state, start=1):
-            entries = report.matrices[state_index - 1].entries
-            a = np.array(entries, dtype=float)
+            a = report.payoffs[:, :, state_index - 1]
             eps = saddle_tolerance(a)
             maximin = a.min(axis=1).max()
             minimax = a.max(axis=0).min()
@@ -168,25 +167,17 @@ def test_criterion_5_scaling_invariance():
         base = solve(spec)
 
         rewarded = solve(scale_rewards(spec, 3.7))
-        for pm_base, pm_new in zip(base.matrices, rewarded.matrices):
-            assert np.allclose(
-                np.array(pm_new.entries),
-                3.7 * np.array(pm_base.entries),
-                rtol=1e-10,
-                atol=1e-12,
-            )
+        assert np.allclose(
+            rewarded.payoffs, 3.7 * base.payoffs, rtol=1e-10, atol=1e-12
+        )
         for sr_base, sr_new in zip(base.per_state, rewarded.per_state):
             assert sr_new.all_saddles == sr_base.all_saddles
             assert (sr_new.row, sr_new.col) == (sr_base.row, sr_base.col)
 
         slowed = solve(scale_sojourns(spec, 2.5))
-        for pm_base, pm_new in zip(base.matrices, slowed.matrices):
-            assert np.allclose(
-                np.array(pm_new.entries),
-                np.array(pm_base.entries) / 2.5,
-                rtol=1e-10,
-                atol=1e-12,
-            )
+        assert np.allclose(
+            slowed.payoffs, base.payoffs / 2.5, rtol=1e-10, atol=1e-12
+        )
         for sr_base, sr_new in zip(base.per_state, slowed.per_state):
             assert sr_new.all_saddles == sr_base.all_saddles
             assert (sr_new.row, sr_new.col) == (sr_base.row, sr_base.col)

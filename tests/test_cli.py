@@ -1,8 +1,13 @@
 import json
+import math
+from pathlib import Path
 
 import pytest
 
 from pismg.cli import build_parser, main
+from test_solve import TWO_SINKS
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _run(capsys, *argv):
@@ -267,3 +272,65 @@ class TestSimulateCommand:
         )
         assert code == 1
         assert err.startswith("error:")
+
+    def test_non_integer_state_names_the_spec(self, capsys, example_path):
+        code, out, err = _run(
+            capsys, "simulate", str(example_path), "--max", "x=a1", "--min", "0"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: bad strategy spec 'x=a1'; expected 'state=label' or an ordinal\n"
+        )
+
+
+# Expected CLI outputs, one file in tests/data per case. "{game}" is the
+# game file: example_s5.json, or the two-sinks game of test_solve.py,
+# whose state-1 matrix violates the all-pairs 2x2 certificate.
+# Regenerate a file with `pismg <argv> > tests/data/<file>`.
+GOLDEN = [
+    ("solve_example_s5.txt", "example", ["solve", "{game}", "--no-banner", "--emit-matrices"]),
+    ("solve_example_s5.json", "example",
+     ["solve", "{game}", "--no-banner", "--emit-matrices", "--format", "json"]),
+    ("solve_two_sinks.txt", "two_sinks", ["solve", "{game}", "--no-banner", "--emit-matrices"]),
+    ("solve_two_sinks.json", "two_sinks",
+     ["solve", "{game}", "--no-banner", "--emit-matrices", "--format", "json"]),
+    ("validate_example_s5.json", "example", ["validate", "{game}", "--format", "json"]),
+    ("simulate_example_s5.json", "example",
+     ["simulate", "{game}", "--max", "2", "--min", "0", "--start", "1",
+      "--horizon", "1000", "--reps", "10", "--seed", "3", "--format", "json"]),
+]
+
+
+def _assert_same_json(got, want, where="$"):
+    """Keys, strings, ints, bools and nulls exactly; floats within 1e-12
+    relative, since LAPACK builds may differ in the last ulp."""
+    if isinstance(want, float) and isinstance(got, float):
+        assert math.isclose(got, want, rel_tol=1e-12), f"{where}: {got!r} != {want!r}"
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            _assert_same_json(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for k, (g, w) in enumerate(zip(got, want)):
+            _assert_same_json(g, w, f"{where}[{k}]")
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("name, game, argv", GOLDEN, ids=[c[0] for c in GOLDEN])
+    def test_matches_expected(self, capsys, tmp_path, example_path, name, game, argv):
+        if game == "two_sinks":
+            path = tmp_path / "two_sinks.json"
+            path.write_text(TWO_SINKS)
+        else:
+            path = example_path
+        code, out, err = _run(capsys, *(a.format(game=path) for a in argv))
+        assert code == 0 and err == ""
+        want = (DATA / name).read_text()
+        if name.endswith(".json"):
+            _assert_same_json(json.loads(out), json.loads(want))
+        else:
+            assert out == want

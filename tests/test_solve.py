@@ -19,12 +19,18 @@ from pismg import (
     solve,
     strategy_from_ordinal,
 )
+from pismg.cli import main
 
 import _corpus
 from _adjacent import adjacent_pairs, adjacent_quadruple_gaps
 
 # the package re-exports solve(), which hides the submodule attribute
 SOLVE_MODULE = importlib.import_module("pismg.solve")
+
+
+@pytest.fixture(scope="module")
+def example_payoffs(example_spec):
+    return solve(example_spec).payoffs
 
 
 # Closed forms for the bundled example, from the stationary distributions
@@ -131,19 +137,16 @@ class TestPayoffVector:
 
 
 class TestPayoffMatrix:
-    def test_state1(self, example_spec):
-        pm = build_payoff_matrix(example_spec, 1)
+    def test_state1(self, example_payoffs):
         expected = np.array([[2.1] * 4, [PHI_F2] * 4, [PHI_F3] * 4, [2.0] * 4])
-        assert np.allclose(pm.entries, expected, atol=1e-12)
+        assert np.allclose(example_payoffs[:, :, 0], expected, atol=1e-12)
 
-    def test_state3(self, example_spec):
-        pm = build_payoff_matrix(example_spec, 3)
+    def test_state3(self, example_payoffs):
         expected = np.tile([3.0, 3.0, 2.9, 2.9], (4, 1))
-        assert np.allclose(pm.entries, expected, atol=1e-12)
+        assert np.allclose(example_payoffs[:, :, 2], expected, atol=1e-12)
 
-    def test_state4(self, example_spec):
-        pm = build_payoff_matrix(example_spec, 4)
-        assert np.allclose(pm.entries, A4, atol=1e-12)
+    def test_state4(self, example_payoffs):
+        assert np.allclose(example_payoffs[:, :, 3], A4, atol=1e-12)
 
     def test_rejects_bad_state(self, example_spec):
         with pytest.raises(ValueError, match="out of range"):
@@ -164,26 +167,24 @@ class TestFindPureSaddle:
         assert result.all_saddles == ()
         assert result.value is None
 
-    def test_ties_report_all_cells_lex_first(self, example_spec):
-        pm = build_payoff_matrix(example_spec, 1)
-        result = find_pure_saddle(pm.entries)
+    def test_ties_report_all_cells_lex_first(self, example_payoffs):
+        result = find_pure_saddle(example_payoffs[:, :, 0])
         assert result.exists
         assert (result.row, result.col) == (2, 0)
         assert result.all_saddles == ((2, 0), (2, 1), (2, 2), (2, 3))
         assert result.value == pytest.approx(PHI_F3, abs=1e-12)
 
-    def test_state4_saddles(self, example_spec):
-        pm = build_payoff_matrix(example_spec, 4)
-        result = find_pure_saddle(pm.entries)
+    def test_state4_saddles(self, example_payoffs):
+        result = find_pure_saddle(example_payoffs[:, :, 3])
         assert result.all_saddles == ((2, 0), (2, 1))
         assert result.value == pytest.approx(VALUE_4, abs=1e-12)
 
-    def test_interchangeability_on_saddle_cells(self, example_spec):
+    def test_interchangeability_on_saddle_cells(self, example_payoffs):
         for s in range(1, 5):
-            pm = build_payoff_matrix(example_spec, s)
-            result = find_pure_saddle(pm.entries)
-            values = [pm.entries[i, j] for i, j in result.all_saddles]
-            assert max(values) - min(values) <= saddle_tolerance(pm.entries)
+            entries = example_payoffs[:, :, s - 1]
+            result = find_pure_saddle(entries)
+            values = [entries[i, j] for i, j in result.all_saddles]
+            assert max(values) - min(values) <= saddle_tolerance(entries)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -209,10 +210,9 @@ class TestCertificate2x2:
     def test_vacuous_for_single_row(self):
         assert check_all_2x2(np.array([[1.0, 2.0, 3.0]])).passed
 
-    def test_example_matrices_pass(self, example_spec):
+    def test_example_matrices_pass(self, example_payoffs):
         for s in range(1, 5):
-            pm = build_payoff_matrix(example_spec, s)
-            cert = check_all_2x2(pm.entries)
+            cert = check_all_2x2(example_payoffs[:, :, s - 1])
             assert cert.passed
             assert cert.violation is None
 
@@ -305,10 +305,10 @@ class TestAdjacentPairProperty:
     def test_all_pairs_sweep_fails_on_a_saddled_matrix(self):
         spec = parse_game(TWO_SINKS)
         report = solve(spec)
-        entries = report.matrices[0].entries
+        entries = report.payoffs[:, :, 0]
         assert np.array_equal(entries, [[1, 1, 0, 0], [1, 0, 1, 0]])
         # rows (f1, f2) x columns (g2, g3) is [[1, 0], [0, 1]]
-        assert report.per_state[0].certificate_2x2 is False
+        assert report.diagnostics["certificate_2x2"][0] is False
         assert report.diagnostics["certificate_violations"][0] == (1, 2, 2, 3)
         assert report.per_state[0].all_saddles == ((0, 3), (1, 3))
         assert report.value[0] == 0
@@ -322,7 +322,7 @@ class TestAdjacentPairProperty:
         assert gs[2].actions == (1, 0)
         ci, ci2 = adjacent_pairs(gs)
         assert list(zip(ci.tolist(), ci2.tolist())) == [(0, 1), (0, 2), (1, 3), (2, 3)]
-        entries = build_payoff_matrix(spec, 1).entries
+        entries = solve(spec).payoffs[:, :, 0]
         gaps, *_ = adjacent_quadruple_gaps(entries, fs, gs)
         assert gaps.shape == (1, 4)
         assert np.all(gaps == 0)
@@ -378,11 +378,11 @@ class TestSolve:
             pairs = report.diagnostics["d1"] * report.diagnostics["d2"]
             assert counts == {"payoff_vector": pairs, "cesaro": pairs}
 
-    def test_matrices_match_build_payoff_matrix(self, example_spec):
-        report = solve(example_spec)
-        for pm in report.matrices:
-            alone = build_payoff_matrix(example_spec, pm.initial_state)
-            assert np.array_equal(pm.entries, alone.entries)
+    def test_matrices_match_build_payoff_matrix(self, example_spec, example_payoffs):
+        assert example_payoffs.shape == (4, 4, example_spec.n)
+        for s in range(1, example_spec.n + 1):
+            alone = build_payoff_matrix(example_spec, s)
+            assert np.array_equal(example_payoffs[:, :, s - 1], alone)
 
     def test_unknown_cesaro_option_rejected(self, example_spec):
         with pytest.raises(TypeError):
@@ -410,13 +410,30 @@ class TestSolve:
         assert report.maximiser.for_state(1).actions == (1,)
         assert report.diagnostics["d2"] == 1
 
-    def test_saddle_error_type_carries_matrix(self):
-        # find_pure_saddle feeds solve's hard error; checked directly here
-        # because perfect-information instances never trigger it
-        result = find_pure_saddle(MATCHING_PENNIES)
-        assert not result.exists
-        err = SaddlePointError("boom", matrix="payload")
-        assert err.matrix == "payload"
+    def test_saddle_error_type_carries_matrix(
+        self, monkeypatch, capsys, example_spec, example_path, example_payoffs
+    ):
+        # perfect-information instances never reach solve's hard error, so
+        # the saddle search reports matching pennies' (none) for state 2
+        original = SOLVE_MODULE.find_pure_saddle
+        calls = []
+
+        def no_saddle_on_second_call(entries, eps=None):
+            calls.append(entries)
+            return original(MATCHING_PENNIES if len(calls) == 2 else entries, eps)
+
+        monkeypatch.setattr(SOLVE_MODULE, "find_pure_saddle", no_saddle_on_second_call)
+        with pytest.raises(SaddlePointError, match="initial state 2;") as exc:
+            solve(example_spec)
+        assert np.array_equal(exc.value.matrix, example_payoffs[:, :, 1])
+
+        calls.clear()
+        assert main(["solve", str(example_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: no pure saddle point in the payoff matrix for initial state 2;"
+        )
 
     def test_corpus_games_solve_cleanly(self):
         # a pure saddle must exist in every matrix; the 2x2 sweep is a
@@ -427,7 +444,7 @@ class TestSolve:
             report = solve(spec)
             assert len(report.value) == spec.n
             for s in range(spec.n):
-                a = np.asarray(report.matrices[s].entries)
+                a = report.payoffs[:, :, s]
                 eps = saddle_tolerance(a)
                 assert a.min(axis=1).max() >= a.max(axis=0).min() - eps
             assert all(
@@ -441,10 +458,8 @@ class TestScaling:
         for spec in _corpus.game_corpus(5, seed=71):
             base = solve(spec)
             scaled = solve(_corpus.scale_rewards(spec, 3.7))
+            assert scaled.payoffs == pytest.approx(3.7 * base.payoffs, rel=1e-10)
             for s in range(spec.n):
-                assert scaled.matrices[s].entries == pytest.approx(
-                    3.7 * base.matrices[s].entries, rel=1e-10
-                )
                 assert (
                     scaled.per_state[s].all_saddles == base.per_state[s].all_saddles
                 )
@@ -453,10 +468,8 @@ class TestScaling:
         for spec in _corpus.game_corpus(5, seed=73):
             base = solve(spec)
             scaled = solve(_corpus.scale_sojourns(spec, 2.5))
+            assert scaled.payoffs == pytest.approx(base.payoffs / 2.5, rel=1e-10)
             for s in range(spec.n):
-                assert scaled.matrices[s].entries == pytest.approx(
-                    base.matrices[s].entries / 2.5, rel=1e-10
-                )
                 assert (
                     scaled.per_state[s].all_saddles == base.per_state[s].all_saddles
                 )
