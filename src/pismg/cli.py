@@ -80,13 +80,16 @@ def _parse_strategy(spec: GameSpec, player: str, text: str) -> PureStationaryStr
     for part in text.split(","):
         state_text, _, label = part.partition("=")
         try:
+            state = int(state_text)
             if not label:
                 raise ValueError
-            chosen[int(state_text)] = label
         except ValueError:
             raise ValueError(
                 f"bad strategy spec {part!r}; expected 'state=label' or an ordinal"
             ) from None
+        if state in chosen:
+            raise ValueError(f"bad strategy spec {text!r}; state {state} is chosen twice")
+        chosen[state] = label
     return strategy_from_labels(spec, player, chosen)
 
 

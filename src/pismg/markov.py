@@ -103,21 +103,27 @@ def validate_stochastic(q) -> np.ndarray:
     a = np.asarray(q, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise NumericalError(f"not a stochastic matrix: shape {a.shape}")
+    _check_stochastic(a)
+    return a
+
+
+def _check_stochastic(a: np.ndarray) -> None:
+    # also on a stack of matrices, naming the first offending chain's row
     if not np.all(np.isfinite(a)):
         raise NumericalError("not a stochastic matrix: non-finite entries")
     if np.any(a < -EPS_STOCH):
-        i, j = np.argwhere(a < -EPS_STOCH)[0]
+        at = tuple(np.argwhere(a < -EPS_STOCH)[0])
+        i, j = at[-2:]
         raise NumericalError(
-            f"not a stochastic matrix: negative entry {a[i, j]!r} at ({i}, {j})"
+            f"not a stochastic matrix: negative entry {a[at]!r} at ({i}, {j})"
         )
-    sums = a.sum(axis=1)
+    sums = a.sum(axis=-1)
     bad = np.abs(sums - 1.0) > EPS_STOCH
     if np.any(bad):
-        i = int(np.argmax(bad))
+        at = tuple(np.argwhere(bad)[0])
         raise NumericalError(
-            f"not a stochastic matrix: row {i} sums to {sums[i]!r}"
+            f"not a stochastic matrix: row {at[-1]} sums to {sums[at]!r}"
         )
-    return a
 
 
 def char_poly(q) -> np.ndarray:
@@ -197,8 +203,7 @@ def deflate_unit_root(p, tol: float = DEFLATION_TOL) -> tuple[int, np.ndarray]:
 
 def _check_limit(q_star: np.ndarray, q: np.ndarray, method: str,
                  projection: bool = True) -> None:
-    n = q.shape[0]
-    if _max_abs(q_star.sum(axis=1) - 1.0) > EPS_PROJ:
+    if _max_abs(q_star.sum(axis=-1) - 1.0) > EPS_PROJ:
         raise NumericalError(f"{method}: limiting matrix rows do not sum to 1")
     if float(q_star.min()) < -EPS_PROJ or float(q_star.max()) > 1.0 + EPS_PROJ:
         raise NumericalError(f"{method}: limiting matrix entries leave [0, 1]")
@@ -288,106 +293,124 @@ def cesaro_averaging(q, tol: float = AVERAGING_TOL,
     return result
 
 
-def decompose_chain(q) -> ChainDecomposition:
-    """Recurrent classes, transient states, stationary distributions and
-    absorption probabilities of one stochastic matrix.
-
-    Edges are transitions with probability > EPS_EDGE. Squaring the
-    reflexive 0/1 reachability matrix until it stops changing gives its
-    closure. A state is recurrent when every state it reaches reaches it
-    back, and then its row of the closure is its class; classes are
-    ordered by smallest member and every other state is transient.
-    Stationary rows come from replacing one balance equation with
-    normalization (dense LU); absorption probabilities solve
-    (I - Q_TT) x = Q_T,C 1."""
-    q = validate_stochastic(q)
-    n = q.shape[0]
+def _structural_stack(qs: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
+    """Q* (unchecked) of every chain of a validated (m, n, n) stack and
+    one ``(classes, transient, pis, absorption)`` per class signature:
+    each state's smallest class member, or -1 if it is transient.
+    Edges are transitions with probability > EPS_EDGE; squaring the
+    reflexive 0/1 reachability matrices until they stop changing gives
+    their closures. A state is recurrent when every state it reaches
+    reaches it back, and then its closure row is its class. The chains
+    ``qs[members]`` share classes (ordered by smallest member) and
+    transient states. ``pis[i, k]`` is class k's stationary row in chain
+    ``members[i]`` (one balance equation replaced with normalization,
+    dense LU); ``absorption[i]`` solves (I - Q_TT) x = Q_T,C 1."""
+    m, n, _ = qs.shape
     # squared as floats, where BLAS runs the product (numpy's boolean
     # matmul is far slower); the sign of a path count marks reachability
-    reach = ((q > EPS_EDGE) | np.eye(n, dtype=bool)).astype(float)
+    reach = ((qs > EPS_EDGE) | np.eye(n, dtype=bool)).astype(float)
     closure = np.sign(reach @ reach)
     while not np.array_equal(closure, reach):
         reach, closure = closure, np.sign(closure @ closure)
-    recurrent = ~(reach > reach.T).any(axis=1)
-    # a recurrent state reaches exactly its own class, so it is the
-    # class's smallest member when it reaches no smaller state
-    closed = [np.flatnonzero(reach[i]) for i in np.flatnonzero(recurrent)
-              if not reach[i, :i].any()]
-    transient = np.flatnonzero(~recurrent)
+    recurrent = ~(reach > reach.transpose(0, 2, 1)).any(axis=2)
+    # a recurrent state reaches exactly its own class, so the first state
+    # it reaches is the class's smallest member
+    signatures = np.where(recurrent, reach.argmax(axis=2), -1)
+    by_signature: dict[tuple, list[int]] = {}
+    for i, key in enumerate(map(tuple, signatures.tolist())):
+        by_signature.setdefault(key, []).append(i)
+    q_star = np.empty((m, n, n))
+    groups = []
+    for key, members in by_signature.items():
+        sub_q = qs[members]
+        classes = [np.flatnonzero(np.equal(key, c)) for c in sorted(set(key) - {-1})]
+        transient = np.flatnonzero(np.less(key, 0))
+        # pis[:, k] is class k's stationary row spread over all n states;
+        # the classes are disjoint, so each entry of absorption @ pis has
+        # at most one nonzero term
+        pis = np.zeros((len(members), len(classes), n))
+        block = np.zeros((len(members), n, n))
+        for k, idx in enumerate(classes):
+            sub = sub_q[:, idx[:, None], idx]
+            a = sub.transpose(0, 2, 1) - np.eye(idx.size)
+            a[:, -1, :] = 1.0
+            b = np.broadcast_to(np.eye(idx.size)[:, -1:], (len(members), idx.size, 1))
+            label = tuple(int(i) for i in idx)
+            try:
+                pi = np.linalg.solve(a, b)[..., 0]
+            except np.linalg.LinAlgError as e:
+                raise NumericalError(
+                    f"numerically degenerate chain: stationary solve failed for "
+                    f"class {label}: {e}"
+                ) from e
+            residual = np.abs((pi[:, None, :] @ sub)[:, 0] - pi).max(axis=1)
+            bad = (residual > EPS_PROJ) | (pi.min(axis=1) < -EPS_PROJ)
+            if bad.any():
+                raise NumericalError(
+                    f"numerically degenerate chain: stationary residual "
+                    f"{float(residual[bad.argmax()])!r} for class {label}"
+                )
+            pi = np.clip(pi, 0.0, None)
+            pi /= pi.sum(axis=1, keepdims=True)
+            pis[:, k, idx] = pi
+            block[:, idx, :] = pis[:, k, None, :]
+        absorption = np.zeros((len(members), 0, len(classes)))
+        if transient.size:
+            rows = sub_q[:, transient]
+            tt = rows[:, :, transient]
+            rhs = np.stack([rows[:, :, idx].sum(axis=2) for idx in classes], 2)
+            try:
+                absorption = np.linalg.solve(np.eye(transient.size) - tt, rhs)
+            except np.linalg.LinAlgError as e:
+                raise NumericalError(
+                    f"numerically degenerate chain: absorption solve failed: {e}"
+                ) from e
+            if _max_abs(absorption.sum(axis=2) - 1.0) > EPS_PROJ:
+                raise NumericalError(
+                    "numerically degenerate chain: absorption rows do not sum to 1"
+                )
+            absorption = np.clip(absorption, 0.0, 1.0)
+            block[:, transient, :] = absorption @ pis
+        q_star[members] = block
+        groups.append((classes, transient, pis, absorption))
+    return q_star, groups
 
-    stationary = []
-    for idx in closed:
-        sub = q[np.ix_(idx, idx)]
-        c = len(idx)
-        a = sub.T - np.eye(c)
-        a[-1, :] = 1.0
-        b = np.zeros(c)
-        b[-1] = 1.0
-        try:
-            pi = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError as e:
-            raise NumericalError(
-                f"numerically degenerate chain: stationary solve failed for "
-                f"class {tuple(int(i) for i in idx)}: {e}"
-            ) from e
-        residual = _max_abs(pi @ sub - pi)
-        if residual > EPS_PROJ or float(pi.min()) < -EPS_PROJ:
-            raise NumericalError(
-                f"numerically degenerate chain: stationary residual {residual!r} "
-                f"for class {tuple(int(i) for i in idx)}"
-            )
-        pi = np.clip(pi, 0.0, None)
-        pi /= pi.sum()
-        stationary.append(pi)
 
-    k = len(closed)
-    if transient.size:
-        tt = q[np.ix_(transient, transient)]
-        rhs = np.empty((transient.size, k))
-        for col, idx in enumerate(closed):
-            rhs[:, col] = q[np.ix_(transient, idx)].sum(axis=1)
-        try:
-            absorption = np.linalg.solve(np.eye(transient.size) - tt, rhs)
-        except np.linalg.LinAlgError as e:
-            raise NumericalError(
-                f"numerically degenerate chain: absorption solve failed: {e}"
-            ) from e
-        if _max_abs(absorption.sum(axis=1) - 1.0) > EPS_PROJ:
-            raise NumericalError(
-                "numerically degenerate chain: absorption rows do not sum to 1"
-            )
-        absorption = np.clip(absorption, 0.0, 1.0)
-    else:
-        absorption = np.zeros((0, k))
+def structural_limits(qs) -> np.ndarray:
+    """Q* of every chain of an (m, n, n) stack by the structural method;
+    chains with one class signature share stacked LAPACK solves. A check
+    failing anywhere raises; on a stack of one the message is exact."""
+    qs = np.asarray(qs, dtype=float)
+    _check_stochastic(qs)
+    q_star, _ = _structural_stack(qs)
+    _check_limit(q_star, qs, "structural")
+    return q_star
 
+
+def _decomposition(group: tuple) -> ChainDecomposition:
+    classes, transient, pis, absorption = group
     return ChainDecomposition(
-        recurrent_classes=tuple(tuple(int(i) for i in idx) for idx in closed),
+        recurrent_classes=tuple(tuple(int(i) for i in idx) for idx in classes),
         transient=tuple(int(i) for i in transient),
-        stationary=tuple(stationary),
-        absorption=absorption,
+        stationary=tuple(pis[0, k, idx] for k, idx in enumerate(classes)),
+        absorption=absorption[0],
     )
 
 
+def decompose_chain(q) -> ChainDecomposition:
+    """Recurrent classes, transient states, stationary distributions and
+    absorption probabilities of one stochastic matrix (a stack of one)."""
+    _, (group,) = _structural_stack(validate_stochastic(q)[None])
+    return _decomposition(group)
+
+
 def cesaro_structural(q) -> CesaroResult:
-    """Limiting matrix assembled from the chain structure: rows of a
-    recurrent state repeat its class's stationary distribution; rows of
-    a transient state mix the class distributions with its absorption
-    probabilities."""
-    dec = decompose_chain(q)  # validates q
-    q = np.asarray(q, dtype=float)
-    n = q.shape[0]
-    # pis[k] is class k's stationary row spread over all n states; the
-    # classes are disjoint, so each entry of absorption @ pis has at most
-    # one nonzero term
-    pis = np.zeros((len(dec.recurrent_classes), n))
-    q_star = np.zeros((n, n))
-    for k, (idx, pi) in enumerate(zip(dec.recurrent_classes, dec.stationary)):
-        pis[k, idx] = pi
-        q_star[idx, :] = pis[k]
-    if dec.transient:
-        q_star[dec.transient, :] = dec.absorption @ pis
-    _check_limit(q_star, q, "structural")
-    return CesaroResult(q_star=q_star, method="structural", decomposition=dec)
+    """Limiting matrix assembled from the chain structure (a stack of one)."""
+    qs = validate_stochastic(q)[None]
+    q_star, (group,) = _structural_stack(qs)
+    _check_limit(q_star, qs, "structural")
+    return CesaroResult(q_star=q_star[0], method="structural",
+                        decomposition=_decomposition(group))
 
 
 def cesaro(q, method: str = "structural", *,

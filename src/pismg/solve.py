@@ -22,11 +22,16 @@ A solve evaluates each pure pair once, into the (D1, D2, N) payoff
 tensor ``SolveReport.payoffs``: ``payoffs[i, j, s - 1]`` is phi(s, f, g)
 for the maximiser's strategy of ordinal i and the minimiser's of ordinal
 j, so the slice ``payoffs[:, :, s - 1]`` is the payoff matrix of initial
-state s.
+state s. The structural method gathers the pairs' chains from per-action
+tables in stacks of at most ``_CHUNK_ENTRIES`` entries (2048 chains at
+n = 4, one at n = 150); chains with one recurrent-class signature share
+their stationary and absorption solves. Lazari and averaging evaluate
+one pair at a time.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -34,10 +39,11 @@ import numpy as np
 
 from .errors import NumericalError, SaddlePointError
 from .game import GameSpec, PLAYER_I, PLAYER_II, validate
-from .markov import _max_abs, cesaro
+from .markov import _max_abs, cesaro, structural_limits
 from .strategies import (
     PureStationaryStrategy,
     SemiStationaryStrategy,
+    action_tables,
     enumerate_pure,
     induce,
 )
@@ -45,6 +51,8 @@ from .strategies import (
 EPS_SADDLE_REL = 1e-9
 # a computed value this far from a bundled reference value gets flagged
 REFERENCE_FLAG_TOL = 1e-3
+# float64 entries per stacked (pairs, n, n) array of a structural solve
+_CHUNK_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -122,13 +130,40 @@ def payoff_vector(spec: GameSpec, f: PureStationaryStrategy,
 def _payoff_tensor(spec: GameSpec, fs, gs, method: str,
                    cesaro_options: dict) -> np.ndarray:
     """phi(s, f, g) at [f.ordinal, g.ordinal, s - 1] for every pure pair,
-    one :func:`payoff_vector` call per pair."""
+    in stacks of pairs in ordinal order (structural) or one at a time."""
     tensor = np.empty((len(fs), len(gs), spec.n))
-    for f in fs:
-        for g in gs:
-            tensor[f.ordinal, g.ordinal] = payoff_vector(
-                spec, f, g, method, **cesaro_options
-            )
+    if method != "structural":
+        for f in fs:
+            for g in gs:
+                tensor[f.ordinal, g.ordinal] = payoff_vector(
+                    spec, f, g, method, **cesaro_options
+                )
+        return tensor
+    # the structural method takes no option, but an unknown name is an error
+    inspect.signature(cesaro).bind(None, method, **cesaro_options)
+    n = spec.n
+    q, r, tau = action_tables(spec)
+    profile = np.empty((len(fs), len(gs), n), dtype=np.intp)
+    profile[..., np.array(fs[0].states, dtype=np.intp) - 1] = [[f.actions] for f in fs]
+    profile[..., np.array(gs[0].states, dtype=np.intp) - 1] = [g.actions for g in gs]
+    flat, states = tensor.reshape(-1, n), np.arange(n)
+    step = max(1, _CHUNK_ENTRIES // (n * n))
+    for lo in range(0, len(flat), step):
+        actions = profile.reshape(-1, n)[lo:lo + step]
+        try:
+            q_star = structural_limits(q[states, actions])
+            # one matrix-vector product per chain, as in payoff_vector
+            num = np.array([m @ v for m, v in zip(q_star, r[states, actions])])
+            den = np.array([m @ v for m, v in zip(q_star, tau[states, actions])])
+            if float(den.min()) <= 0.0:
+                raise NumericalError("nonpositive expected time in the limit")
+        except NumericalError:
+            # a check failed in the stack: the per-pair path raises for
+            # its first failing pair, naming it
+            for k in range(lo, lo + len(actions)):
+                payoff_vector(spec, fs[k // len(gs)], gs[k % len(gs)])
+            raise
+        flat[lo:lo + step] = num / den
     return tensor
 
 

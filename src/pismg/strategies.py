@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationLimitError
-from .game import GameSpec, PLAYER_I, expected_sojourn
+from .game import ActionSpec, GameSpec, PLAYER_I, expected_sojourn
 
 ENUMERATION_CAP = 10**6
 
@@ -183,24 +183,43 @@ def selected_action(spec: GameSpec, state: int,
     return st.actions[strat.action_at(state)]
 
 
+def _transition_row(n: int, action: ActionSpec) -> np.ndarray:
+    """An action's transition row, divided by its sum (validation already
+    bounded the deviation), so it is stochastic to machine precision."""
+    row = np.zeros(n)
+    for tr in action.transitions:
+        row[tr.to - 1] = tr.prob
+    total = row.sum()
+    if total != 1.0:
+        row /= total
+    return row
+
+
 def induce(spec: GameSpec, f: PureStationaryStrategy,
            g: PureStationaryStrategy) -> InducedChain:
-    """Chain induced by a fixed pure pair. Each transition row is divided
-    by its sum (validation already bounded the deviation), so the result
-    is row-stochastic to machine precision. Only the controller's
-    strategy is consulted at each state."""
+    """Chain induced by a fixed pure pair. Only the controller's strategy
+    is consulted at each state."""
     n = spec.n
     q = np.zeros((n, n))
     r = np.zeros(n)
     tau = np.zeros(n)
     for st in spec.states:
         act = selected_action(spec, st.id, f, g)
-        row = q[st.id - 1]
-        for tr in act.transitions:
-            row[tr.to - 1] = tr.prob
-        total = row.sum()
-        if total != 1.0:
-            row /= total
+        q[st.id - 1] = _transition_row(n, act)
         r[st.id - 1] = act.reward
         tau[st.id - 1] = expected_sojourn(act)
     return InducedChain(q=q, r=r, tau=tau)
+
+
+def action_tables(spec: GameSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, r, tau): ``q[s - 1, a]`` is the row :func:`induce` uses when
+    action a is played in state s, with its reward and expected sojourn."""
+    n = spec.n
+    width = max(len(st.actions) for st in spec.states)
+    q, r, tau = np.zeros((n, width, n)), np.zeros((n, width)), np.zeros((n, width))
+    for st in spec.states:
+        for a, act in enumerate(st.actions):
+            q[st.id - 1, a] = _transition_row(n, act)
+            r[st.id - 1, a] = act.reward
+            tau[st.id - 1, a] = expected_sojourn(act)
+    return q, r, tau

@@ -96,6 +96,37 @@ def random_game(rng: np.random.Generator, name: str, max_states: int = 6,
     return spec
 
 
+def sparse_game(rng: np.random.Generator, n: int = 150) -> GameSpec:
+    """n states with 1-3 successors per action; four states per player
+    have two actions and the rest one, so D1 = D2 = 16."""
+    two_actions = [int(s) + 1 for s in rng.choice(n, size=8, replace=False)]
+    states = []
+    for sid in range(1, n + 1):
+        if sid in two_actions:
+            controller = "I" if two_actions.index(sid) < 4 else "II"
+        else:
+            controller = "I" if sid % 2 else "II"
+        actions = []
+        for a in range(2 if sid in two_actions else 1):
+            dests = rng.choice(n, size=int(rng.integers(1, 4)), replace=False) + 1
+            weights = rng.integers(1, 10, size=dests.size).astype(float)
+            actions.append(
+                ActionSpec(
+                    label=f"a{a + 1}",
+                    reward=float(np.round(rng.uniform(-5.0, 5.0), 4)),
+                    transitions=tuple(
+                        Transition(int(d), float(p))
+                        for d, p in zip(dests, weights / weights.sum())
+                    ),
+                    default_sojourn=_random_sojourn(rng),
+                )
+            )
+        states.append(StateSpec(sid, controller, tuple(actions)))
+    spec = GameSpec(f"sparse-{n}", tuple(states))
+    validate(spec)
+    return spec
+
+
 def game_corpus(count: int, seed: int, **kw) -> list[GameSpec]:
     rng = np.random.default_rng(seed)
     return [random_game(rng, f"corpus-{seed}-{i}", **kw) for i in range(count)]

@@ -283,6 +283,16 @@ class TestSimulateCommand:
             "error: bad strategy spec 'x=a1'; expected 'state=label' or an ordinal\n"
         )
 
+    def test_repeated_state_names_the_spec(self, capsys, example_path):
+        code, out, err = _run(
+            capsys, "simulate", str(example_path), "--max", "1=a1,1=a2,2=a1", "--min", "0"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: bad strategy spec '1=a1,1=a2,2=a1'; state 1 is chosen twice\n"
+        )
+
 
 # Expected CLI outputs, one file in tests/data per case. "{game}" is the
 # game file: example_s5.json, or the two-sinks game of test_solve.py,
@@ -334,3 +344,17 @@ class TestGoldenOutput:
             _assert_same_json(json.loads(out), json.loads(want))
         else:
             assert out == want
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cesaro_matches_expected(self, capsys, fmt):
+        # two interleaved recurrent classes, {1, 4} and {3, 6}, and two
+        # transient states; stdout and stderr byte for byte. Regenerate with
+        # `pismg cesaro --matrix tests/data/cesaro_two_classes.<fmt>
+        #  > tests/data/cesaro_two_classes_<fmt>.out
+        #  2> tests/data/cesaro_two_classes_<fmt>.err`
+        code, out, err = _run(
+            capsys, "cesaro", "--matrix", str(DATA / f"cesaro_two_classes.{fmt}")
+        )
+        assert code == 0
+        assert out == (DATA / f"cesaro_two_classes_{fmt}.out").read_text()
+        assert err == (DATA / f"cesaro_two_classes_{fmt}.err").read_text()

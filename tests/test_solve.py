@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pismg import (
+    NumericalError,
     SaddlePointError,
     build_payoff_matrix,
     check_all_2x2,
@@ -26,6 +27,7 @@ from _adjacent import adjacent_pairs, adjacent_quadruple_gaps
 
 # the package re-exports solve(), which hides the submodule attribute
 SOLVE_MODULE = importlib.import_module("pismg.solve")
+MARKOV_MODULE = importlib.import_module("pismg.markov")
 
 
 @pytest.fixture(scope="module")
@@ -361,22 +363,26 @@ class TestSolve:
             assert solve(spec).diagnostics["reference_deltas"] == ()
 
     def test_each_pure_pair_is_evaluated_once_per_solve(self, example_spec, monkeypatch):
-        # every per-state matrix is a slice of one payoff tensor, and
-        # nothing carries over from an earlier solve
+        # every per-state matrix is a slice of one payoff tensor, each pair
+        # is one chain of the stacked structural routine, the per-pair
+        # path stays unused, and nothing carries over from an earlier solve
         counts = Counter()
-        for name in ("payoff_vector", "cesaro"):
-            original = getattr(SOLVE_MODULE, name)
+        limits, per_pair = SOLVE_MODULE.structural_limits, SOLVE_MODULE.payoff_vector
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                counts[_name] += 1
-                return _original(*args, **kwargs)
+        def counted_limits(qs):
+            counts["chains"] += len(qs)
+            return limits(qs)
 
-            monkeypatch.setattr(SOLVE_MODULE, name, counted)
+        def counted_per_pair(*args, **kwargs):
+            counts["payoff_vector"] += 1
+            return per_pair(*args, **kwargs)
+
+        monkeypatch.setattr(SOLVE_MODULE, "structural_limits", counted_limits)
+        monkeypatch.setattr(SOLVE_MODULE, "payoff_vector", counted_per_pair)
         for _ in range(2):
             counts.clear()
             report = solve(example_spec)
-            pairs = report.diagnostics["d1"] * report.diagnostics["d2"]
-            assert counts == {"payoff_vector": pairs, "cesaro": pairs}
+            assert counts == {"chains": report.diagnostics["d1"] * report.diagnostics["d2"]}
 
     def test_matrices_match_build_payoff_matrix(self, example_spec, example_payoffs):
         assert example_payoffs.shape == (4, 4, example_spec.n)
@@ -451,6 +457,63 @@ class TestSolve:
                 isinstance(flag, bool)
                 for flag in report.diagnostics["certificate_2x2"]
             )
+
+
+class TestBatchedPairs:
+    """The structural tensor of a solve stacks the chains of many pairs;
+    ``payoff_vector`` evaluates one pair and is the reference."""
+
+    @staticmethod
+    def _tensor(spec):
+        fs = enumerate_pure(spec, "I")
+        gs = enumerate_pure(spec, "II")
+        return fs, gs, SOLVE_MODULE._payoff_tensor(spec, fs, gs, "structural", {})
+
+    @pytest.mark.parametrize("count, chunk_entries", [(200, None), (40, 50)],
+                             ids=["corpus200", "stacks-of-1-to-3"])
+    def test_matches_payoff_vector_bit_for_bit(self, monkeypatch, count, chunk_entries):
+        # 50 entries hold one to three chains at n <= 6, so stacks end
+        # inside a game and the last stack of a game is a short one
+        if chunk_entries is not None:
+            monkeypatch.setattr(SOLVE_MODULE, "_CHUNK_ENTRIES", chunk_entries)
+        for spec in _corpus.game_corpus(count, seed=424242):
+            fs, gs, tensor = self._tensor(spec)
+            reference = np.array([[payoff_vector(spec, f, g) for g in gs] for f in fs])
+            assert np.array_equal(tensor, reference), spec.name
+
+    @pytest.mark.parametrize("eps_proj", [-1.0, 1e-16])
+    def test_failed_check_names_the_first_failing_pair(
+        self, monkeypatch, example_spec, eps_proj
+    ):
+        # -1 fails every pair; 1e-16 fails only the pairs whose stationary
+        # residual is not exact (4 of 16 pairs, the first of them (f3, g1),
+        # in the middle of the stack, with numpy 2.4 and OpenBLAS)
+        monkeypatch.setattr(MARKOV_MODULE, "EPS_PROJ", eps_proj)
+        expected = None
+        for f in enumerate_pure(example_spec, "I"):
+            for g in enumerate_pure(example_spec, "II"):
+                try:
+                    payoff_vector(example_spec, f, g)
+                except NumericalError as e:
+                    expected = expected or str(e)
+        assert expected is not None and expected.startswith("pair (f")
+        with pytest.raises(NumericalError) as exc:
+            solve(example_spec)
+        assert str(exc.value) == expected
+
+    def test_tensor_memory_at_n150(self):
+        # one n = 150 chain per stack; stacking all 256 chains of this
+        # game at once would hold about 40 MiB
+        spec = _corpus.sparse_game(np.random.default_rng(7), n=150)
+        tracemalloc.start()
+        try:
+            fs, gs, tensor = self._tensor(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(fs) == len(gs) == 16
+        assert np.all(np.isfinite(tensor))
+        assert peak < 8 * 2**20
 
 
 class TestScaling:
