@@ -115,14 +115,14 @@ def _check_stochastic(a: np.ndarray) -> None:
         at = tuple(np.argwhere(a < -EPS_STOCH)[0])
         i, j = at[-2:]
         raise NumericalError(
-            f"not a stochastic matrix: negative entry {a[at]!r} at ({i}, {j})"
+            f"not a stochastic matrix: negative entry {float(a[at])!r} at ({i}, {j})"
         )
     sums = a.sum(axis=-1)
     bad = np.abs(sums - 1.0) > EPS_STOCH
     if np.any(bad):
         at = tuple(np.argwhere(bad)[0])
         raise NumericalError(
-            f"not a stochastic matrix: row {at[-1]} sums to {sums[at]!r}"
+            f"not a stochastic matrix: row {at[-1]} sums to {float(sums[at])!r}"
         )
 
 

@@ -140,20 +140,11 @@ def estimate_payoff(spec: GameSpec, f: PureStationaryStrategy,
     the delta method for a ratio of correlated means. Replication k uses
     the Philox stream keyed ``seed ^ k``, so any replication can be
     reproduced in isolation with :func:`simulate`."""
-    if not 1 <= start <= spec.n:
-        raise ValueError(f"start state {start} out of range 1..{spec.n}")
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
     if reps < 2:
         raise ValueError("reps must be at least 2 for a standard error")
-    table = _runtime_table(spec, f, g)
-    rewards = np.empty(reps)
-    times = np.empty(reps)
-    for k in range(reps):
-        rng = np.random.Generator(np.random.Philox(key=seed ^ k))
-        stats = _run(table, start, horizon, rng)
-        rewards[k] = stats.cum_reward
-        times[k] = stats.cum_time
+    runs = [simulate(spec, f, g, start, horizon, seed ^ k) for k in range(reps)]
+    rewards = np.array([stats.cum_reward for stats in runs])
+    times = np.array([stats.cum_time for stats in runs])
     mean_reward = float(rewards.mean())
     mean_time = float(times.mean())
     point = mean_reward / mean_time

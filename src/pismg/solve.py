@@ -22,11 +22,11 @@ A solve evaluates each pure pair once, into the (D1, D2, N) payoff
 tensor ``SolveReport.payoffs``: ``payoffs[i, j, s - 1]`` is phi(s, f, g)
 for the maximiser's strategy of ordinal i and the minimiser's of ordinal
 j, so the slice ``payoffs[:, :, s - 1]`` is the payoff matrix of initial
-state s. The structural method gathers the pairs' chains from per-action
-tables in stacks of at most ``_CHUNK_ENTRIES`` entries (2048 chains at
-n = 4, one at n = 150); chains with one recurrent-class signature share
-their stationary and absorption solves. Lazari and averaging evaluate
-one pair at a time.
+state s. Every method gathers the pairs' chains from per-action tables
+in stacks of at most ``_CHUNK_ENTRIES`` entries (2048 chains at n = 4,
+one at n = 150). Under the structural method the chains of a stack with
+one recurrent-class signature share their stationary and absorption
+solves; lazari and averaging take Q* one chain at a time.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .strategies import (
 EPS_SADDLE_REL = 1e-9
 # a computed value this far from a bundled reference value gets flagged
 REFERENCE_FLAG_TOL = 1e-3
-# float64 entries per stacked (pairs, n, n) array of a structural solve
+# float64 entries per stacked (pairs, n, n) array of a solve
 _CHUNK_ENTRIES = 2**15
 
 
@@ -108,6 +108,19 @@ def saddle_tolerance(entries) -> float:
     return EPS_SADDLE_REL * max(1.0, _max_abs(a))
 
 
+def _ratio(q_star: np.ndarray, r: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """phi = Q*r / Q*tau for a stack of chains' limiting matrices, rewards
+    and expected sojourns, one matrix-vector product per chain."""
+    num = np.array([m @ v for m, v in zip(q_star, r)])
+    den = np.array([m @ v for m, v in zip(q_star, tau)])
+    if float(den.min()) <= 0.0:
+        raise NumericalError(
+            "nonpositive expected time in the limit; sojourn validation "
+            "should have prevented this"
+        )
+    return num / den
+
+
 def payoff_vector(spec: GameSpec, f: PureStationaryStrategy,
                   g: PureStationaryStrategy, method: str = "structural",
                   **cesaro_options) -> np.ndarray:
@@ -116,33 +129,20 @@ def payoff_vector(spec: GameSpec, f: PureStationaryStrategy,
     try:
         chain = induce(spec, f, g)
         q_star = cesaro(chain.q, method, **cesaro_options).q_star
-        denominator = q_star @ chain.tau
-        if float(denominator.min()) <= 0.0:
-            raise NumericalError(
-                "nonpositive expected time in the limit; sojourn validation "
-                "should have prevented this"
-            )
+        return _ratio(q_star[None], chain.r[None], chain.tau[None])[0]
     except NumericalError as e:
         raise NumericalError(f"pair ({f.label}, {g.label}): {e}") from e
-    return (q_star @ chain.r) / denominator
 
 
 def _payoff_tensor(spec: GameSpec, fs, gs, method: str,
                    cesaro_options: dict) -> np.ndarray:
     """phi(s, f, g) at [f.ordinal, g.ordinal, s - 1] for every pure pair,
-    in stacks of pairs in ordinal order (structural) or one at a time."""
-    tensor = np.empty((len(fs), len(gs), spec.n))
-    if method != "structural":
-        for f in fs:
-            for g in gs:
-                tensor[f.ordinal, g.ordinal] = payoff_vector(
-                    spec, f, g, method, **cesaro_options
-                )
-        return tensor
-    # the structural method takes no option, but an unknown name is an error
+    in stacks of pairs in ordinal order."""
+    # an unknown option name is an error even where the method ignores it
     inspect.signature(cesaro).bind(None, method, **cesaro_options)
     n = spec.n
     q, r, tau = action_tables(spec)
+    tensor = np.empty((len(fs), len(gs), n))
     profile = np.empty((len(fs), len(gs), n), dtype=np.intp)
     profile[..., np.array(fs[0].states, dtype=np.intp) - 1] = [[f.actions] for f in fs]
     profile[..., np.array(gs[0].states, dtype=np.intp) - 1] = [g.actions for g in gs]
@@ -150,20 +150,18 @@ def _payoff_tensor(spec: GameSpec, fs, gs, method: str,
     step = max(1, _CHUNK_ENTRIES // (n * n))
     for lo in range(0, len(flat), step):
         actions = profile.reshape(-1, n)[lo:lo + step]
+        qs = q[states, actions]
         try:
-            q_star = structural_limits(q[states, actions])
-            # one matrix-vector product per chain, as in payoff_vector
-            num = np.array([m @ v for m, v in zip(q_star, r[states, actions])])
-            den = np.array([m @ v for m, v in zip(q_star, tau[states, actions])])
-            if float(den.min()) <= 0.0:
-                raise NumericalError("nonpositive expected time in the limit")
+            q_star = (structural_limits(qs) if method == "structural" else
+                      np.array([cesaro(c, method, **cesaro_options).q_star for c in qs]))
+            flat[lo:lo + step] = _ratio(q_star, r[states, actions], tau[states, actions])
         except NumericalError:
             # a check failed in the stack: the per-pair path raises for
             # its first failing pair, naming it
             for k in range(lo, lo + len(actions)):
-                payoff_vector(spec, fs[k // len(gs)], gs[k % len(gs)])
+                payoff_vector(spec, fs[k // len(gs)], gs[k % len(gs)], method,
+                              **cesaro_options)
             raise
-        flat[lo:lo + step] = num / den
     return tensor
 
 
@@ -208,7 +206,8 @@ def find_pure_saddle(entries, eps: float | None = None) -> SaddleResult:
     if float(values.max() - values.min()) > 2 * eps:
         raise NumericalError(
             "saddle cells disagree beyond tolerance: values span "
-            f"[{values.min()!r}, {values.max()!r}] with eps {eps!r}"
+            f"[{float(values.min())!r}, {float(values.max())!r}] "
+            f"with eps {float(eps)!r}"
         )
     i, j = (int(x) for x in cells[0])
     return SaddleResult(
@@ -250,9 +249,8 @@ def check_all_2x2(entries, eps: float | None = None) -> SaddleCertificate:
     for i in range(d1 - 1):
         tl, tr = left[i], right[i]
         bl, br = left[i + 1:], right[i + 1:]
-        diag_low = (tl < tr - eps) & (tl < bl - eps) & (br < tr - eps) & (br < bl - eps)
-        diag_high = (tl > tr + eps) & (tl > bl + eps) & (br > tr + eps) & (br > bl + eps)
-        bad = diag_low | diag_high
+        bad = ((np.maximum(tl, br) < np.minimum(tr, bl) - eps)
+               | (np.minimum(tl, br) > np.maximum(tr, bl) + eps))
         if bad.any():
             rp, cp = divmod(int(np.argmax(bad)), cols_i.size)
             return SaddleCertificate(

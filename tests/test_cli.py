@@ -129,6 +129,18 @@ class TestCesaro:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("rows, message", [
+        ("1.1,0\n0,1\n", "row 0 sums to 1.1"),
+        ("1.2,-0.2\n0,1\n", "negative entry -0.2 at (0, 1)"),
+    ], ids=["row-sum", "negative-entry"])
+    def test_nonstochastic_message_prints_plain_floats(self, capsys, tmp_path,
+                                                       rows, message):
+        src = tmp_path / "bad.csv"
+        src.write_text(rows)
+        code, out, err = _run(capsys, "cesaro", "--matrix", str(src))
+        assert (code, out) == (1, "")
+        assert err == f"error: not a stochastic matrix: {message}\n"
+
     def test_averaging_flags(self, capsys, tmp_path):
         # the swap chain converges at n = 2 under the default flags
         src = tmp_path / "swap.json"

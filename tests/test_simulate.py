@@ -151,6 +151,22 @@ class TestEstimatePayoff:
         with pytest.raises(ValueError, match="reps"):
             estimate_payoff(example_spec, f, g, start=1, horizon=10, reps=1, seed=0)
 
+    @pytest.mark.parametrize("start, horizon, message", [
+        (9, 10, "start state 9 out of range 1..4"),
+        (1, 0, "horizon must be at least 1"),
+    ], ids=["start", "horizon"])
+    def test_bad_start_and_horizon_as_simulate_rejects_them(
+        self, example_spec, start, horizon, message
+    ):
+        f, g = _pair(example_spec, 0, 0)
+        for run in (
+            lambda: simulate(example_spec, f, g, start, horizon, seed=0),
+            lambda: estimate_payoff(example_spec, f, g, start, horizon, reps=2, seed=0),
+        ):
+            with pytest.raises(ValueError) as exc:
+                run()
+            assert str(exc.value) == message
+
     def test_corpus_games_simulate_without_error(self):
         for spec in _corpus.game_corpus(5, seed=83):
             f = strategy_from_ordinal(spec, "I", 0)

@@ -364,25 +364,35 @@ class TestSolve:
 
     def test_each_pure_pair_is_evaluated_once_per_solve(self, example_spec, monkeypatch):
         # every per-state matrix is a slice of one payoff tensor, each pair
-        # is one chain of the stacked structural routine, the per-pair
-        # path stays unused, and nothing carries over from an earlier solve
+        # is one chain of the stacked structural routine or one cesaro call
+        # of the other methods, the per-pair path stays unused, and nothing
+        # carries over from an earlier solve
         counts = Counter()
-        limits, per_pair = SOLVE_MODULE.structural_limits, SOLVE_MODULE.payoff_vector
+        limits, per_chain = SOLVE_MODULE.structural_limits, SOLVE_MODULE.cesaro
+        per_pair = SOLVE_MODULE.payoff_vector
 
         def counted_limits(qs):
             counts["chains"] += len(qs)
             return limits(qs)
+
+        def counted_per_chain(*args, **kwargs):
+            counts["cesaro"] += 1
+            return per_chain(*args, **kwargs)
 
         def counted_per_pair(*args, **kwargs):
             counts["payoff_vector"] += 1
             return per_pair(*args, **kwargs)
 
         monkeypatch.setattr(SOLVE_MODULE, "structural_limits", counted_limits)
+        monkeypatch.setattr(SOLVE_MODULE, "cesaro", counted_per_chain)
         monkeypatch.setattr(SOLVE_MODULE, "payoff_vector", counted_per_pair)
-        for _ in range(2):
-            counts.clear()
-            report = solve(example_spec)
-            assert counts == {"chains": report.diagnostics["d1"] * report.diagnostics["d2"]}
+        for method, counter in [("structural", "chains"), ("lazari", "cesaro"),
+                                ("averaging", "cesaro")]:
+            for _ in range(2):
+                counts.clear()
+                report = solve(example_spec, method)
+                pairs = report.diagnostics["d1"] * report.diagnostics["d2"]
+                assert counts == {counter: pairs}, method
 
     def test_matrices_match_build_payoff_matrix(self, example_spec, example_payoffs):
         assert example_payoffs.shape == (4, 4, example_spec.n)
@@ -460,25 +470,32 @@ class TestSolve:
 
 
 class TestBatchedPairs:
-    """The structural tensor of a solve stacks the chains of many pairs;
-    ``payoff_vector`` evaluates one pair and is the reference."""
+    """The tensor of a solve stacks the chains of many pairs under every
+    method; ``payoff_vector`` evaluates one pair and is the reference."""
 
     @staticmethod
-    def _tensor(spec):
+    def _tensor(spec, method="structural"):
         fs = enumerate_pure(spec, "I")
         gs = enumerate_pure(spec, "II")
-        return fs, gs, SOLVE_MODULE._payoff_tensor(spec, fs, gs, "structural", {})
+        return fs, gs, SOLVE_MODULE._payoff_tensor(spec, fs, gs, method, {})
 
-    @pytest.mark.parametrize("count, chunk_entries", [(200, None), (40, 50)],
-                             ids=["corpus200", "stacks-of-1-to-3"])
-    def test_matches_payoff_vector_bit_for_bit(self, monkeypatch, count, chunk_entries):
+    @pytest.mark.parametrize("count, chunk_entries, method", [
+        (200, None, "structural"),
+        (200, None, "lazari"),
+        (200, None, "averaging"),
+        (40, 50, "structural"),
+    ], ids=["corpus200", "corpus200-lazari", "corpus200-averaging", "stacks-of-1-to-3"])
+    def test_matches_payoff_vector_bit_for_bit(self, monkeypatch, count, chunk_entries,
+                                               method):
         # 50 entries hold one to three chains at n <= 6, so stacks end
         # inside a game and the last stack of a game is a short one
         if chunk_entries is not None:
             monkeypatch.setattr(SOLVE_MODULE, "_CHUNK_ENTRIES", chunk_entries)
         for spec in _corpus.game_corpus(count, seed=424242):
-            fs, gs, tensor = self._tensor(spec)
-            reference = np.array([[payoff_vector(spec, f, g) for g in gs] for f in fs])
+            fs, gs, tensor = self._tensor(spec, method)
+            reference = np.array(
+                [[payoff_vector(spec, f, g, method) for g in gs] for f in fs]
+            )
             assert np.array_equal(tensor, reference), spec.name
 
     @pytest.mark.parametrize("eps_proj", [-1.0, 1e-16])
