@@ -11,12 +11,17 @@ state the payoff matrix over all pure pairs is searched for a pure
 saddle point with the row player maximising; the per-state saddle rows
 and columns assemble the optimal semi-stationary strategies. A missing
 saddle is a hard error: perfect-information games are expected to
-always have one. The accompanying 2x2 certificate sweeps every 2x2
-submatrix for a saddle-free one; it is a diagnostic, not a consequence
-of the theorem, and a saddle-free 2x2 block can occur in a solvable game
-(see ``TestAdjacentPairProperty`` in ``tests/test_solve.py``). The sweep
-takes one first row at a time against all later rows and all column
-pairs, so it holds one (D1 - 1) x C(D2, 2) block at a time.
+always have one (unless an averaging limit stopped short of
+convergence, which is reported as such). States whose payoff matrices
+are equal, as those of one recurrent class are, share one search. The
+accompanying 2x2 certificate sweeps every 2x2 submatrix for a
+saddle-free one; it is a diagnostic, not a consequence of the theorem,
+and a saddle-free 2x2 block can occur in a solvable game (see
+``TestAdjacentPairProperty`` in ``tests/test_solve.py``). The sweep
+filters row pairs by interval overlap (a rising and a falling column
+must overlap) in both of the block test's rounding forms, ``x < y - eps``
+and ``y > x + eps``, and confirms each flagged row pair with the block
+test itself; see :func:`check_all_2x2`.
 
 A solve evaluates each pure pair once, into the (D1, D2, N) payoff
 tensor ``SolveReport.payoffs``: ``payoffs[i, j, s - 1]`` is phi(s, f, g)
@@ -51,7 +56,8 @@ from .strategies import (
 EPS_SADDLE_REL = 1e-9
 # a computed value this far from a bundled reference value gets flagged
 REFERENCE_FLAG_TOL = 1e-3
-# float64 entries per stacked (pairs, n, n) array of a solve
+# float64 entries per stacked array of a solve: (pairs, n, n) chains, or
+# both rounding forms of a block of row pairs in the 2x2 sweep
 _CHUNK_ENTRIES = 2**15
 
 
@@ -165,6 +171,18 @@ def _payoff_tensor(spec: GameSpec, fs, gs, method: str,
     return tensor
 
 
+def _first_unconverged(spec: GameSpec, fs, gs, method: str, cesaro_options: dict):
+    """The first pure pair (f, g), in ordinal order, whose Cesaro limit
+    stopped short of convergence (only averaging can), or None. The
+    tensor keeps no per-pair diagnostics, so the chains are evaluated
+    again, one pair at a time."""
+    for f in fs:
+        for g in gs:
+            if not cesaro(induce(spec, f, g).q, method, **cesaro_options).converged:
+                return f, g
+    return None
+
+
 def build_payoff_matrix(spec: GameSpec, initial_state: int,
                         method: str = "structural",
                         **cesaro_options) -> np.ndarray:
@@ -219,6 +237,33 @@ def find_pure_saddle(entries, eps: float | None = None) -> SaddleResult:
     )
 
 
+def _overlap(top: np.ndarray, bot: np.ndarray, eps: float) -> np.ndarray:
+    """Per row pair (a row of ``top`` against the same row of ``bot``):
+    whether, in either rounding form (p, m) = (0, eps) or (eps, 0), some
+    column u rises (``top + p < bot - m``) and some column d falls
+    (``bot + p < top - m``) with overlapping intervals,
+    ``lo_u + p < hi_d - m`` and ``lo_d + p < hi_u - m``.
+
+    With the columns sorted by ``lo``, an overlapping pair shows at the
+    later of its two columns: the running maximum of ``hi - m`` over the
+    earlier columns of the other direction exceeds its ``lo + p``. Ties
+    in ``lo`` overlap whatever their order, so one unstable sort serves
+    both forms, which are stacked on a leading axis. A negative ``eps``
+    lets a column rise and fall at once, so every row pair is flagged."""
+    if eps < 0:
+        return np.ones(len(top), dtype=bool)
+    lo, hi = np.minimum(top, bot), np.maximum(top, bot)
+    flat = np.argsort(lo, axis=1) + np.arange(0, top.size, top.shape[1])[:, None]
+    top, bot, lo, hi = (x.ravel()[flat] for x in (top, bot, lo, hi))
+    p = np.array([0.0, eps])[:, None, None]
+    m = p[::-1]
+    up, down = top + p < bot - m, bot + p < top - m
+    start, end = lo + p, hi - m
+    reach_up = np.maximum.accumulate(np.where(up, end, -np.inf), axis=2)
+    reach_down = np.maximum.accumulate(np.where(down, end, -np.inf), axis=2)
+    return ((down & (reach_up > start)) | (up & (reach_down > start))).any(axis=(0, 2))
+
+
 def check_all_2x2(entries, eps: float | None = None) -> SaddleCertificate:
     """Sweep every 2x2 submatrix (row pair x column pair) for the
     saddle-free pattern: with corners a=(i,j), b=(i,j'), c=(i',j),
@@ -228,13 +273,20 @@ def check_all_2x2(entries, eps: float | None = None) -> SaddleCertificate:
     vacuously. The first violation in lexicographic (i, i', j, j') order
     is reported 1-based.
 
-    The columns of every column pair j < j' are gathered once; then, for
-    one first row i at a time, row i is compared with all later rows at
-    once and the sweep stops at the first i that has a violation. The
-    working set is one (D1 - 1) x C(D2, 2) block, about 0.5 million
-    entries at D1 = D2 = 100. It outgrows a block of 10^7 quadruples
-    above D1 = D2 = 270 or so, where the sweep, whose time grows as
-    D1^2 D2^2, already runs for tens of seconds per matrix."""
+    A row pair holds a saddle-free block only if some column rises from
+    row i to row i' by more than ``eps``, some column falls by more than
+    ``eps`` and the two columns' intervals overlap by more than ``eps``:
+    sorting the columns by their lower ends and a running maximum of
+    upper ends find that in O(D2 log D2) per row pair. Rounding makes
+    the block test depend on column order, though: a block whose rising
+    column comes first compares ``x < y - eps`` and one whose falling
+    column comes first ``y > x + eps``, and the two can round apart. So
+    the overlap test runs in each form and a row pair is flagged when
+    either holds. Row pairs are taken in lexicographic order, in blocks
+    of at most ``_CHUNK_ENTRIES // (2 D2)``; each flagged row pair is
+    confirmed with the block test on its C(D2, 2) column pairs, and the
+    first confirmed block is the violation. The whole sweep costs
+    O(D1^2 D2 log D2)."""
     a = np.asarray(entries, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"payoff matrix must be 2-D, got shape {a.shape}")
@@ -243,20 +295,25 @@ def check_all_2x2(entries, eps: float | None = None) -> SaddleCertificate:
         return SaddleCertificate(True, None)
     if eps is None:
         eps = saddle_tolerance(a)
-    cols_i, cols_j = np.triu_indices(d2, k=1)   # lexicographic column pairs
-    left = a[:, cols_i]
-    right = a[:, cols_j]
-    for i in range(d1 - 1):
-        tl, tr = left[i], right[i]
-        bl, br = left[i + 1:], right[i + 1:]
-        bad = ((np.maximum(tl, br) < np.minimum(tr, bl) - eps)
-               | (np.minimum(tl, br) > np.maximum(tr, bl) + eps))
-        if bad.any():
-            rp, cp = divmod(int(np.argmax(bad)), cols_i.size)
-            return SaddleCertificate(
-                passed=False,
-                violation=(i + 1, i + rp + 2, int(cols_i[cp]) + 1, int(cols_j[cp]) + 1),
-            )
+    # row pairs i < i' in lexicographic order, as np.triu_indices(d1, 1)
+    # gives them but at a fixed cost that the many tiny matrices feel
+    rows_i, rows_j = np.nonzero(np.less.outer(np.arange(d1), np.arange(d1)))
+    step = max(1, _CHUNK_ENTRIES // (2 * d2))
+    for lo in range(0, rows_i.size, step):
+        top, bot = a[rows_i[lo:lo + step]], a[rows_j[lo:lo + step]]
+        for k in np.flatnonzero(_overlap(top, bot, eps)):
+            cols_i, cols_j = np.triu_indices(d2, k=1)
+            tl, tr = top[k, cols_i], top[k, cols_j]
+            bl, br = bot[k, cols_i], bot[k, cols_j]
+            bad = ((np.maximum(tl, br) < np.minimum(tr, bl) - eps)
+                   | (np.minimum(tl, br) > np.maximum(tr, bl) + eps))
+            if bad.any():
+                cp = int(np.argmax(bad))
+                return SaddleCertificate(
+                    passed=False,
+                    violation=(int(rows_i[lo + k]) + 1, int(rows_j[lo + k]) + 1,
+                               int(cols_i[cp]) + 1, int(cols_j[cp]) + 1),
+                )
     return SaddleCertificate(True, None)
 
 
@@ -277,10 +334,13 @@ def solve(spec: GameSpec, method: str = "structural", *,
     """Value vector and optimal pure semi-stationary strategies.
 
     Builds the payoff tensor, locates each initial state's pure
-    saddle cells (raising :class:`SaddlePointError` if a state has
-    none), takes the lexicographically smallest cell per state, and
-    assembles one strategy per player whose state-s component is that
-    cell's row/column strategy. Diagnostics carry the strategy-space
+    saddle cells, searching each distinct matrix once, takes the
+    lexicographically smallest cell per state, and assembles one
+    strategy per player whose state-s component is that cell's
+    row/column strategy. A state without a saddle raises
+    :class:`NumericalError` naming the first pair whose Cesaro limit did
+    not converge if there is one, else :class:`SaddlePointError`.
+    Diagnostics carry the strategy-space
     sizes, per-state saddle multiplicity, the 2x2 certificate verdicts
     (a state passes when its first violation is None), and deltas
     against bundled reference values if the game has any.
@@ -293,12 +353,26 @@ def solve(spec: GameSpec, method: str = "structural", *,
     payoffs = _payoff_tensor(spec, fs, gs, method, cesaro_options)
     per_state: list[SaddleResult] = []
     violations: list[tuple[int, int, int, int] | None] = []
+    # states of one recurrent class share a payoff matrix: search it once
+    searched: dict[bytes, tuple[tuple[int, int, int, int] | None, SaddleResult]] = {}
     for s in range(1, spec.n + 1):
         entries = payoffs[:, :, s - 1]
-        eps = saddle_eps if saddle_eps is not None else saddle_tolerance(entries)
-        violations.append(check_all_2x2(entries, eps).violation)
-        found = find_pure_saddle(entries, eps)
+        key = entries.tobytes()
+        if key not in searched:
+            eps = saddle_eps if saddle_eps is not None else saddle_tolerance(entries)
+            searched[key] = (check_all_2x2(entries, eps).violation,
+                             find_pure_saddle(entries, eps))
+        violation, found = searched[key]
+        violations.append(violation)
         if not found.exists:
+            unconverged = _first_unconverged(spec, fs, gs, method, cesaro_options)
+            if unconverged is not None:
+                f, g = unconverged
+                raise NumericalError(
+                    f"pair ({f.label}, {g.label}): the {method} Cesaro limit did not "
+                    f"converge, so the payoff matrix for initial state {s} is not "
+                    f"exact and has no pure saddle point"
+                )
             raise SaddlePointError(
                 f"no pure saddle point in the payoff matrix for initial "
                 f"state {s}; the perfect-information guarantee failed",

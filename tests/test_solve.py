@@ -9,6 +9,7 @@ import pytest
 
 from pismg import (
     NumericalError,
+    SaddleCertificate,
     SaddlePointError,
     build_payoff_matrix,
     check_all_2x2,
@@ -71,7 +72,9 @@ LATE_VIOLATION = np.array(
 def _first_saddle_free_2x2(a, eps):
     """Reference for check_all_2x2: the first 1-based (i, i', j, j') in
     lexicographic order with min(a, d) > max(b, c) + eps or
-    max(a, d) < min(b, c) - eps, or None."""
+    max(a, d) < min(b, c) - eps, or None. Each is written as four
+    comparisons, so a nan entry fails them as it does in numpy (Python's
+    min and max can drop a nan)."""
     d1, d2 = a.shape
     for i in range(d1):
         for i2 in range(i + 1, d1):
@@ -79,7 +82,8 @@ def _first_saddle_free_2x2(a, eps):
                 for j2 in range(j + 1, d2):
                     diag = (a[i, j], a[i2, j2])
                     anti = (a[i, j2], a[i2, j])
-                    if min(diag) > max(anti) + eps or max(diag) < min(anti) - eps:
+                    if (all(x > y + eps for x in diag for y in anti)
+                            or all(x < y - eps for x in diag for y in anti)):
                         return (i + 1, i2 + 1, j + 1, j2 + 1)
     return None
 
@@ -242,6 +246,39 @@ class TestCertificate2x2:
         # first violations away from the first row pair check the
         # row-offset arithmetic
         assert late >= 10
+
+    @pytest.mark.parametrize("first, swapped, eps", [
+        ([[0.67, 0.17], [0.01, 0.8]], [[0.17, 0.67], [0.8, 0.01]], 0.5),
+        ([[0.1, 0.45], [0.49, 0.35]], [[0.45, 0.1], [0.35, 0.49]], 0.1),
+    ], ids=["minus-form-only", "plus-form-only"])
+    def test_rounding_depends_on_column_order(self, first, swapped, eps):
+        # the block test compares x < y - eps when the rising column comes
+        # first and y > x + eps when the falling one does; on these blocks
+        # the two round apart, so swapping the columns flips the verdict
+        # and a filter in only one of the two forms misses one of them
+        assert _first_saddle_free_2x2(np.array(first), eps) is None
+        assert _first_saddle_free_2x2(np.array(swapped), eps) == (1, 2, 1, 2)
+        assert check_all_2x2(np.array(first), eps) == SaddleCertificate(True, None)
+        assert check_all_2x2(np.array(swapped), eps) == SaddleCertificate(False, (1, 2, 1, 2))
+
+    @pytest.mark.parametrize("kind", ["two-decimal", "non-finite"])
+    def test_matches_four_loop_reference_in_small_blocks(self, monkeypatch, kind):
+        # 24 entries hold six row pairs of 2 columns down to one of 7 or
+        # 8, so blocks of row pairs end inside a matrix
+        monkeypatch.setattr(SOLVE_MODULE, "_CHUNK_ENTRIES", 24)
+        rng = np.random.default_rng(77)
+        for _ in range(400):
+            a = np.round(rng.random(rng.integers(2, 9, size=2)), 2)
+            if kind == "non-finite":
+                a[rng.random(a.shape) < 0.1] = np.inf
+                a[rng.random(a.shape) < 0.1] = -np.inf
+                a[rng.random(a.shape) < 0.1] = np.nan
+            for eps in (0.0, 0.01, 0.5):
+                # inf - inf rounds to nan in both sweeps; nan compares false
+                with np.errstate(invalid="ignore"):
+                    cert = check_all_2x2(a, eps)
+                    expected = _first_saddle_free_2x2(a, eps)
+                assert (cert.passed, cert.violation) == (expected is None, expected)
 
     def test_full_sweep_memory(self):
         # an additive matrix has a saddle in every 2x2 block, so the
@@ -430,25 +467,58 @@ class TestSolve:
         self, monkeypatch, capsys, example_spec, example_path, example_payoffs
     ):
         # perfect-information instances never reach solve's hard error, so
-        # the saddle search reports matching pennies' (none) for state 2
+        # the saddle search reports matching pennies' (none) for state 3's
+        # matrix, the only state with that matrix
         original = SOLVE_MODULE.find_pure_saddle
-        calls = []
+        state3 = example_payoffs[:, :, 2]
 
-        def no_saddle_on_second_call(entries, eps=None):
-            calls.append(entries)
-            return original(MATCHING_PENNIES if len(calls) == 2 else entries, eps)
+        def no_saddle_for_state3(entries, eps=None):
+            return original(MATCHING_PENNIES if np.array_equal(entries, state3) else entries,
+                            eps)
 
-        monkeypatch.setattr(SOLVE_MODULE, "find_pure_saddle", no_saddle_on_second_call)
-        with pytest.raises(SaddlePointError, match="initial state 2;") as exc:
+        monkeypatch.setattr(SOLVE_MODULE, "find_pure_saddle", no_saddle_for_state3)
+        with pytest.raises(SaddlePointError, match="initial state 3;") as exc:
             solve(example_spec)
-        assert np.array_equal(exc.value.matrix, example_payoffs[:, :, 1])
+        assert np.array_equal(exc.value.matrix, state3)
 
-        calls.clear()
         assert main(["solve", str(example_path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(
-            "error: no pure saddle point in the payoff matrix for initial state 2;"
+            "error: no pure saddle point in the payoff matrix for initial state 3;"
+        )
+
+    def test_each_distinct_matrix_is_searched_once(self, example_spec, monkeypatch):
+        # states 1 and 2 form one recurrent class and share a matrix
+        counts = Counter()
+
+        def counting(name):
+            original = getattr(SOLVE_MODULE, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        for name in ("find_pure_saddle", "check_all_2x2"):
+            monkeypatch.setattr(SOLVE_MODULE, name, counting(name))
+        report = solve(example_spec)
+        assert np.array_equal(report.payoffs[:, :, 0], report.payoffs[:, :, 1])
+        assert counts == {"find_pure_saddle": 3, "check_all_2x2": 3}
+        assert report.diagnostics["saddle_multiplicity"] == (4, 4, 8, 2)
+
+    def test_unconverged_averaging_is_not_blamed_on_the_theorem(self):
+        # all 36 chains of this corpus game stop at the averaging cap, and
+        # the averaged state-4 matrix, 3.3e-6 from the structural one, has
+        # no saddle within the 1e-9 tolerance; the structural solve has one
+        spec = _corpus.game_corpus(200, seed=424242)[31]
+        assert solve(spec).per_state[3].exists
+        with pytest.raises(NumericalError) as exc:
+            solve(spec, "averaging")
+        assert str(exc.value) == (
+            "pair (f1, g1): the averaging Cesaro limit did not converge, so the "
+            "payoff matrix for initial state 4 is not exact and has no pure "
+            "saddle point"
         )
 
     def test_corpus_games_solve_cleanly(self):
