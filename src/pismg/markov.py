@@ -202,16 +202,22 @@ def deflate_unit_root(p, tol: float = DEFLATION_TOL) -> tuple[int, np.ndarray]:
 
 
 def _check_limit(q_star: np.ndarray, q: np.ndarray, method: str,
-                 projection: bool = True) -> None:
+                 factors: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+    """Rows of Q* sum to 1 and its entries lie in [0, 1]; with ``factors``
+    (lower, upper), where Q* = lower @ upper, also the three projection
+    identities Q*Q = QQ* = Q*Q* = Q*. The products run through the
+    factors, so a rank-k Q* costs O(k n^2) per chain; the factors
+    (Q*, I) give the dense products."""
     if _max_abs(q_star.sum(axis=-1) - 1.0) > EPS_PROJ:
         raise NumericalError(f"{method}: limiting matrix rows do not sum to 1")
     if float(q_star.min()) < -EPS_PROJ or float(q_star.max()) > 1.0 + EPS_PROJ:
         raise NumericalError(f"{method}: limiting matrix entries leave [0, 1]")
-    if projection:
+    if factors is not None:
+        lower, upper = factors
         for label, prod in (
-            ("Q*Q", q_star @ q),
-            ("QQ*", q @ q_star),
-            ("Q*Q*", q_star @ q_star),
+            ("Q*Q", lower @ (upper @ q)),
+            ("QQ*", (q @ lower) @ upper),
+            ("Q*Q*", lower @ ((upper @ lower) @ upper)),
         ):
             if _max_abs(prod - q_star) > EPS_PROJ:
                 raise NumericalError(
@@ -251,7 +257,7 @@ def cesaro_lazari(q, tol: float = DEFLATION_TOL) -> CesaroResult:
             "use the structural method instead"
         )
     q_star = w / mean_sum
-    _check_limit(q_star, q, "lazari")
+    _check_limit(q_star, q, "lazari", (q_star, eye))
     return CesaroResult(q_star=q_star, method="lazari", m1=m1)
 
 
@@ -289,29 +295,73 @@ def cesaro_averaging(q, tol: float = AVERAGING_TOL,
         p_n /= p_n.sum(axis=1, keepdims=True)
         n *= 2
         s_n = s_2n * (n / s_2n.sum(axis=1, keepdims=True))
-    _check_limit(result.q_star, q, "averaging", projection=False)
+    _check_limit(result.q_star, q, "averaging")
     return result
 
 
-def _structural_stack(qs: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
-    """Q* (unchecked) of every chain of a validated (m, n, n) stack and
-    one ``(classes, transient, pis, absorption)`` per class signature:
-    each state's smallest class member, or -1 if it is transient.
-    Edges are transitions with probability > EPS_EDGE; squaring the
-    reflexive 0/1 reachability matrices until they stop changing gives
-    their closures. A state is recurrent when every state it reaches
-    reaches it back, and then its closure row is its class. The chains
-    ``qs[members]`` share classes (ordered by smallest member) and
-    transient states. ``pis[i, k]`` is class k's stationary row in chain
-    ``members[i]`` (one balance equation replaced with normalization,
-    dense LU); ``absorption[i]`` solves (I - Q_TT) x = Q_T,C 1."""
+def _closure(reach: np.ndarray) -> np.ndarray:
+    """Transitive closure of a reflexive 0/1 float matrix, or a stack of
+    them, by squaring. Squared as floats, where BLAS runs the product
+    (numpy's boolean matmul is far slower); the sign of a path count
+    marks reachability. k squarings cover every path of up to 2^k edges,
+    and a simple path has at most n - 1, so the loop stops once
+    2^k >= n - 1."""
+    span = 1
+    while span < reach.shape[-1] - 1:
+        reach, span = np.sign(reach @ reach), 2 * span
+    return reach
+
+
+def _sink_reach(rows: np.ndarray, decision: np.ndarray) -> np.ndarray:
+    """Reflexive reachability closure of the (n, n) transition ``rows``
+    (edges > EPS_EDGE) with the ``decision`` states made sinks: entry
+    (i, j) is 1 when some path from i to j enters no decision state
+    before its end. With the rows that every chain of a game shares, it
+    is the same for every chain and is computed once per game."""
+    edges = rows > EPS_EDGE
+    edges[decision] = False
+    return _closure((edges | np.eye(len(rows), dtype=bool)).astype(float))
+
+
+def _structural_stack(qs: np.ndarray, decision: np.ndarray | None = None,
+                      reach0: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+    """Factors ``lower`` (m, n, k) and ``upper`` (m, k, n) of the
+    (unchecked) Q* = lower @ upper of every chain of a validated (m, n, n)
+    stack, and one ``(classes, transient, pis, absorption)`` per class
+    signature: each state's smallest class member, or -1 if it is
+    transient.
+
+    Edges are transitions with probability > EPS_EDGE. Rows outside
+    ``decision`` must be the same in every chain, and ``reach0`` is their
+    :func:`_sink_reach`; None for both makes every state a decision
+    state and ``reach0`` the identity. The reachability closure then
+    runs through the c decision states only: ``step`` marks where a
+    decision state gets by staying put or by one transition and a
+    decision-free path; the closure of its decision-state columns times
+    ``step`` is everything a decision state reaches, and ``reach0``
+    extends that to every state, in O(c n^2) per chain. All of it is 0/1
+    path counts, so it equals the closure over every state exactly. A
+    state is recurrent when every state it reaches reaches it back, and
+    then its closure row is its class.
+
+    The chains ``qs[members]`` share classes (ordered by smallest
+    member) and transient states. ``pis[i, k]`` is class k's stationary
+    row in chain ``members[i]`` (one balance equation replaced with
+    normalization, dense LU); ``absorption[i]`` solves
+    (I - Q_TT) x = Q_T,C 1. ``upper[i, k]`` is ``pis[i, k]`` and
+    ``lower[i, :, k]`` is 1 on class k and the absorption probabilities
+    into it on the transient states, with k padded to the stack's
+    largest class count."""
     m, n, _ = qs.shape
-    # squared as floats, where BLAS runs the product (numpy's boolean
-    # matmul is far slower); the sign of a path count marks reachability
-    reach = ((qs > EPS_EDGE) | np.eye(n, dtype=bool)).astype(float)
-    closure = np.sign(reach @ reach)
-    while not np.array_equal(closure, reach):
-        reach, closure = closure, np.sign(closure @ closure)
+    if decision is None:
+        decision, reach0 = np.arange(n), np.eye(n)
+    # reach0's decision-state rows are identity rows, so staying put
+    # survives the product
+    out = (qs[:, decision] > EPS_EDGE) | np.eye(n, dtype=bool)[decision]
+    step = np.sign(out.astype(float) @ reach0)
+    reach_c = np.sign(_closure(step[:, :, decision]) @ step)
+    reach = np.sign(reach0 + reach0[:, decision] @ reach_c)
     recurrent = ~(reach > reach.transpose(0, 2, 1)).any(axis=2)
     # a recurrent state reaches exactly its own class, so the first state
     # it reaches is the class's smallest member
@@ -319,23 +369,25 @@ def _structural_stack(qs: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
     by_signature: dict[tuple, list[int]] = {}
     for i, key in enumerate(map(tuple, signatures.tolist())):
         by_signature.setdefault(key, []).append(i)
-    q_star = np.empty((m, n, n))
+    width = max(len(set(key) - {-1}) for key in by_signature)
+    lower, upper = np.zeros((m, n, width)), np.zeros((m, width, n))
     groups = []
     for key, members in by_signature.items():
         sub_q = qs[members]
-        classes = [np.flatnonzero(np.equal(key, c)) for c in sorted(set(key) - {-1})]
-        transient = np.flatnonzero(np.less(key, 0))
+        signature = signatures[members[0]]
+        classes = [np.flatnonzero(signature == c) for c in sorted(set(key) - {-1})]
+        transient = np.flatnonzero(signature < 0)
         # pis[:, k] is class k's stationary row spread over all n states;
-        # the classes are disjoint, so each entry of absorption @ pis has
-        # at most one nonzero term
+        # the classes are disjoint, so each entry of lower @ upper has at
+        # most one nonzero term
         pis = np.zeros((len(members), len(classes), n))
-        block = np.zeros((len(members), n, n))
+        low = np.zeros((len(members), n, width))
         for k, idx in enumerate(classes):
             sub = sub_q[:, idx[:, None], idx]
             a = sub.transpose(0, 2, 1) - np.eye(idx.size)
             a[:, -1, :] = 1.0
             b = np.broadcast_to(np.eye(idx.size)[:, -1:], (len(members), idx.size, 1))
-            label = tuple(int(i) for i in idx)
+            label = tuple(idx.tolist())
             try:
                 pi = np.linalg.solve(a, b)[..., 0]
             except np.linalg.LinAlgError as e:
@@ -353,7 +405,7 @@ def _structural_stack(qs: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
             pi = np.clip(pi, 0.0, None)
             pi /= pi.sum(axis=1, keepdims=True)
             pis[:, k, idx] = pi
-            block[:, idx, :] = pis[:, k, None, :]
+            low[:, idx, k] = 1.0
         absorption = np.zeros((len(members), 0, len(classes)))
         if transient.size:
             rows = sub_q[:, transient]
@@ -370,20 +422,25 @@ def _structural_stack(qs: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
                     "numerically degenerate chain: absorption rows do not sum to 1"
                 )
             absorption = np.clip(absorption, 0.0, 1.0)
-            block[:, transient, :] = absorption @ pis
-        q_star[members] = block
+            low[:, transient, :len(classes)] = absorption
+        lower[members] = low
+        upper[members, :len(classes)] = pis
         groups.append((classes, transient, pis, absorption))
-    return q_star, groups
+    return lower, upper, groups
 
 
-def structural_limits(qs) -> np.ndarray:
+def structural_limits(qs, decision=None, reach0=None) -> np.ndarray:
     """Q* of every chain of an (m, n, n) stack by the structural method;
-    chains with one class signature share stacked LAPACK solves. A check
-    failing anywhere raises; on a stack of one the message is exact."""
+    chains with one class signature share stacked LAPACK solves. The
+    chains may differ only in the rows of the ``decision`` states, and
+    ``reach0`` is the :func:`_sink_reach` of the other rows (None for
+    both: any rows). A check failing anywhere raises; on a stack of one
+    the message is exact."""
     qs = np.asarray(qs, dtype=float)
     _check_stochastic(qs)
-    q_star, _ = _structural_stack(qs)
-    _check_limit(q_star, qs, "structural")
+    lower, upper, _ = _structural_stack(qs, decision, reach0)
+    q_star = lower @ upper
+    _check_limit(q_star, qs, "structural", (lower, upper))
     return q_star
 
 
@@ -400,15 +457,16 @@ def _decomposition(group: tuple) -> ChainDecomposition:
 def decompose_chain(q) -> ChainDecomposition:
     """Recurrent classes, transient states, stationary distributions and
     absorption probabilities of one stochastic matrix (a stack of one)."""
-    _, (group,) = _structural_stack(validate_stochastic(q)[None])
+    *_, (group,) = _structural_stack(validate_stochastic(q)[None])
     return _decomposition(group)
 
 
 def cesaro_structural(q) -> CesaroResult:
     """Limiting matrix assembled from the chain structure (a stack of one)."""
     qs = validate_stochastic(q)[None]
-    q_star, (group,) = _structural_stack(qs)
-    _check_limit(q_star, qs, "structural")
+    lower, upper, (group,) = _structural_stack(qs)
+    q_star = lower @ upper
+    _check_limit(q_star, qs, "structural", (lower, upper))
     return CesaroResult(q_star=q_star[0], method="structural",
                         decomposition=_decomposition(group))
 

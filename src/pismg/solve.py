@@ -31,7 +31,13 @@ state s. Every method gathers the pairs' chains from per-action tables
 in stacks of at most ``_CHUNK_ENTRIES`` entries (2048 chains at n = 4,
 one at n = 150). Under the structural method the chains of a stack with
 one recurrent-class signature share their stationary and absorption
-solves; lazari and averaging take Q* one chain at a time.
+solves; lazari and averaging take Q* one chain at a time. Chains differ
+only in the rows of the decision states (states with more than one
+action), so the reachability closure of the one-action rows, with the
+decision states as sinks, is taken once per solve; each chain then
+closes reachability through its c decision states in O(c n^2), and its
+Q* and projection checks run through the rank-k factors of Q* (k
+recurrent classes) in O(k n^2).
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import numpy as np
 
 from .errors import NumericalError, SaddlePointError
 from .game import GameSpec, PLAYER_I, PLAYER_II, validate
-from .markov import _max_abs, cesaro, structural_limits
+from .markov import _max_abs, _sink_reach, cesaro, structural_limits
 from .strategies import (
     PureStationaryStrategy,
     SemiStationaryStrategy,
@@ -59,6 +65,9 @@ REFERENCE_FLAG_TOL = 1e-3
 # float64 entries per stacked array of a solve: (pairs, n, n) chains, or
 # both rounding forms of a block of row pairs in the 2x2 sweep
 _CHUNK_ENTRIES = 2**15
+# inspected once, not per solve: inspect.signature is slow next to the
+# whole solve of a small game
+_CESARO_SIGNATURE = inspect.signature(cesaro)
 
 
 @dataclass(frozen=True)
@@ -116,9 +125,11 @@ def saddle_tolerance(entries) -> float:
 
 def _ratio(q_star: np.ndarray, r: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """phi = Q*r / Q*tau for a stack of chains' limiting matrices, rewards
-    and expected sojourns, one matrix-vector product per chain."""
-    num = np.array([m @ v for m, v in zip(q_star, r)])
-    den = np.array([m @ v for m, v in zip(q_star, tau)])
+    and expected sojourns, one matrix-vector product per chain: a stacked
+    matmul with a column operand runs the same product per chain as
+    ``q_star[i] @ r[i]``, without a Python loop over the chains."""
+    num = (q_star @ r[..., None])[..., 0]
+    den = (q_star @ tau[..., None])[..., 0]
     if float(den.min()) <= 0.0:
         raise NumericalError(
             "nonpositive expected time in the limit; sojourn validation "
@@ -145,9 +156,13 @@ def _payoff_tensor(spec: GameSpec, fs, gs, method: str,
     """phi(s, f, g) at [f.ordinal, g.ordinal, s - 1] for every pure pair,
     in stacks of pairs in ordinal order."""
     # an unknown option name is an error even where the method ignores it
-    inspect.signature(cesaro).bind(None, method, **cesaro_options)
+    _CESARO_SIGNATURE.bind(None, method, **cesaro_options)
     n = spec.n
     q, r, tau = action_tables(spec)
+    # a state with one action has the same row in every chain, so paths
+    # between decision states are closed over those rows once per solve
+    decision = np.flatnonzero([len(st.actions) > 1 for st in spec.states])
+    reach0 = _sink_reach(q[:, 0], decision)
     tensor = np.empty((len(fs), len(gs), n))
     profile = np.empty((len(fs), len(gs), n), dtype=np.intp)
     profile[..., np.array(fs[0].states, dtype=np.intp) - 1] = [[f.actions] for f in fs]
@@ -158,8 +173,8 @@ def _payoff_tensor(spec: GameSpec, fs, gs, method: str,
         actions = profile.reshape(-1, n)[lo:lo + step]
         qs = q[states, actions]
         try:
-            q_star = (structural_limits(qs) if method == "structural" else
-                      np.array([cesaro(c, method, **cesaro_options).q_star for c in qs]))
+            q_star = (structural_limits(qs, decision, reach0) if method == "structural"
+                      else np.array([cesaro(c, method, **cesaro_options).q_star for c in qs]))
             flat[lo:lo + step] = _ratio(q_star, r[states, actions], tau[states, actions])
         except NumericalError:
             # a check failed in the stack: the per-pair path raises for
@@ -286,15 +301,19 @@ def check_all_2x2(entries, eps: float | None = None) -> SaddleCertificate:
     of at most ``_CHUNK_ENTRIES // (2 D2)``; each flagged row pair is
     confirmed with the block test on its C(D2, 2) column pairs, and the
     first confirmed block is the violation. The whole sweep costs
-    O(D1^2 D2 log D2)."""
+    O(D1^2 D2 log D2). Without an explicit ``eps``, non-finite entries
+    raise ValueError, as in :func:`find_pure_saddle` (the default
+    tolerance of such a matrix would be inf or nan)."""
     a = np.asarray(entries, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"payoff matrix must be 2-D, got shape {a.shape}")
+    if eps is None:
+        if not np.all(np.isfinite(a)):
+            raise ValueError("payoff matrix has non-finite entries")
+        eps = saddle_tolerance(a)
     d1, d2 = a.shape
     if d1 < 2 or d2 < 2:
         return SaddleCertificate(True, None)
-    if eps is None:
-        eps = saddle_tolerance(a)
     # row pairs i < i' in lexicographic order, as np.triu_indices(d1, 1)
     # gives them but at a fixed cost that the many tiny matrices feel
     rows_i, rows_j = np.nonzero(np.less.outer(np.arange(d1), np.arange(d1)))

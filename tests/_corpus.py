@@ -67,7 +67,7 @@ def _random_sojourn(rng: np.random.Generator) -> SojournModel:
 
 
 def random_game(rng: np.random.Generator, name: str, max_states: int = 6,
-                max_actions: int = 3) -> GameSpec:
+                max_actions: int = 3, min_actions: int = 1) -> GameSpec:
     """Random valid game: integer-weight transition rows, rewards in
     [-5, 5], sojourn means in roughly [0.5, 3]."""
     n = int(rng.integers(2, max_states + 1))
@@ -75,7 +75,7 @@ def random_game(rng: np.random.Generator, name: str, max_states: int = 6,
     for sid in range(1, n + 1):
         controller = "I" if rng.random() < 0.5 else "II"
         actions = []
-        for a in range(int(rng.integers(1, max_actions + 1))):
+        for a in range(int(rng.integers(min_actions, max_actions + 1))):
             n_dest = int(rng.integers(1, n + 1))
             dests = rng.choice(n, size=n_dest, replace=False) + 1
             weights = rng.integers(1, 10, size=n_dest).astype(float)

@@ -17,7 +17,7 @@ from pismg import (
     deflate_unit_root,
     validate_stochastic,
 )
-from pismg.markov import EPS_PROJ
+from pismg.markov import EPS_PROJ, _closure, _sink_reach, structural_limits
 
 import _corpus
 
@@ -267,6 +267,66 @@ class TestDecompose:
         dec = decompose_chain([[1.0 - 1e-13, 1e-13], [0.0, 1.0]])
         assert dec.recurrent_classes == ((0,), (1,))
         assert dec.transient == ()
+
+
+def _fixpoint_closure(reach):
+    # square until a product changes nothing
+    while True:
+        closure = np.sign(reach @ reach)
+        if np.array_equal(closure, reach):
+            return reach
+        reach = closure
+
+
+class TestClosure:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 17, 40])
+    def test_matches_fixpoint_on_random_graphs(self, n):
+        rng = np.random.default_rng(n)
+        for density in (0.02, 0.1, 0.3):
+            # a stack of graphs, squared together
+            edges = rng.random((6, n, n)) < density
+            reach = (edges | np.eye(n, dtype=bool)).astype(float)
+            assert np.array_equal(_closure(reach), _fixpoint_closure(reach))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 17, 33, 150])
+    def test_path_graph_needs_every_squaring(self, n):
+        # 0 -> 1 -> ... -> n-1 has diameter n - 1: the closure is the upper
+        # triangle, which no fewer than ceil(log2(n - 1)) squarings reach
+        reach = np.eye(n) + np.eye(n, k=1)
+        expected = np.triu(np.ones((n, n)))
+        assert np.array_equal(_fixpoint_closure(reach), expected)
+        assert np.array_equal(_closure(reach), expected)
+        assert np.array_equal(_closure(reach[::-1, ::-1]), expected[::-1, ::-1])
+
+
+class TestDecisionReach:
+    """Chains that differ only in the rows of a few decision states: the
+    closure through those states gives the same Q*, bit for bit, as the
+    closure over every state."""
+
+    @pytest.mark.parametrize("n, c", [(1, 0), (1, 1), (2, 0), (2, 1), (5, 2), (8, 0),
+                                      (8, 3), (8, 8), (30, 4)])
+    def test_matches_every_state_as_decision(self, n, c):
+        rng = np.random.default_rng(100 * n + c)
+        for _ in range(20):
+            decision = np.sort(rng.choice(n, size=c, replace=False))
+            shared = _corpus.random_stochastic(rng, n)
+            qs = np.repeat(shared[None], 5, axis=0)
+            for k in range(len(qs)):
+                qs[k, decision] = _corpus.random_stochastic(rng, n)[decision]
+            reach0 = _sink_reach(shared, decision)
+            assert np.array_equal(structural_limits(qs, decision, reach0),
+                                  structural_limits(qs))
+            for q in qs:
+                assert np.array_equal(structural_limits(q[None], decision, reach0)[0],
+                                      cesaro_structural(q).q_star)
+
+    def test_sink_reach_stops_at_decision_states(self):
+        # 0 -> 1 -> 2 -> 3 with 2 a decision state: 0 reaches 2 but not 3
+        rows = np.eye(4, k=1)
+        rows[3, 3] = 1.0
+        expected = np.array([[1, 1, 1, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        assert np.array_equal(_sink_reach(rows, np.array([2])), expected)
 
 
 class TestStructural:

@@ -8,9 +8,14 @@ import numpy as np
 import pytest
 
 from pismg import (
+    ActionSpec,
+    GameSpec,
     NumericalError,
     SaddleCertificate,
     SaddlePointError,
+    SojournModel,
+    StateSpec,
+    Transition,
     build_payoff_matrix,
     check_all_2x2,
     enumerate_pure,
@@ -280,6 +285,18 @@ class TestCertificate2x2:
                     expected = _first_saddle_free_2x2(a, eps)
                 assert (cert.passed, cert.violation) == (expected is None, expected)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_default_eps_rejects_non_finite(self, bad):
+        # the default tolerance of such a matrix would be inf or nan, which
+        # passes every block; the tests run with warnings as errors, so the
+        # sweep must not reach inf - inf either
+        a = np.array([[0.0, 1.0], [1.0, 0.0]])
+        a[0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            check_all_2x2(a)
+        with pytest.raises(ValueError, match="non-finite"):
+            find_pure_saddle(a)
+
     def test_full_sweep_memory(self):
         # an additive matrix has a saddle in every 2x2 block, so the
         # sweep runs to the end
@@ -408,9 +425,9 @@ class TestSolve:
         limits, per_chain = SOLVE_MODULE.structural_limits, SOLVE_MODULE.cesaro
         per_pair = SOLVE_MODULE.payoff_vector
 
-        def counted_limits(qs):
+        def counted_limits(qs, decision, reach0):
             counts["chains"] += len(qs)
-            return limits(qs)
+            return limits(qs, decision, reach0)
 
         def counted_per_chain(*args, **kwargs):
             counts["cesaro"] += 1
@@ -539,6 +556,31 @@ class TestSolve:
             )
 
 
+def _unreachable_from_choices():
+    """States 1 and 2 choose; 3 leads into them. No choice reaches the
+    one-action states 4 to 7: 4 and 5 form a closed class, 6 and 7 are
+    transient, 6 draining into the choices and 7 into {4, 5}."""
+    rows = {
+        1: [{1: 0.5, 3: 0.5}, {2: 1.0}],
+        2: [{2: 1.0}, {1: 0.25, 2: 0.75}],
+        3: [{1: 0.5, 2: 0.5}],
+        4: [{5: 1.0}],
+        5: [{4: 0.4, 5: 0.6}],
+        6: [{6: 0.5, 1: 0.5}],
+        7: [{7: 0.25, 4: 0.5, 6: 0.25}],
+    }
+    states = tuple(
+        StateSpec(sid, "I" if sid % 2 else "II", tuple(
+            ActionSpec(f"a{a + 1}", float(sid - 3 * a),
+                       tuple(Transition(d, p) for d, p in row.items()),
+                       SojournModel("mean", (1.0 + 0.5 * a,)))
+            for a, row in enumerate(acts)
+        ))
+        for sid, acts in rows.items()
+    )
+    return GameSpec("unreachable-from-choices", states)
+
+
 class TestBatchedPairs:
     """The tensor of a solve stacks the chains of many pairs under every
     method; ``payoff_vector`` evaluates one pair and is the reference."""
@@ -567,6 +609,36 @@ class TestBatchedPairs:
                 [[payoff_vector(spec, f, g, method) for g in gs] for f in fs]
             )
             assert np.array_equal(tensor, reference), spec.name
+
+    @pytest.mark.parametrize("build", [
+        lambda: [_corpus.sparse_game(np.random.default_rng(11), n=150)],
+        lambda: _corpus.game_corpus(20, seed=31, max_actions=1),
+        lambda: _corpus.game_corpus(20, seed=37, min_actions=2),
+        lambda: [_unreachable_from_choices()],
+    ], ids=["sparse150", "no-choice", "every-state-a-choice", "unreachable-from-choices"])
+    def test_decision_state_reach_matches_payoff_vector(self, build):
+        # the tensor closes reachability through the decision states and
+        # the rows shared by every chain; payoff_vector closes each chain
+        # over every state
+        for spec in build():
+            fs, gs, tensor = self._tensor(spec)
+            reference = np.array(
+                [[payoff_vector(spec, f, g) for g in gs] for f in fs]
+            )
+            assert np.array_equal(tensor, reference), spec.name
+
+    def test_ratio_takes_each_chains_own_product(self):
+        # the stacked product must round as q_star[i] @ r[i] does, so a
+        # tensor keeps the bits of a pair evaluated on its own
+        rng = np.random.default_rng(3)
+        for n in (2, 4, 7, 150):
+            m = 2 if n == 150 else 300
+            q_star = np.array([_corpus.random_stochastic(rng, n) for _ in range(m)])
+            r = rng.uniform(-5.0, 5.0, (m, n))
+            tau = rng.uniform(0.5, 3.0, (m, n))
+            expected = (np.array([a @ v for a, v in zip(q_star, r)])
+                        / np.array([a @ v for a, v in zip(q_star, tau)]))
+            assert np.array_equal(SOLVE_MODULE._ratio(q_star, r, tau), expected)
 
     @pytest.mark.parametrize("eps_proj", [-1.0, 1e-16])
     def test_failed_check_names_the_first_failing_pair(
