@@ -47,16 +47,6 @@ def _load_game(args: argparse.Namespace) -> GameSpec:
     return parse_game(Path(args.game).read_text())
 
 
-def _cesaro_options(args: argparse.Namespace) -> dict:
-    """The tolerance flags of :func:`_add_method_flags`, as keywords of
-    :func:`markov.cesaro`."""
-    return {
-        "deflation_tol": args.deflation_tol,
-        "averaging_tol": args.averaging_tol,
-        "averaging_n_max": args.averaging_n_max,
-    }
-
-
 def _strategy_jsonable(spec: GameSpec, strat: PureStationaryStrategy) -> dict:
     return {
         "ordinal": strat.ordinal,
@@ -179,7 +169,9 @@ def _matrix_text(q: np.ndarray, fmt: str) -> str:
 
 def _cmd_cesaro(args: argparse.Namespace) -> int:
     q, fmt = _read_matrix(args.matrix)
-    result = markov.cesaro(q, args.method, **_cesaro_options(args))
+    result = markov.cesaro(q, args.method, deflation_tol=args.deflation_tol,
+                           averaging_tol=args.averaging_tol,
+                           averaging_n_max=args.averaging_n_max)
     print(_matrix_text(result.q_star, fmt))
     diag = [f"method: {result.method}"]
     if result.m1 is not None:
@@ -199,7 +191,7 @@ def _solve_jsonable(spec: GameSpec, report) -> dict:
     certified = report.diagnostics["certificate_2x2"]
     return {
         "game": spec.name,
-        "method": report.method,
+        "method": "structural",
         "value": report.value,
         "maximiser": [
             dict(state=s, **_strategy_jsonable(spec, report.maximiser.for_state(s)))
@@ -227,8 +219,7 @@ def _solve_jsonable(spec: GameSpec, report) -> dict:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     spec = _load_game(args)
-    report = solve(spec, args.method, saddle_eps=args.saddle_tol,
-                   **_cesaro_options(args))
+    report = solve(spec, saddle_eps=args.saddle_tol)
     if args.format == "json":
         obj = _solve_jsonable(spec, report)
         if args.emit_matrices:
@@ -250,7 +241,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     _banner(args, out)
     out.append(f"game: {spec.name}")
     out.append(
-        f"method: {report.method}   D1 = {report.diagnostics['d1']}   "
+        f"method: structural   D1 = {report.diagnostics['d1']}   "
         f"D2 = {report.diagnostics['d2']}"
     )
     out.append("value:")
@@ -379,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include every per-initial-state payoff matrix and the strategy tables")
     p.add_argument("--saddle-tol", type=float, default=None,
                    help="override the scaled saddle comparison tolerance")
-    _add_method_flags(p)
     _add_format_flags(p)
 
     p = subparsers.add_parser("simulate", help="Monte-Carlo estimate for a fixed pure pair")

@@ -128,6 +128,9 @@ def simulate(spec: GameSpec, f: PureStationaryStrategy,
         raise ValueError(f"start state {start} out of range 1..{spec.n}")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    # Philox keys are unsigned 128-bit integers
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed {seed} out of range 0..2**128 - 1")
     rng = np.random.Generator(np.random.Philox(key=seed))
     return _run(_runtime_table(spec, f, g), start, horizon, rng)
 

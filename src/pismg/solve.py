@@ -11,38 +11,37 @@ state the payoff matrix over all pure pairs is searched for a pure
 saddle point with the row player maximising; the per-state saddle rows
 and columns assemble the optimal semi-stationary strategies. A missing
 saddle is a hard error: perfect-information games are expected to
-always have one (unless an averaging limit stopped short of
-convergence, which is reported as such). States whose payoff matrices
-are equal, as those of one recurrent class are, share one search. The
-accompanying 2x2 certificate sweeps every 2x2 submatrix for a
-saddle-free one; it is a diagnostic, not a consequence of the theorem,
-and a saddle-free 2x2 block can occur in a solvable game (see
-``TestAdjacentPairProperty`` in ``tests/test_solve.py``). The sweep
-filters row pairs by interval overlap (a rising and a falling column
-must overlap) in both of the block test's rounding forms, ``x < y - eps``
-and ``y > x + eps``, and confirms each flagged row pair with the block
-test itself; see :func:`check_all_2x2`.
+always have one. States whose payoff matrices are equal, as those of
+one recurrent class are, share one search. The accompanying 2x2
+certificate sweeps every 2x2 submatrix for a saddle-free one; it is a
+diagnostic, not a consequence of the theorem, and a saddle-free 2x2
+block can occur in a solvable game (see ``TestAdjacentPairProperty`` in
+``tests/test_solve.py``). The sweep filters row pairs by interval
+overlap (a rising and a falling column must overlap) in both of the
+block test's rounding forms, ``x < y - eps`` and ``y > x + eps``, and
+confirms each flagged row pair with the block test itself; see
+:func:`check_all_2x2`.
 
 A solve evaluates each pure pair once, into the (D1, D2, N) payoff
 tensor ``SolveReport.payoffs``: ``payoffs[i, j, s - 1]`` is phi(s, f, g)
 for the maximiser's strategy of ordinal i and the minimiser's of ordinal
 j, so the slice ``payoffs[:, :, s - 1]`` is the payoff matrix of initial
-state s. Every method gathers the pairs' chains from per-action tables
-in stacks of at most ``_CHUNK_ENTRIES`` entries (2048 chains at n = 4,
-one at n = 150). Under the structural method the chains of a stack with
-one recurrent-class signature share their stationary and absorption
-solves; lazari and averaging take Q* one chain at a time. Chains differ
-only in the rows of the decision states (states with more than one
-action), so the reachability closure of the one-action rows, with the
-decision states as sinks, is taken once per solve; each chain then
-closes reachability through its c decision states in O(c n^2), and its
-Q* and projection checks run through the rank-k factors of Q* (k
+state s. Q* comes from the structural method only; the other
+limiting-matrix methods of :mod:`pismg.markov` are cross-checks and do
+not run in a solve. The pairs' chains are gathered from per-action
+tables in stacks of at most ``_CHUNK_ENTRIES`` entries (2048 chains at
+n = 4, one at n = 150), and the chains of a stack with one
+recurrent-class signature share their stationary and absorption solves.
+Chains differ only in the rows of the decision states (states with more
+than one action), so the reachability closure of the one-action rows,
+with the decision states as sinks, is taken once per solve; each chain
+then closes reachability through its c decision states in O(c n^2), and
+its Q* and projection checks run through the rank-k factors of Q* (k
 recurrent classes) in O(k n^2).
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 
@@ -65,9 +64,6 @@ REFERENCE_FLAG_TOL = 1e-3
 # float64 entries per stacked array of a solve: (pairs, n, n) chains, or
 # both rounding forms of a block of row pairs in the 2x2 sweep
 _CHUNK_ENTRIES = 2**15
-# inspected once, not per solve: inspect.signature is slow next to the
-# whole solve of a small game
-_CESARO_SIGNATURE = inspect.signature(cesaro)
 
 
 @dataclass(frozen=True)
@@ -112,7 +108,6 @@ class SolveReport:
     minimiser: SemiStationaryStrategy
     per_state: tuple[SaddleResult, ...]
     payoffs: np.ndarray
-    method: str
     diagnostics: dict
 
 
@@ -139,24 +134,20 @@ def _ratio(q_star: np.ndarray, r: np.ndarray, tau: np.ndarray) -> np.ndarray:
 
 
 def payoff_vector(spec: GameSpec, f: PureStationaryStrategy,
-                  g: PureStationaryStrategy, method: str = "structural",
-                  **cesaro_options) -> np.ndarray:
+                  g: PureStationaryStrategy) -> np.ndarray:
     """phi(s, f, g) for every initial state s, as an array indexed
-    s - 1. ``cesaro_options`` are passed to :func:`cesaro` unchanged."""
+    s - 1, from the structural limit of the pair's chain."""
     try:
         chain = induce(spec, f, g)
-        q_star = cesaro(chain.q, method, **cesaro_options).q_star
+        q_star = cesaro(chain.q).q_star
         return _ratio(q_star[None], chain.r[None], chain.tau[None])[0]
     except NumericalError as e:
         raise NumericalError(f"pair ({f.label}, {g.label}): {e}") from e
 
 
-def _payoff_tensor(spec: GameSpec, fs, gs, method: str,
-                   cesaro_options: dict) -> np.ndarray:
+def _payoff_tensor(spec: GameSpec, fs, gs) -> np.ndarray:
     """phi(s, f, g) at [f.ordinal, g.ordinal, s - 1] for every pure pair,
     in stacks of pairs in ordinal order."""
-    # an unknown option name is an error even where the method ignores it
-    _CESARO_SIGNATURE.bind(None, method, **cesaro_options)
     n = spec.n
     q, r, tau = action_tables(spec)
     # a state with one action has the same row in every chain, so paths
@@ -173,34 +164,18 @@ def _payoff_tensor(spec: GameSpec, fs, gs, method: str,
         actions = profile.reshape(-1, n)[lo:lo + step]
         qs = q[states, actions]
         try:
-            q_star = (structural_limits(qs, decision, reach0) if method == "structural"
-                      else np.array([cesaro(c, method, **cesaro_options).q_star for c in qs]))
+            q_star = structural_limits(qs, decision, reach0)
             flat[lo:lo + step] = _ratio(q_star, r[states, actions], tau[states, actions])
         except NumericalError:
             # a check failed in the stack: the per-pair path raises for
             # its first failing pair, naming it
             for k in range(lo, lo + len(actions)):
-                payoff_vector(spec, fs[k // len(gs)], gs[k % len(gs)], method,
-                              **cesaro_options)
+                payoff_vector(spec, fs[k // len(gs)], gs[k % len(gs)])
             raise
     return tensor
 
 
-def _first_unconverged(spec: GameSpec, fs, gs, method: str, cesaro_options: dict):
-    """The first pure pair (f, g), in ordinal order, whose Cesaro limit
-    stopped short of convergence (only averaging can), or None. The
-    tensor keeps no per-pair diagnostics, so the chains are evaluated
-    again, one pair at a time."""
-    for f in fs:
-        for g in gs:
-            if not cesaro(induce(spec, f, g).q, method, **cesaro_options).converged:
-                return f, g
-    return None
-
-
-def build_payoff_matrix(spec: GameSpec, initial_state: int,
-                        method: str = "structural",
-                        **cesaro_options) -> np.ndarray:
+def build_payoff_matrix(spec: GameSpec, initial_state: int) -> np.ndarray:
     """The D1 x D2 payoff matrix for one initial state, the slice
     ``payoffs[:, :, initial_state - 1]`` of a solve's tensor. :func:`solve`
     does not call it."""
@@ -208,7 +183,7 @@ def build_payoff_matrix(spec: GameSpec, initial_state: int,
         raise ValueError(f"initial state {initial_state} out of range 1..{spec.n}")
     fs = enumerate_pure(spec, PLAYER_I)
     gs = enumerate_pure(spec, PLAYER_II)
-    tensor = _payoff_tensor(spec, fs, gs, method, cesaro_options)
+    tensor = _payoff_tensor(spec, fs, gs)
     return tensor[:, :, initial_state - 1]
 
 
@@ -348,28 +323,27 @@ def _reference_deltas(spec: GameSpec, values: tuple[float, ...]) -> tuple[dict, 
     return tuple(out)
 
 
-def solve(spec: GameSpec, method: str = "structural", *,
-          saddle_eps: float | None = None, **cesaro_options) -> SolveReport:
+def solve(spec: GameSpec, *, saddle_eps: float | None = None) -> SolveReport:
     """Value vector and optimal pure semi-stationary strategies.
 
-    Builds the payoff tensor, locates each initial state's pure
-    saddle cells, searching each distinct matrix once, takes the
-    lexicographically smallest cell per state, and assembles one
-    strategy per player whose state-s component is that cell's
-    row/column strategy. A state without a saddle raises
-    :class:`NumericalError` naming the first pair whose Cesaro limit did
-    not converge if there is one, else :class:`SaddlePointError`.
-    Diagnostics carry the strategy-space
-    sizes, per-state saddle multiplicity, the 2x2 certificate verdicts
-    (a state passes when its first violation is None), and deltas
-    against bundled reference values if the game has any.
+    Builds the payoff tensor from the structural limit of every pure
+    pair's chain, locates each initial state's pure saddle cells,
+    searching each distinct matrix once, takes the lexicographically
+    smallest cell per state, and assembles one strategy per player whose
+    state-s component is that cell's row/column strategy. A state
+    without a saddle raises :class:`SaddlePointError`; a failed
+    numerical check raises :class:`NumericalError` naming the first
+    failing pair. Diagnostics carry the strategy-space sizes, per-state
+    saddle multiplicity, the 2x2 certificate verdicts (a state passes
+    when its first violation is None), and deltas against bundled
+    reference values if the game has any.
     A ``saddle_eps`` that is negative or non-finite raises ValueError."""
     if saddle_eps is not None and not 0.0 <= saddle_eps < math.inf:
         raise ValueError(f"saddle tolerance must be finite and >= 0, got {saddle_eps!r}")
     report = validate(spec)
     fs = enumerate_pure(spec, PLAYER_I)
     gs = enumerate_pure(spec, PLAYER_II)
-    payoffs = _payoff_tensor(spec, fs, gs, method, cesaro_options)
+    payoffs = _payoff_tensor(spec, fs, gs)
     per_state: list[SaddleResult] = []
     violations: list[tuple[int, int, int, int] | None] = []
     # states of one recurrent class share a payoff matrix: search it once
@@ -384,14 +358,6 @@ def solve(spec: GameSpec, method: str = "structural", *,
         violation, found = searched[key]
         violations.append(violation)
         if not found.exists:
-            unconverged = _first_unconverged(spec, fs, gs, method, cesaro_options)
-            if unconverged is not None:
-                f, g = unconverged
-                raise NumericalError(
-                    f"pair ({f.label}, {g.label}): the {method} Cesaro limit did not "
-                    f"converge, so the payoff matrix for initial state {s} is not "
-                    f"exact and has no pure saddle point"
-                )
             raise SaddlePointError(
                 f"no pure saddle point in the payoff matrix for initial "
                 f"state {s}; the perfect-information guarantee failed",
@@ -413,6 +379,5 @@ def solve(spec: GameSpec, method: str = "structural", *,
         minimiser=SemiStationaryStrategy(PLAYER_II, tuple(gs[sr.col] for sr in per_state)),
         per_state=tuple(per_state),
         payoffs=payoffs,
-        method=method,
         diagnostics=diagnostics,
     )

@@ -153,7 +153,8 @@ def ordinal_of(spec: GameSpec, player: str, actions: tuple[int, ...]) -> int:
 def strategy_from_labels(spec: GameSpec, player: str,
                          chosen: dict[int, str]) -> PureStationaryStrategy:
     """Build a strategy from a {state: action label} map covering exactly
-    the player's controlled states."""
+    the player's controlled states. A label that two actions of its
+    state share names neither, so it raises ValueError."""
     states = controlled_states(spec, player)
     if set(chosen) != set(states):
         raise ValueError(
@@ -163,12 +164,18 @@ def strategy_from_labels(spec: GameSpec, player: str,
     actions = []
     for s in states:
         labels = [a.label for a in spec.state(s).actions]
-        if chosen[s] not in labels:
+        matches = [a for a, label in enumerate(labels) if label == chosen[s]]
+        if not matches:
             raise ValueError(
                 f"state {s}: no action labelled {chosen[s]!r} "
                 f"(available: {labels})"
             )
-        actions.append(labels.index(chosen[s]))
+        if len(matches) > 1:
+            raise ValueError(
+                f"state {s}: actions {matches[0] + 1} and {matches[1] + 1} are both "
+                f"labelled {chosen[s]!r}; give the strategy as an ordinal"
+            )
+        actions.append(matches[0])
     actions_t = tuple(actions)
     return PureStationaryStrategy(
         player, states, actions_t, ordinal_of(spec, player, actions_t)

@@ -22,9 +22,17 @@ class TestParser:
             build_parser().parse_args([])
         assert exc.value.code == 2
 
-    def test_unknown_method_rejected(self, example_path):
+    def test_unknown_method_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["solve", str(example_path), "--method", "magic"])
+            build_parser().parse_args(
+                ["cesaro", "--matrix", str(tmp_path / "q.json"), "--method", "magic"]
+            )
+        assert exc.value.code == 2
+
+    def test_solve_takes_no_method(self, example_path):
+        # a solve always uses the structural method
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["solve", str(example_path), "--method", "structural"])
         assert exc.value.code == 2
 
 
@@ -211,21 +219,6 @@ class TestSolve:
         _, second, _ = _run(capsys, "solve", str(example_path), "--format", "json")
         assert first == second
 
-    def test_method_flag(self, capsys, example_path):
-        code, out, err = _run(capsys, "solve", str(example_path), "--method", "lazari")
-        assert code == 0
-        assert "method: lazari" in out
-        assert "state 1: 2.29851" in out
-
-    def test_deflation_tol_reaches_the_pair_evaluation(self, capsys, example_path):
-        code, out, err = _run(
-            capsys, "solve", str(example_path), "--method", "lazari",
-            "--deflation-tol", "0",
-        )
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: pair (f2, g1): input not stochastic-like")
-
     @pytest.mark.parametrize("tol", ["-1", "nan"])
     def test_bad_saddle_tol_is_a_flag_error(self, capsys, example_path, tol):
         code, out, err = _run(capsys, "solve", str(example_path), "--saddle-tol", tol)
@@ -294,6 +287,41 @@ class TestSimulateCommand:
         assert err == (
             "error: bad strategy spec 'x=a1'; expected 'state=label' or an ordinal\n"
         )
+
+    def test_shared_label_needs_an_ordinal(self, capsys, tmp_path):
+        # both actions of state 1 are labelled "a"; the solve plays the
+        # second, so the label form must not quietly pick the first
+        path = tmp_path / "twins.json"
+        path.write_text(
+            '{"name": "twins", "states": [{"id": 1, "player": "I", "actions": ['
+            '{"label": "a", "reward": 1.0, "sojourn": {"kind": "mean", "value": 1.0},'
+            ' "transitions": [{"to": 1, "prob": 1.0}]},'
+            '{"label": "a", "reward": 3.0, "sojourn": {"kind": "mean", "value": 1.0},'
+            ' "transitions": [{"to": 1, "prob": 1.0}]}]}]}'
+        )
+        code, out, _ = _run(capsys, "solve", str(path), "--format", "json")
+        assert code == 0 and json.loads(out)["maximiser"][0]["label"] == "f2"
+        argv = ["simulate", str(path), "--min", "0", "--horizon", "10", "--reps", "2"]
+        code, out, err = _run(capsys, *argv, "--max", "1=a")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: state 1: actions 1 and 2 are both labelled 'a'; "
+            "give the strategy as an ordinal\n"
+        )
+        code, out, err = _run(capsys, *argv, "--max", "1")
+        assert code == 0 and err == ""
+        assert "pair: (f2, g1)" in out and "estimate: 3   (stderr 0)" in out
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)], ids=["negative", "2**128"])
+    def test_seed_out_of_range_names_it(self, capsys, example_path, seed):
+        code, out, err = _run(
+            capsys, "simulate", str(example_path), "--max", "2", "--min", "0",
+            "--horizon", "10", "--reps", "2", "--seed", seed,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: seed {seed} out of range 0..2**128 - 1\n"
 
     def test_repeated_state_names_the_spec(self, capsys, example_path):
         code, out, err = _run(

@@ -167,6 +167,24 @@ class TestEstimatePayoff:
                 run()
             assert str(exc.value) == message
 
+    @pytest.mark.parametrize("seed", [-1, 2**128], ids=["negative", "2**128"])
+    def test_seed_out_of_range_as_simulate_rejects_it(self, example_spec, seed):
+        # Philox keys are 128-bit unsigned; numpy's own message does not
+        # name the bad value
+        f, g = _pair(example_spec, 0, 0)
+        for run in (
+            lambda: simulate(example_spec, f, g, 1, 10, seed),
+            lambda: estimate_payoff(example_spec, f, g, 1, 10, reps=2, seed=seed),
+        ):
+            with pytest.raises(ValueError) as exc:
+                run()
+            assert str(exc.value) == f"seed {seed} out of range 0..2**128 - 1"
+
+    def test_largest_seed_runs(self, example_spec):
+        f, g = _pair(example_spec, 0, 0)
+        est = estimate_payoff(example_spec, f, g, 1, 10, reps=2, seed=2**128 - 1)
+        assert est.seed == 2**128 - 1
+
     def test_corpus_games_simulate_without_error(self):
         for spec in _corpus.game_corpus(5, seed=83):
             f = strategy_from_ordinal(spec, "I", 0)

@@ -17,9 +17,11 @@ from pismg import (
     StateSpec,
     Transition,
     build_payoff_matrix,
+    cesaro,
     check_all_2x2,
     enumerate_pure,
     find_pure_saddle,
+    induce,
     parse_game,
     payoff_vector,
     saddle_tolerance,
@@ -93,6 +95,21 @@ def _first_saddle_free_2x2(a, eps):
     return None
 
 
+def _phi_by_method(spec, method, **cesaro_options):
+    """phi(s, f, g) at [f.ordinal, g.ordinal, s - 1] with each pair's Q*
+    from ``cesaro(q, method, ...)`` on its own chain: a cross-check of a
+    solve's structural tensor that shares only ``induce`` with it."""
+    fs = enumerate_pure(spec, "I")
+    gs = enumerate_pure(spec, "II")
+    tensor = np.empty((len(fs), len(gs), spec.n))
+    for f in fs:
+        for g in gs:
+            chain = induce(spec, f, g)
+            q_star = cesaro(chain.q, method, **cesaro_options).q_star
+            tensor[f.ordinal, g.ordinal] = (q_star @ chain.r) / (q_star @ chain.tau)
+    return tensor
+
+
 @pytest.fixture(scope="module")
 def pairs(example_spec):
     fs = enumerate_pure(example_spec, "I")
@@ -125,15 +142,14 @@ class TestPayoffVector:
             assert payoff_vector(example_spec, f, gs[0])[2] == pytest.approx(3.0, abs=1e-12)
             assert payoff_vector(example_spec, f, gs[2])[2] == pytest.approx(2.9, abs=1e-12)
 
-    def test_methods_agree(self, example_spec, pairs):
-        fs, gs = pairs
-        base = payoff_vector(example_spec, fs[2], gs[0], "structural")
-        assert payoff_vector(example_spec, fs[2], gs[0], "lazari") == pytest.approx(
-            base, abs=1e-9
-        )
-        assert payoff_vector(
-            example_spec, fs[2], gs[0], "averaging", averaging_n_max=2**35
-        ) == pytest.approx(base, abs=1e-6)
+    def test_methods_agree(self, example_spec, example_payoffs):
+        # every pair of the example: lazari to rounding, averaging to its
+        # O(1/n) accuracy
+        lazari = _phi_by_method(example_spec, "lazari")
+        scale = np.maximum(1.0, np.abs(example_payoffs))
+        assert np.all(np.abs(lazari - example_payoffs) <= 1e-9 * scale)
+        averaging = _phi_by_method(example_spec, "averaging", averaging_n_max=2**40)
+        assert np.all(np.abs(averaging - example_payoffs) <= 1e-6)
 
     def test_constant_game(self):
         spec = parse_game(
@@ -418,9 +434,9 @@ class TestSolve:
 
     def test_each_pure_pair_is_evaluated_once_per_solve(self, example_spec, monkeypatch):
         # every per-state matrix is a slice of one payoff tensor, each pair
-        # is one chain of the stacked structural routine or one cesaro call
-        # of the other methods, the per-pair path stays unused, and nothing
-        # carries over from an earlier solve
+        # is one chain of the stacked structural routine, the per-chain
+        # and per-pair paths stay unused, and nothing carries over from an
+        # earlier solve
         counts = Counter()
         limits, per_chain = SOLVE_MODULE.structural_limits, SOLVE_MODULE.cesaro
         per_pair = SOLVE_MODULE.payoff_vector
@@ -440,13 +456,11 @@ class TestSolve:
         monkeypatch.setattr(SOLVE_MODULE, "structural_limits", counted_limits)
         monkeypatch.setattr(SOLVE_MODULE, "cesaro", counted_per_chain)
         monkeypatch.setattr(SOLVE_MODULE, "payoff_vector", counted_per_pair)
-        for method, counter in [("structural", "chains"), ("lazari", "cesaro"),
-                                ("averaging", "cesaro")]:
-            for _ in range(2):
-                counts.clear()
-                report = solve(example_spec, method)
-                pairs = report.diagnostics["d1"] * report.diagnostics["d2"]
-                assert counts == {counter: pairs}, method
+        for _ in range(2):
+            counts.clear()
+            report = solve(example_spec)
+            pairs = report.diagnostics["d1"] * report.diagnostics["d2"]
+            assert counts == {"chains": pairs}
 
     def test_matrices_match_build_payoff_matrix(self, example_spec, example_payoffs):
         assert example_payoffs.shape == (4, 4, example_spec.n)
@@ -459,9 +473,16 @@ class TestSolve:
             solve(example_spec, deflation_tolerance=1e-7)
 
     def test_lazari_method_agrees(self, example_spec):
-        a = solve(example_spec, "structural").value
-        b = solve(example_spec, "lazari").value
-        assert b == pytest.approx(a, abs=1e-9)
+        # the solve's tensor against lazari, pair by pair, and the same
+        # saddle cells in every state
+        for spec in [example_spec, *_corpus.game_corpus(200, seed=424242)]:
+            report = solve(spec)
+            lazari = _phi_by_method(spec, "lazari")
+            scale = np.maximum(1.0, np.abs(report.payoffs))
+            assert np.all(np.abs(lazari - report.payoffs) <= 1e-9 * scale), spec.name
+            for s, found in enumerate(report.per_state):
+                assert (find_pure_saddle(lazari[:, :, s]).all_saddles
+                        == found.all_saddles), spec.name
 
     def test_one_sided_game_maximises(self):
         # player II controls nothing: the solve is a pure argmax over rows
@@ -524,20 +545,6 @@ class TestSolve:
         assert counts == {"find_pure_saddle": 3, "check_all_2x2": 3}
         assert report.diagnostics["saddle_multiplicity"] == (4, 4, 8, 2)
 
-    def test_unconverged_averaging_is_not_blamed_on_the_theorem(self):
-        # all 36 chains of this corpus game stop at the averaging cap, and
-        # the averaged state-4 matrix, 3.3e-6 from the structural one, has
-        # no saddle within the 1e-9 tolerance; the structural solve has one
-        spec = _corpus.game_corpus(200, seed=424242)[31]
-        assert solve(spec).per_state[3].exists
-        with pytest.raises(NumericalError) as exc:
-            solve(spec, "averaging")
-        assert str(exc.value) == (
-            "pair (f1, g1): the averaging Cesaro limit did not converge, so the "
-            "payoff matrix for initial state 4 is not exact and has no pure "
-            "saddle point"
-        )
-
     def test_corpus_games_solve_cleanly(self):
         # a pure saddle must exist in every matrix; the 2x2 sweep is a
         # sufficient condition only, so its outcome is recorded, not
@@ -582,31 +589,28 @@ def _unreachable_from_choices():
 
 
 class TestBatchedPairs:
-    """The tensor of a solve stacks the chains of many pairs under every
-    method; ``payoff_vector`` evaluates one pair and is the reference."""
+    """The tensor of a solve stacks the chains of many pairs;
+    ``payoff_vector`` evaluates one pair and is the reference."""
 
     @staticmethod
-    def _tensor(spec, method="structural"):
+    def _tensor(spec):
         fs = enumerate_pure(spec, "I")
         gs = enumerate_pure(spec, "II")
-        return fs, gs, SOLVE_MODULE._payoff_tensor(spec, fs, gs, method, {})
+        return fs, gs, SOLVE_MODULE._payoff_tensor(spec, fs, gs)
 
-    @pytest.mark.parametrize("count, chunk_entries, method", [
-        (200, None, "structural"),
-        (200, None, "lazari"),
-        (200, None, "averaging"),
-        (40, 50, "structural"),
-    ], ids=["corpus200", "corpus200-lazari", "corpus200-averaging", "stacks-of-1-to-3"])
-    def test_matches_payoff_vector_bit_for_bit(self, monkeypatch, count, chunk_entries,
-                                               method):
+    @pytest.mark.parametrize("count, chunk_entries", [
+        (200, None),
+        (40, 50),
+    ], ids=["corpus200", "stacks-of-1-to-3"])
+    def test_matches_payoff_vector_bit_for_bit(self, monkeypatch, count, chunk_entries):
         # 50 entries hold one to three chains at n <= 6, so stacks end
         # inside a game and the last stack of a game is a short one
         if chunk_entries is not None:
             monkeypatch.setattr(SOLVE_MODULE, "_CHUNK_ENTRIES", chunk_entries)
         for spec in _corpus.game_corpus(count, seed=424242):
-            fs, gs, tensor = self._tensor(spec, method)
+            fs, gs, tensor = self._tensor(spec)
             reference = np.array(
-                [[payoff_vector(spec, f, g, method) for g in gs] for f in fs]
+                [[payoff_vector(spec, f, g) for g in gs] for f in fs]
             )
             assert np.array_equal(tensor, reference), spec.name
 
