@@ -598,20 +598,36 @@ class TestBatchedPairs:
         gs = enumerate_pure(spec, "II")
         return fs, gs, SOLVE_MODULE._payoff_tensor(spec, fs, gs)
 
-    @pytest.mark.parametrize("count, chunk_entries", [
-        (200, None),
-        (40, 50),
-    ], ids=["corpus200", "stacks-of-1-to-3"])
-    def test_matches_payoff_vector_bit_for_bit(self, monkeypatch, count, chunk_entries):
+    @pytest.mark.parametrize("count, chunk_entries, method", [
+        (200, None, "structural"),
+        (200, None, "lazari"),
+        (200, None, "averaging"),
+        (40, 50, "structural"),
+    ], ids=["corpus200", "corpus200-lazari", "corpus200-averaging", "stacks-of-1-to-3"])
+    def test_matches_payoff_vector_bit_for_bit(self, monkeypatch, count, chunk_entries,
+                                               method):
         # 50 entries hold one to three chains at n <= 6, so stacks end
-        # inside a game and the last stack of a game is a short one
+        # inside a game and the last stack of a game is a short one; under
+        # lazari and averaging the stack loop takes each chain's Q* from
+        # cesaro, so its gathering and ratio must give the bits of the
+        # per-pair evaluation under that method
         if chunk_entries is not None:
             monkeypatch.setattr(SOLVE_MODULE, "_CHUNK_ENTRIES", chunk_entries)
+        if method != "structural":
+            monkeypatch.setattr(
+                SOLVE_MODULE, "structural_limits",
+                lambda qs, decision, reach0: np.array(
+                    [cesaro(q, method).q_star for q in qs]
+                ),
+            )
         for spec in _corpus.game_corpus(count, seed=424242):
             fs, gs, tensor = self._tensor(spec)
-            reference = np.array(
-                [[payoff_vector(spec, f, g) for g in gs] for f in fs]
-            )
+            if method == "structural":
+                reference = np.array(
+                    [[payoff_vector(spec, f, g) for g in gs] for f in fs]
+                )
+            else:
+                reference = _phi_by_method(spec, method)
             assert np.array_equal(tensor, reference), spec.name
 
     @pytest.mark.parametrize("build", [
