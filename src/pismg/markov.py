@@ -25,7 +25,7 @@ it:
     Decompose the chain into recurrent classes and transient states,
     solve for each class's stationary distribution and the transient
     absorption probabilities, and assemble Q* from them. The robust
-    default.
+    default; :func:`structural_limits` runs it on a stack of chains.
 
 Polynomials are coefficient arrays in ascending order: p[k] is the
 coefficient of z^k.
@@ -93,7 +93,7 @@ class CesaroResult:
 
 
 def _max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(abs(a).max()) if a.size else 0.0
 
 
 def validate_stochastic(q) -> np.ndarray:
@@ -109,17 +109,17 @@ def validate_stochastic(q) -> np.ndarray:
 
 def _check_stochastic(a: np.ndarray) -> None:
     # also on a stack of matrices, naming the first offending chain's row
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericalError("not a stochastic matrix: non-finite entries")
-    if np.any(a < -EPS_STOCH):
+    if a.min() < -EPS_STOCH:
         at = tuple(np.argwhere(a < -EPS_STOCH)[0])
         i, j = at[-2:]
         raise NumericalError(
             f"not a stochastic matrix: negative entry {float(a[at])!r} at ({i}, {j})"
         )
     sums = a.sum(axis=-1)
-    bad = np.abs(sums - 1.0) > EPS_STOCH
-    if np.any(bad):
+    bad = abs(sums - 1.0) > EPS_STOCH
+    if bad.any():
         at = tuple(np.argwhere(bad)[0])
         raise NumericalError(
             f"not a stochastic matrix: row {at[-1]} sums to {float(sums[at])!r}"
@@ -202,28 +202,22 @@ def deflate_unit_root(p, tol: float = DEFLATION_TOL) -> tuple[int, np.ndarray]:
 
 
 def _check_limit(q_star: np.ndarray, q: np.ndarray, method: str,
-                 factors: tuple[np.ndarray, np.ndarray] | None = None) -> None:
-    """Rows of Q* sum to 1 and its entries lie in [0, 1]; with ``factors``
-    (lower, upper), where Q* = lower @ upper, also the three projection
-    identities Q*Q = QQ* = Q*Q* = Q*. The products run through the
-    factors, so a rank-k Q* costs O(k n^2) per chain; the factors
-    (Q*, I) give the dense products."""
+                 projection: bool = True) -> None:
+    """Rows of Q* (or of a stack of them) sum to 1 and its entries lie
+    in [0, 1]; with ``projection``, also the three projection identities
+    Q*Q = QQ* = Q*Q* = Q*."""
     if _max_abs(q_star.sum(axis=-1) - 1.0) > EPS_PROJ:
         raise NumericalError(f"{method}: limiting matrix rows do not sum to 1")
     if float(q_star.min()) < -EPS_PROJ or float(q_star.max()) > 1.0 + EPS_PROJ:
         raise NumericalError(f"{method}: limiting matrix entries leave [0, 1]")
-    if factors is not None:
-        lower, upper = factors
-        for label, prod in (
-            ("Q*Q", lower @ (upper @ q)),
-            ("QQ*", (q @ lower) @ upper),
-            ("Q*Q*", lower @ ((upper @ lower) @ upper)),
-        ):
-            if _max_abs(prod - q_star) > EPS_PROJ:
+    if projection:
+        for label, left, right in (("Q*Q", q_star, q), ("QQ*", q, q_star),
+                                   ("Q*Q*", q_star, q_star)):
+            gap = _max_abs(left @ right - q_star)
+            if gap > EPS_PROJ:
                 raise NumericalError(
                     f"{method}: projection identity {label} = Q* violated "
-                    f"by {_max_abs(prod - q_star)!r}; "
-                    "fall back to the structural method"
+                    f"by {gap!r}; fall back to the structural method"
                 )
 
 
@@ -257,7 +251,7 @@ def cesaro_lazari(q, tol: float = DEFLATION_TOL) -> CesaroResult:
             "use the structural method instead"
         )
     q_star = w / mean_sum
-    _check_limit(q_star, q, "lazari", (q_star, eye))
+    _check_limit(q_star, q, "lazari")
     return CesaroResult(q_star=q_star, method="lazari", m1=m1)
 
 
@@ -295,7 +289,7 @@ def cesaro_averaging(q, tol: float = AVERAGING_TOL,
         p_n /= p_n.sum(axis=1, keepdims=True)
         n *= 2
         s_n = s_2n * (n / s_2n.sum(axis=1, keepdims=True))
-    _check_limit(result.q_star, q, "averaging")
+    _check_limit(result.q_star, q, "averaging", projection=False)
     return result
 
 
@@ -312,163 +306,179 @@ def _closure(reach: np.ndarray) -> np.ndarray:
     return reach
 
 
-def _sink_reach(rows: np.ndarray, decision: np.ndarray) -> np.ndarray:
-    """Reflexive reachability closure of the (n, n) transition ``rows``
-    (edges > EPS_EDGE) with the ``decision`` states made sinks: entry
-    (i, j) is 1 when some path from i to j enters no decision state
-    before its end. With the rows that every chain of a game shares, it
-    is the same for every chain and is computed once per game."""
-    edges = rows > EPS_EDGE
-    edges[decision] = False
-    return _closure((edges | np.eye(len(rows), dtype=bool)).astype(float))
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` on a stack of systems; 1 x 1 systems are the
+    one division LAPACK would make, without its call overhead."""
+    if a.shape[-1] == 1:
+        if not a.all():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return b / a
+    return np.linalg.solve(a, b)
 
 
-def _structural_stack(qs: np.ndarray, decision: np.ndarray | None = None,
-                      reach0: np.ndarray | None = None
-                      ) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
-    """Factors ``lower`` (m, n, k) and ``upper`` (m, k, n) of the
-    (unchecked) Q* = lower @ upper of every chain of a validated (m, n, n)
-    stack, and one ``(classes, transient, pis, absorption)`` per class
-    signature: each state's smallest class member, or -1 if it is
-    transient.
-
-    Edges are transitions with probability > EPS_EDGE. Rows outside
-    ``decision`` must be the same in every chain, and ``reach0`` is their
-    :func:`_sink_reach`; None for both makes every state a decision
-    state and ``reach0`` the identity. The reachability closure then
-    runs through the c decision states only: ``step`` marks where a
-    decision state gets by staying put or by one transition and a
-    decision-free path; the closure of its decision-state columns times
-    ``step`` is everything a decision state reaches, and ``reach0``
-    extends that to every state, in O(c n^2) per chain. All of it is 0/1
-    path counts, so it equals the closure over every state exactly. A
-    state is recurrent when every state it reaches reaches it back, and
-    then its closure row is its class.
-
-    The chains ``qs[members]`` share classes (ordered by smallest
-    member) and transient states. ``pis[i, k]`` is class k's stationary
-    row in chain ``members[i]`` (one balance equation replaced with
-    normalization, dense LU); ``absorption[i]`` solves
-    (I - Q_TT) x = Q_T,C 1. ``upper[i, k]`` is ``pis[i, k]`` and
-    ``lower[i, :, k]`` is 1 on class k and the absorption probabilities
-    into it on the transient states, with k padded to the stack's
-    largest class count."""
-    m, n, _ = qs.shape
-    if decision is None:
-        decision, reach0 = np.arange(n), np.eye(n)
-    # reach0's decision-state rows are identity rows, so staying put
-    # survives the product
-    out = (qs[:, decision] > EPS_EDGE) | np.eye(n, dtype=bool)[decision]
-    step = np.sign(out.astype(float) @ reach0)
-    reach_c = np.sign(_closure(step[:, :, decision]) @ step)
-    reach = np.sign(reach0 + reach0[:, decision] @ reach_c)
-    recurrent = ~(reach > reach.transpose(0, 2, 1)).any(axis=2)
-    # a recurrent state reaches exactly its own class, so the first state
-    # it reaches is the class's smallest member
-    signatures = np.where(recurrent, reach.argmax(axis=2), -1)
-    by_signature: dict[tuple, list[int]] = {}
-    for i, key in enumerate(map(tuple, signatures.tolist())):
-        by_signature.setdefault(key, []).append(i)
-    width = max(len(set(key) - {-1}) for key in by_signature)
-    lower, upper = np.zeros((m, n, width)), np.zeros((m, width, n))
-    groups = []
-    for key, members in by_signature.items():
-        sub_q = qs[members]
-        signature = signatures[members[0]]
-        classes = [np.flatnonzero(signature == c) for c in sorted(set(key) - {-1})]
-        transient = np.flatnonzero(signature < 0)
-        # pis[:, k] is class k's stationary row spread over all n states;
-        # the classes are disjoint, so each entry of lower @ upper has at
-        # most one nonzero term
-        pis = np.zeros((len(members), len(classes), n))
-        low = np.zeros((len(members), n, width))
-        for k, idx in enumerate(classes):
-            sub = sub_q[:, idx[:, None], idx]
-            a = sub.transpose(0, 2, 1) - np.eye(idx.size)
-            a[:, -1, :] = 1.0
-            b = np.broadcast_to(np.eye(idx.size)[:, -1:], (len(members), idx.size, 1))
-            label = tuple(idx.tolist())
+def _stationary(sub: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Stationary rows of a stack of (g, c, c) class blocks, block j over
+    the states ``members[j]``: one balance equation replaced with
+    normalization, dense LU, residual checked, clipped at 0 and
+    renormalised. A failure names the first failing block's states."""
+    g, c, _ = sub.shape
+    a = sub.transpose(0, 2, 1).copy()
+    a.reshape(g, c * c)[:, ::c + 1] -= 1.0
+    a[:, -1] = 1.0
+    b = np.zeros((g, c, 1))
+    b[:, -1] = 1.0
+    try:
+        pi = _solve(a, b)[..., 0]
+    except np.linalg.LinAlgError:
+        # name the first singular block
+        for j in range(g):
             try:
-                pi = np.linalg.solve(a, b)[..., 0]
+                _solve(a[j:j + 1], b[j:j + 1])
             except np.linalg.LinAlgError as e:
                 raise NumericalError(
                     f"numerically degenerate chain: stationary solve failed for "
-                    f"class {label}: {e}"
+                    f"class {tuple(members[j].tolist())}: {e}"
                 ) from e
-            residual = np.abs((pi[:, None, :] @ sub)[:, 0] - pi).max(axis=1)
-            bad = (residual > EPS_PROJ) | (pi.min(axis=1) < -EPS_PROJ)
-            if bad.any():
-                raise NumericalError(
-                    f"numerically degenerate chain: stationary residual "
-                    f"{float(residual[bad.argmax()])!r} for class {label}"
-                )
-            pi = np.clip(pi, 0.0, None)
-            pi /= pi.sum(axis=1, keepdims=True)
-            pis[:, k, idx] = pi
-            low[:, idx, k] = 1.0
-        absorption = np.zeros((len(members), 0, len(classes)))
-        if transient.size:
-            rows = sub_q[:, transient]
-            tt = rows[:, :, transient]
-            rhs = np.stack([rows[:, :, idx].sum(axis=2) for idx in classes], 2)
-            try:
-                absorption = np.linalg.solve(np.eye(transient.size) - tt, rhs)
-            except np.linalg.LinAlgError as e:
-                raise NumericalError(
-                    f"numerically degenerate chain: absorption solve failed: {e}"
-                ) from e
-            if _max_abs(absorption.sum(axis=2) - 1.0) > EPS_PROJ:
-                raise NumericalError(
-                    "numerically degenerate chain: absorption rows do not sum to 1"
-                )
-            absorption = np.clip(absorption, 0.0, 1.0)
-            low[:, transient, :len(classes)] = absorption
-        lower[members] = low
-        upper[members, :len(classes)] = pis
-        groups.append((classes, transient, pis, absorption))
-    return lower, upper, groups
+        raise
+    residual = abs((pi[:, None, :] @ sub)[:, 0] - pi).max(axis=1)
+    if residual.max() > EPS_PROJ or pi.min() < -EPS_PROJ:
+        j = ((residual > EPS_PROJ) | (pi.min(axis=1) < -EPS_PROJ)).argmax()
+        raise NumericalError(
+            f"numerically degenerate chain: stationary residual "
+            f"{float(residual[j])!r} for class {tuple(members[j].tolist())}"
+        )
+    np.maximum(pi, 0.0, out=pi)
+    pi /= pi.sum(axis=1, keepdims=True)
+    return pi
 
 
-def structural_limits(qs, decision=None, reach0=None) -> np.ndarray:
-    """Q* of every chain of an (m, n, n) stack by the structural method;
-    chains with one class signature share stacked LAPACK solves. The
-    chains may differ only in the rows of the ``decision`` states, and
-    ``reach0`` is the :func:`_sink_reach` of the other rows (None for
-    both: any rows). A check failing anywhere raises; on a stack of one
-    the message is exact."""
+def _absorption(tt: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray:
+    """x solving (I - tt) x = rhs for a (stack of) transient block(s).
+    The first ``k`` columns of ``rhs`` are the one-step probabilities
+    into each of k absorbing sets, so those columns of x are absorption
+    probabilities: their rows must sum to 1, and they are clipped to
+    [0, 1]. Any further columns are returned as solved."""
+    try:
+        x = _solve(np.eye(tt.shape[-1]) - tt, rhs)
+    except np.linalg.LinAlgError as e:
+        raise NumericalError(
+            f"numerically degenerate chain: absorption solve failed: {e}"
+        ) from e
+    if _max_abs(x[..., :k].sum(axis=-1) - 1.0) > EPS_PROJ:
+        raise NumericalError(
+            "numerically degenerate chain: absorption rows do not sum to 1"
+        )
+    probs = x[..., :k]
+    np.minimum(np.maximum(probs, 0.0, out=probs), 1.0, out=probs)
+    return x
+
+
+def _structural_stack(qs: np.ndarray, edges: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Factors ``lower`` (m, n, k) and ``upper`` (m, k, n) of the
+    (unchecked) Q* = lower @ upper of every chain of a validated (m, n, n)
+    stack, the 0/1 ``reaches`` (m, n, k) and the class ``signatures``
+    (m, n): each state's smallest class member, or -1 if it is
+    transient.
+
+    ``edges`` is the stack's 0/1 transition graph; None takes the
+    transitions with probability > EPS_EDGE. A state is recurrent when
+    every state it reaches (reflexive closure) reaches it back, and then
+    its closure row is its class. Each chain's classes are numbered by
+    smallest member and k is padded to the stack's largest class count.
+    ``upper[i, k]`` is class k's stationary row in chain i, ``lower[i,
+    :, k]`` is 1 on class k and the absorption probabilities into it on
+    the transient states, and ``reaches[i, :, k]`` is 1 on the states
+    that reach class k. The classes are disjoint, so each entry of
+    lower @ upper has at most one nonzero term.
+
+    The solves are stacked across chains: one stationary solve per class
+    size (one balance equation replaced with normalization, dense LU)
+    and one absorption solve, (I - Q_TT) x = Q_T,C 1, per number of
+    transient states."""
+    m, n, _ = qs.shape
+    if edges is None:
+        edges = qs > EPS_EDGE
+    reach = _closure((edges | np.eye(n, dtype=bool)).astype(float))
+    recurrent = ~(reach > reach.transpose(0, 2, 1)).any(axis=2)
+    # a recurrent state reaches exactly its own class, so the first state
+    # it reaches is the class's smallest member, its head
+    first = reach.argmax(axis=2)
+    heads = recurrent & (first == np.arange(n))
+    width = int(heads.sum(axis=1).max())
+    rank = heads.cumsum(axis=1) - 1
+    # a state's row of reaches counts the heads it reaches, which for a
+    # recurrent state is its own class's only
+    reaches = reach @ ((rank[:, :, None] == np.arange(width)) & heads[:, :, None])
+    lower = reaches * recurrent[:, :, None]
+    upper = np.zeros((m, width, n))
+    sizes = lower.sum(axis=1).astype(np.intp)
+    # states in class order, ascending within a class, transient last
+    order = np.argsort(np.where(recurrent, first, n), axis=1, kind="stable")
+    starts = sizes.cumsum(axis=1) - sizes
+    for c in sorted(set(sizes[sizes > 0].tolist())):
+        ci, ck = np.nonzero(sizes == c)
+        idx = order[ci[:, None], starts[ci, ck][:, None] + np.arange(c)]
+        sub = qs[ci[:, None, None], idx[:, :, None], idx[:, None, :]]
+        upper[ci[:, None], ck[:, None], idx] = _stationary(sub, idx)
+    transient = n - sizes.sum(axis=1)
+    for t in sorted(set(transient[transient > 0].tolist())):
+        ci = np.flatnonzero(transient == t)
+        idx = order[ci, n - t:]
+        tt = qs[ci[:, None, None], idx[:, :, None], idx[:, None, :]]
+        # each row's mass on each class, as n right-hand sides whatever
+        # the stack's class count: BLAS and LAPACK may round a column
+        # differently with another number of columns
+        member = np.zeros((len(ci), n, n))
+        member[..., :width] = lower[ci]
+        lower[ci[:, None], idx] = _absorption(tt, qs[ci[:, None], idx] @ member, n)[..., :width]
+    return lower, upper, reaches, np.where(recurrent, first, -1)
+
+
+def structural_limits(qs, edges=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Q* of every chain of an (m, n, n) stack by the structural method,
+    as its factors ``(lower, upper)`` (Q* = lower @ upper) and the 0/1
+    ``reaches``, each state's reachable classes (see
+    :func:`_structural_stack`). ``edges`` is the stack's 0/1 transition
+    graph (None: the transitions above EPS_EDGE). The rows are checked
+    stochastic, and Q* sums to 1 by row, lies in [0, 1] and satisfies
+    the projection identities; a check failing anywhere raises, and on a
+    stack of one the message is exact."""
     qs = np.asarray(qs, dtype=float)
     _check_stochastic(qs)
-    lower, upper, _ = _structural_stack(qs, decision, reach0)
-    q_star = lower @ upper
-    _check_limit(q_star, qs, "structural", (lower, upper))
-    return q_star
+    lower, upper, reaches, _ = _structural_stack(qs, edges)
+    _check_limit(lower @ upper, qs, "structural")
+    return lower, upper, reaches
 
 
-def _decomposition(group: tuple) -> ChainDecomposition:
-    classes, transient, pis, absorption = group
+def _decomposition(lower: np.ndarray, upper: np.ndarray,
+                   signature: np.ndarray) -> ChainDecomposition:
+    heads = sorted(set(signature.tolist()) - {-1})
+    classes = [np.flatnonzero(signature == h) for h in heads]
+    transient = np.flatnonzero(signature < 0)
     return ChainDecomposition(
-        recurrent_classes=tuple(tuple(int(i) for i in idx) for idx in classes),
-        transient=tuple(int(i) for i in transient),
-        stationary=tuple(pis[0, k, idx] for k, idx in enumerate(classes)),
-        absorption=absorption[0],
+        recurrent_classes=tuple(tuple(idx.tolist()) for idx in classes),
+        transient=tuple(transient.tolist()),
+        stationary=tuple(upper[k, idx] for k, idx in enumerate(classes)),
+        absorption=lower[transient, :len(classes)],
     )
 
 
 def decompose_chain(q) -> ChainDecomposition:
     """Recurrent classes, transient states, stationary distributions and
     absorption probabilities of one stochastic matrix (a stack of one)."""
-    *_, (group,) = _structural_stack(validate_stochastic(q)[None])
-    return _decomposition(group)
+    lower, upper, _, signatures = _structural_stack(validate_stochastic(q)[None])
+    return _decomposition(lower[0], upper[0], signatures[0])
 
 
 def cesaro_structural(q) -> CesaroResult:
     """Limiting matrix assembled from the chain structure (a stack of one)."""
     qs = validate_stochastic(q)[None]
-    lower, upper, (group,) = _structural_stack(qs)
+    lower, upper, _, signatures = _structural_stack(qs)
     q_star = lower @ upper
-    _check_limit(q_star, qs, "structural", (lower, upper))
+    _check_limit(q_star, qs, "structural")
     return CesaroResult(q_star=q_star[0], method="structural",
-                        decomposition=_decomposition(group))
+                        decomposition=_decomposition(lower[0], upper[0], signatures[0]))
 
 
 def cesaro(q, method: str = "structural", *,

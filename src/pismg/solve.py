@@ -28,16 +28,23 @@ for the maximiser's strategy of ordinal i and the minimiser's of ordinal
 j, so the slice ``payoffs[:, :, s - 1]`` is the payoff matrix of initial
 state s. Q* comes from the structural method only; the other
 limiting-matrix methods of :mod:`pismg.markov` are cross-checks and do
-not run in a solve. The pairs' chains are gathered from per-action
-tables in stacks of at most ``_CHUNK_ENTRIES`` entries (2048 chains at
-n = 4, one at n = 150), and the chains of a stack with one
-recurrent-class signature share their stationary and absorption solves.
-Chains differ only in the rows of the decision states (states with more
-than one action), so the reachability closure of the one-action rows,
-with the decision states as sinks, is taken once per solve; each chain
-then closes reachability through its c decision states in O(c n^2), and
-its Q* and projection checks run through the rank-k factors of Q* (k
-recurrent classes) in O(k n^2).
+not run in a solve.
+
+A pair's actions differ only at the c decision states (states with more
+than one action), so the one-action rows are censored once per solve
+(:func:`pismg.censor.censor`, the stochastic complement): what is left
+is a game on c + m nodes, the decision states and the m decision-free
+closed classes, whose rows, rewards, epoch counts and times accumulate
+the one-action states passed through. By renewal-reward, each recurrent
+class K of a censored chain has the full chain's per-epoch means
+mu_K.R / mu_K.N and mu_K.T / mu_K.N, and every state takes the payoff of
+the nodes it may enter, weighted by its exit distribution (QQ* = Q*).
+The censored chains are gathered from the censored action tables in
+stacks of at most ``_CHUNK_ENTRIES`` entries, and their stationary and
+absorption solves are stacked across chains
+(:func:`pismg.markov.structural_limits`). A game without one-action
+states is its own censored game; one with n = 150 states of which 8
+choose runs chains of about 9 nodes.
 """
 
 from __future__ import annotations
@@ -47,13 +54,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .censor import _CensoredGame
 from .errors import NumericalError, SaddlePointError
 from .game import GameSpec, PLAYER_I, PLAYER_II, validate
-from .markov import _max_abs, _sink_reach, cesaro, structural_limits
+# induce and cesaro are not called here: they stay module attributes for
+# the benchmark's tracer (perfbench/spans.py), which wraps them by name
+from .markov import _max_abs, cesaro
 from .strategies import (
     PureStationaryStrategy,
     SemiStationaryStrategy,
-    action_tables,
     enumerate_pure,
     induce,
 )
@@ -61,8 +70,9 @@ from .strategies import (
 EPS_SADDLE_REL = 1e-9
 # a computed value this far from a bundled reference value gets flagged
 REFERENCE_FLAG_TOL = 1e-3
-# float64 entries per stacked array of a solve: (pairs, n, n) chains, or
-# both rounding forms of a block of row pairs in the 2x2 sweep
+# float64 entries per stacked array of a solve: (pairs, s, s) censored
+# chains of s nodes, or both rounding forms of a block of row pairs in the
+# 2x2 sweep
 _CHUNK_ENTRIES = 2**15
 
 
@@ -118,29 +128,13 @@ def saddle_tolerance(entries) -> float:
     return EPS_SADDLE_REL * max(1.0, _max_abs(a))
 
 
-def _ratio(q_star: np.ndarray, r: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """phi = Q*r / Q*tau for a stack of chains' limiting matrices, rewards
-    and expected sojourns, one matrix-vector product per chain: a stacked
-    matmul with a column operand runs the same product per chain as
-    ``q_star[i] @ r[i]``, without a Python loop over the chains."""
-    num = (q_star @ r[..., None])[..., 0]
-    den = (q_star @ tau[..., None])[..., 0]
-    if float(den.min()) <= 0.0:
-        raise NumericalError(
-            "nonpositive expected time in the limit; sojourn validation "
-            "should have prevented this"
-        )
-    return num / den
-
-
 def payoff_vector(spec: GameSpec, f: PureStationaryStrategy,
                   g: PureStationaryStrategy) -> np.ndarray:
     """phi(s, f, g) for every initial state s, as an array indexed
-    s - 1, from the structural limit of the pair's chain."""
+    s - 1: the pair's censored chain evaluated as a stack of one."""
     try:
-        chain = induce(spec, f, g)
-        q_star = cesaro(chain.q).q_star
-        return _ratio(q_star[None], chain.r[None], chain.tau[None])[0]
+        game = _CensoredGame(spec)
+        return game.payoffs(game.actions((f,), (g,)))[0]
     except NumericalError as e:
         raise NumericalError(f"pair ({f.label}, {g.label}): {e}") from e
 
@@ -148,30 +142,20 @@ def payoff_vector(spec: GameSpec, f: PureStationaryStrategy,
 def _payoff_tensor(spec: GameSpec, fs, gs) -> np.ndarray:
     """phi(s, f, g) at [f.ordinal, g.ordinal, s - 1] for every pure pair,
     in stacks of pairs in ordinal order."""
-    n = spec.n
-    q, r, tau = action_tables(spec)
-    # a state with one action has the same row in every chain, so paths
-    # between decision states are closed over those rows once per solve
-    decision = np.flatnonzero([len(st.actions) > 1 for st in spec.states])
-    reach0 = _sink_reach(q[:, 0], decision)
-    tensor = np.empty((len(fs), len(gs), n))
-    profile = np.empty((len(fs), len(gs), n), dtype=np.intp)
-    profile[..., np.array(fs[0].states, dtype=np.intp) - 1] = [[f.actions] for f in fs]
-    profile[..., np.array(gs[0].states, dtype=np.intp) - 1] = [g.actions for g in gs]
-    flat, states = tensor.reshape(-1, n), np.arange(n)
-    step = max(1, _CHUNK_ENTRIES // (n * n))
-    for lo in range(0, len(flat), step):
-        actions = profile.reshape(-1, n)[lo:lo + step]
-        qs = q[states, actions]
-        try:
-            q_star = structural_limits(qs, decision, reach0)
-            flat[lo:lo + step] = _ratio(q_star, r[states, actions], tau[states, actions])
-        except NumericalError:
-            # a check failed in the stack: the per-pair path raises for
-            # its first failing pair, naming it
-            for k in range(lo, lo + len(actions)):
-                payoff_vector(spec, fs[k // len(gs)], gs[k % len(gs)])
-            raise
+    tensor = np.empty((len(fs), len(gs), spec.n))
+    flat, lo = tensor.reshape(-1, spec.n), 0
+    try:
+        game = _CensoredGame(spec)
+        acts = game.actions(fs, gs)
+        step = max(1, _CHUNK_ENTRIES // acts.shape[1] ** 2)
+        for lo in range(0, len(flat), step):
+            flat[lo:lo + step] = game.payoffs(acts[lo:lo + step])
+    except NumericalError:
+        # a check failed in the stack (or in the censoring): the per-pair
+        # path raises for its first failing pair, naming it
+        for k in range(lo, len(flat)):
+            payoff_vector(spec, fs[k // len(gs)], gs[k % len(gs)])
+        raise
     return tensor
 
 
@@ -200,7 +184,7 @@ def find_pure_saddle(entries, eps: float | None = None) -> SaddleResult:
     a = np.asarray(entries, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError(f"payoff matrix must be 2-D and non-empty, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("payoff matrix has non-finite entries")
     if eps is None:
         eps = saddle_tolerance(a)
@@ -217,13 +201,14 @@ def find_pure_saddle(entries, eps: float | None = None) -> SaddleResult:
             f"[{float(values.min())!r}, {float(values.max())!r}] "
             f"with eps {float(eps)!r}"
         )
-    i, j = (int(x) for x in cells[0])
+    all_saddles = tuple(map(tuple, cells.tolist()))
+    i, j = all_saddles[0]
     return SaddleResult(
         exists=True,
         row=i,
         col=j,
         value=float(a[i, j]),
-        all_saddles=tuple((int(r), int(c)) for r, c in cells),
+        all_saddles=all_saddles,
     )
 
 

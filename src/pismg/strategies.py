@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationLimitError
-from .game import ActionSpec, GameSpec, PLAYER_I, expected_sojourn
+from .game import GameSpec, PLAYER_I, expected_sojourn
 
 ENUMERATION_CAP = 10**6
 
@@ -190,43 +190,43 @@ def selected_action(spec: GameSpec, state: int,
     return st.actions[strat.action_at(state)]
 
 
-def _transition_row(n: int, action: ActionSpec) -> np.ndarray:
-    """An action's transition row, divided by its sum (validation already
-    bounded the deviation), so it is stochastic to machine precision."""
-    row = np.zeros(n)
-    for tr in action.transitions:
-        row[tr.to - 1] = tr.prob
-    total = row.sum()
-    if total != 1.0:
-        row /= total
-    return row
-
-
 def induce(spec: GameSpec, f: PureStationaryStrategy,
            g: PureStationaryStrategy) -> InducedChain:
-    """Chain induced by a fixed pure pair. Only the controller's strategy
-    is consulted at each state."""
-    n = spec.n
-    q = np.zeros((n, n))
-    r = np.zeros(n)
-    tau = np.zeros(n)
-    for st in spec.states:
-        act = selected_action(spec, st.id, f, g)
-        q[st.id - 1] = _transition_row(n, act)
-        r[st.id - 1] = act.reward
-        tau[st.id - 1] = expected_sojourn(act)
-    return InducedChain(q=q, r=r, tau=tau)
+    """Chain induced by a fixed pure pair: each state's row of
+    :func:`action_tables` under the action its controller's strategy
+    chooses."""
+    q, r, tau = action_tables(spec)
+    states = np.arange(spec.n)
+    actions = [(f if st.controller == PLAYER_I else g).action_at(st.id)
+               for st in spec.states]
+    return InducedChain(q=q[states, actions], r=r[states, actions],
+                        tau=tau[states, actions])
 
 
 def action_tables(spec: GameSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(q, r, tau): ``q[s - 1, a]`` is the row :func:`induce` uses when
-    action a is played in state s, with its reward and expected sojourn."""
+    """(q, r, tau): ``q[s - 1, a]`` is the transition row of action a in
+    state s, divided by its sum when that is not exactly 1 (validation
+    already bounded the deviation), so it is stochastic to machine
+    precision; ``r`` and ``tau`` hold the action's reward and expected
+    sojourn. Rows past a state's last action are zero."""
     n = spec.n
     width = max(len(st.actions) for st in spec.states)
-    q, r, tau = np.zeros((n, width, n)), np.zeros((n, width)), np.zeros((n, width))
+    r, tau = np.zeros((n, width)), np.zeros((n, width))
+    real = np.zeros(n * width, dtype=bool)
+    slots, heads, probs = [], [], []
     for st in spec.states:
         for a, act in enumerate(st.actions):
-            q[st.id - 1, a] = _transition_row(n, act)
+            slot = (st.id - 1) * width + a
+            real[slot] = True
             r[st.id - 1, a] = act.reward
             tau[st.id - 1, a] = expected_sojourn(act)
-    return q, r, tau
+            for tr in act.transitions:
+                slots.append(slot)
+                heads.append(tr.to - 1)
+                probs.append(tr.prob)
+    rows = np.zeros((n * width, n))
+    rows[slots, heads] = probs
+    total = rows.sum(axis=1)
+    scale = real & (total != 1.0)
+    rows[scale] /= total[scale, None]
+    return rows.reshape(n, width, n), r, tau

@@ -335,14 +335,19 @@ class TestSimulateCommand:
 
 
 # Expected CLI outputs, one file in tests/data per case. "{game}" is the
-# game file: example_s5.json, or the two-sinks game of test_solve.py,
-# whose state-1 matrix violates the all-pairs 2x2 certificate.
-# Regenerate a file with `pismg <argv> > tests/data/<file>`.
+# game file: example_s5.json, the two-sinks game of test_solve.py, whose
+# state-1 matrix violates the all-pairs 2x2 certificate, or
+# tests/data/one_action.json, the unreachable-from-choices game of
+# test_solve.py, whose one-action states are the transient states 3, 6
+# and 7 and the decision-free closed class {4, 5}. Regenerate a file with
+# `pismg <argv> > tests/data/<file>`.
 GOLDEN = [
     ("solve_example_s5.txt", "example", ["solve", "{game}", "--no-banner", "--emit-matrices"]),
     ("solve_example_s5.json", "example",
      ["solve", "{game}", "--no-banner", "--emit-matrices", "--format", "json"]),
     ("solve_two_sinks.txt", "two_sinks", ["solve", "{game}", "--no-banner", "--emit-matrices"]),
+    ("solve_one_action.txt", "one_action",
+     ["solve", "{game}", "--no-banner", "--emit-matrices"]),
     ("solve_two_sinks.json", "two_sinks",
      ["solve", "{game}", "--no-banner", "--emit-matrices", "--format", "json"]),
     ("validate_example_s5.json", "example", ["validate", "{game}", "--format", "json"]),
@@ -375,6 +380,8 @@ class TestGoldenOutput:
         if game == "two_sinks":
             path = tmp_path / "two_sinks.json"
             path.write_text(TWO_SINKS)
+        elif game == "one_action":
+            path = DATA / "one_action.json"
         else:
             path = example_path
         code, out, err = _run(capsys, *(a.format(game=path) for a in argv))

@@ -17,7 +17,8 @@ from pismg import (
     deflate_unit_root,
     validate_stochastic,
 )
-from pismg.markov import EPS_PROJ, _closure, _sink_reach, structural_limits
+from pismg.censor import _sink_reach, censor
+from pismg.markov import EPS_EDGE, EPS_PROJ, _closure, structural_limits
 
 import _corpus
 
@@ -300,9 +301,13 @@ class TestClosure:
 
 
 class TestDecisionReach:
-    """Chains that differ only in the rows of a few decision states: the
-    closure through those states gives the same Q*, bit for bit, as the
-    closure over every state."""
+    """Chains that differ only in the rows of a few decision states,
+    censored to those states and their decision-free closed classes:
+    every class of a full chain that holds a decision state or is closed
+    without one is a class of its censored chain, each state reaches the
+    same classes (0/1, exactly), and the absorption and stationary
+    probabilities agree with the full chain's. With every state a
+    decision state the censoring is the identity, bit for bit."""
 
     @pytest.mark.parametrize("n, c", [(1, 0), (1, 1), (2, 0), (2, 1), (5, 2), (8, 0),
                                       (8, 3), (8, 8), (30, 4)])
@@ -311,15 +316,51 @@ class TestDecisionReach:
         for _ in range(20):
             decision = np.sort(rng.choice(n, size=c, replace=False))
             shared = _corpus.random_stochastic(rng, n)
-            qs = np.repeat(shared[None], 5, axis=0)
-            for k in range(len(qs)):
-                qs[k, decision] = _corpus.random_stochastic(rng, n)[decision]
-            reach0 = _sink_reach(shared, decision)
-            assert np.array_equal(structural_limits(qs, decision, reach0),
-                                  structural_limits(qs))
-            for q in qs:
-                assert np.array_equal(structural_limits(q[None], decision, reach0)[0],
-                                      cesaro_structural(q).q_star)
+            closed, exits, enters, _, _ = censor(shared, decision, np.ones((n, 1)))
+            s = exits.shape[1]
+            assert s == c + len(closed)
+            for _ in range(5):
+                q = shared.copy()
+                q[decision] = _corpus.random_stochastic(rng, n)[decision]
+                # a closed class's node stays put
+                nodes, edges = np.eye(s), np.eye(s, dtype=bool)
+                nodes[:c] = q[decision] @ exits
+                edges[:c] = (q[decision] > EPS_EDGE).astype(float) @ enters > 0
+                lower, upper, reaches = structural_limits(nodes[None], edges[None])
+                full = cesaro_structural(q)
+                if c == n:
+                    assert np.array_equal(nodes, q)
+                    assert np.array_equal((lower @ upper)[0], full.q_star)
+                self._agree(q, decision, closed, exits, enters, lower[0], upper[0],
+                            reaches[0], full)
+
+    @staticmethod
+    def _agree(q, decision, closed, exits, enters, lower, upper, reaches, full):
+        n, c = len(q), len(decision)
+        dec = full.decomposition
+        # the state behind each censored class's first node
+        state_of = list(decision) + [idx[0] for idx in closed]
+        cls_of = {x: k for k, members in enumerate(dec.recurrent_classes) for x in members}
+        heads = [np.flatnonzero(upper[k])[0] for k in range(upper.shape[0]) if upper[k].any()]
+        assert len(set(heads)) == len(heads)
+        full_reach = _closure(((q > EPS_EDGE) | np.eye(n, dtype=bool)).astype(float))
+        for k, head in enumerate(heads):
+            members = dec.recurrent_classes[cls_of[state_of[head]]]
+            mass = full.q_star[:, list(members)].sum(axis=1)
+            np.testing.assert_allclose(exits @ lower[:, k], mass, rtol=0, atol=1e-12)
+            assert np.array_equal(enters @ reaches[:, k] > 0,
+                                  full_reach[:, members[0]] > 0)
+            chosen = [i for i in range(c) if decision[i] in members]
+            if chosen:
+                pi = full.q_star[members[0], decision[chosen]]
+                np.testing.assert_allclose(upper[k, chosen], pi / pi.sum(), rtol=0, atol=1e-12)
+        # every full class reached from a decision state or closed without one
+        # is some censored class
+        kept = {cls_of[state_of[head]] for head in heads}
+        for k, members in enumerate(dec.recurrent_classes):
+            holds = any(x in members for x in decision) or any(
+                set(idx.tolist()) == set(members) for idx in closed)
+            assert holds == (k in kept)
 
     def test_sink_reach_stops_at_decision_states(self):
         # 0 -> 1 -> 2 -> 3 with 2 a decision state: 0 reaches 2 but not 3

@@ -1,8 +1,10 @@
 import importlib
+import inspect
 import json
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from pismg import (
     Transition,
     build_payoff_matrix,
     cesaro,
+    cesaro_structural,
     check_all_2x2,
     enumerate_pure,
     find_pure_saddle,
@@ -32,10 +35,12 @@ from pismg.cli import main
 
 import _corpus
 from _adjacent import adjacent_pairs, adjacent_quadruple_gaps
+from _exact import exact_phi
 
 # the package re-exports solve(), which hides the submodule attribute
 SOLVE_MODULE = importlib.import_module("pismg.solve")
 MARKOV_MODULE = importlib.import_module("pismg.markov")
+CENSOR_MODULE = importlib.import_module("pismg.censor")
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +155,14 @@ class TestPayoffVector:
         assert np.all(np.abs(lazari - example_payoffs) <= 1e-9 * scale)
         averaging = _phi_by_method(example_spec, "averaging", averaging_n_max=2**40)
         assert np.all(np.abs(averaging - example_payoffs) <= 1e-6)
+
+    def test_state4_is_exactly_364_over_137(self, example_spec, pairs):
+        # the exact oracle at the saddle pair (f3, g1), and the solve's
+        # value within 1e-15 of it
+        fs, gs = pairs
+        assert exact_phi(example_spec, fs[2], gs[0])[3] == Fraction(364, 137)
+        value = solve(example_spec).value[3]
+        assert abs(Fraction(value) - Fraction(364, 137)) <= Fraction(1, 10**15)
 
     def test_constant_game(self):
         spec = parse_game(
@@ -434,16 +447,16 @@ class TestSolve:
 
     def test_each_pure_pair_is_evaluated_once_per_solve(self, example_spec, monkeypatch):
         # every per-state matrix is a slice of one payoff tensor, each pair
-        # is one chain of the stacked structural routine, the per-chain
-        # and per-pair paths stay unused, and nothing carries over from an
-        # earlier solve
+        # is one censored chain of the stacked structural routine, the
+        # per-chain and per-pair paths stay unused, and nothing carries
+        # over from an earlier solve
         counts = Counter()
-        limits, per_chain = SOLVE_MODULE.structural_limits, SOLVE_MODULE.cesaro
+        limits, per_chain = CENSOR_MODULE.structural_limits, SOLVE_MODULE.cesaro
         per_pair = SOLVE_MODULE.payoff_vector
 
-        def counted_limits(qs, decision, reach0):
+        def counted_limits(qs, edges):
             counts["chains"] += len(qs)
-            return limits(qs, decision, reach0)
+            return limits(qs, edges)
 
         def counted_per_chain(*args, **kwargs):
             counts["cesaro"] += 1
@@ -453,7 +466,7 @@ class TestSolve:
             counts["payoff_vector"] += 1
             return per_pair(*args, **kwargs)
 
-        monkeypatch.setattr(SOLVE_MODULE, "structural_limits", counted_limits)
+        monkeypatch.setattr(CENSOR_MODULE, "structural_limits", counted_limits)
         monkeypatch.setattr(SOLVE_MODULE, "cesaro", counted_per_chain)
         monkeypatch.setattr(SOLVE_MODULE, "payoff_vector", counted_per_pair)
         for _ in range(2):
@@ -468,9 +481,13 @@ class TestSolve:
             alone = build_payoff_matrix(example_spec, s)
             assert np.array_equal(example_payoffs[:, :, s - 1], alone)
 
-    def test_unknown_cesaro_option_rejected(self, example_spec):
-        with pytest.raises(TypeError):
-            solve(example_spec, deflation_tolerance=1e-7)
+    def test_takes_spec_and_saddle_eps_only(self):
+        # the solve runs the structural method only, so it takes no
+        # method name or Cesaro tolerance
+        params = inspect.signature(solve).parameters
+        assert list(params) == ["spec", "saddle_eps"]
+        assert params["saddle_eps"].kind is inspect.Parameter.KEYWORD_ONLY
+        assert params["saddle_eps"].default is None
 
     def test_lazari_method_agrees(self, example_spec):
         # the solve's tensor against lazari, pair by pair, and the same
@@ -598,37 +615,36 @@ class TestBatchedPairs:
         gs = enumerate_pure(spec, "II")
         return fs, gs, SOLVE_MODULE._payoff_tensor(spec, fs, gs)
 
-    @pytest.mark.parametrize("count, chunk_entries, method", [
-        (200, None, "structural"),
-        (200, None, "lazari"),
-        (200, None, "averaging"),
-        (40, 50, "structural"),
-    ], ids=["corpus200", "corpus200-lazari", "corpus200-averaging", "stacks-of-1-to-3"])
-    def test_matches_payoff_vector_bit_for_bit(self, monkeypatch, count, chunk_entries,
-                                               method):
-        # 50 entries hold one to three chains at n <= 6, so stacks end
-        # inside a game and the last stack of a game is a short one; under
-        # lazari and averaging the stack loop takes each chain's Q* from
-        # cesaro, so its gathering and ratio must give the bits of the
-        # per-pair evaluation under that method
+    @pytest.mark.parametrize("count, chunk_entries", [
+        (200, None),
+        (40, 50),
+    ], ids=["corpus200", "stacks-of-1-to-3"])
+    def test_matches_payoff_vector_bit_for_bit(self, monkeypatch, count, chunk_entries):
+        # 50 entries hold one to three censored chains of 4 to 7 nodes, so
+        # stacks end inside a game and the last stack of a game is a
+        # short one
         if chunk_entries is not None:
             monkeypatch.setattr(SOLVE_MODULE, "_CHUNK_ENTRIES", chunk_entries)
-        if method != "structural":
-            monkeypatch.setattr(
-                SOLVE_MODULE, "structural_limits",
-                lambda qs, decision, reach0: np.array(
-                    [cesaro(q, method).q_star for q in qs]
-                ),
-            )
         for spec in _corpus.game_corpus(count, seed=424242):
             fs, gs, tensor = self._tensor(spec)
-            if method == "structural":
-                reference = np.array(
-                    [[payoff_vector(spec, f, g) for g in gs] for f in fs]
-                )
-            else:
-                reference = _phi_by_method(spec, method)
+            reference = np.array(
+                [[payoff_vector(spec, f, g) for g in gs] for f in fs]
+            )
             assert np.array_equal(tensor, reference), spec.name
+
+    @pytest.mark.parametrize("method, options, atol, rtol", [
+        ("lazari", {}, 0.0, 1e-9),
+        ("averaging", {"averaging_n_max": 2**40}, 1e-6, 0.0),
+    ], ids=["corpus200-lazari", "corpus200-averaging"])
+    def test_matches_other_methods(self, method, options, atol, rtol):
+        # every pair of corpus-200 against each pair's own chain under the
+        # other limiting-matrix methods, at the tolerances of
+        # TestPayoffVector.test_methods_agree
+        for spec in _corpus.game_corpus(200, seed=424242):
+            _, _, tensor = self._tensor(spec)
+            reference = _phi_by_method(spec, method, **options)
+            bound = atol + rtol * np.maximum(1.0, np.abs(tensor))
+            assert np.all(np.abs(reference - tensor) <= bound), spec.name
 
     @pytest.mark.parametrize("build", [
         lambda: [_corpus.sparse_game(np.random.default_rng(11), n=150)],
@@ -647,6 +663,48 @@ class TestBatchedPairs:
             )
             assert np.array_equal(tensor, reference), spec.name
 
+    @pytest.mark.parametrize("build, exact", [
+        (lambda: [_corpus.sparse_game(np.random.default_rng(11), n=150)], False),
+        (lambda: _corpus.game_corpus(20, seed=31, max_actions=1), True),
+        (lambda: _corpus.game_corpus(20, seed=37, min_actions=2), True),
+        (lambda: [_unreachable_from_choices()], True),
+    ], ids=["sparse150", "no-choice", "every-state-a-choice", "unreachable-from-choices"])
+    def test_decision_state_reach_matches_full_chain(self, build, exact):
+        # the censored tensor against each pair's full chain through
+        # cesaro_structural, and against exact rational phi where the
+        # game is small; the two paths round differently, within 1e-13
+        for spec in build():
+            fs, gs, tensor = self._tensor(spec)
+            full = np.empty_like(tensor)
+            for f in fs:
+                for g in gs:
+                    chain = induce(spec, f, g)
+                    q_star = cesaro_structural(chain.q).q_star
+                    full[f.ordinal, g.ordinal] = (q_star @ chain.r) / (q_star @ chain.tau)
+                    if exact:
+                        for s, x in enumerate(exact_phi(spec, f, g)):
+                            got = Fraction(float(tensor[f.ordinal, g.ordinal, s]))
+                            assert abs(got - x) <= Fraction(1, 10**13) * max(1, abs(x))
+            scale = np.maximum(1.0, np.abs(full))
+            assert np.all(np.abs(tensor - full) <= 1e-13 * scale), spec.name
+
+    def test_matches_exact_oracle_on_corpus(self):
+        # 60 corpus games, 6522 entries: worst relative error 1.2e-15
+        worst = Fraction(0)
+        for spec in _corpus.game_corpus(60, seed=424242):
+            fs, gs, tensor = self._tensor(spec)
+            for f in fs:
+                for g in gs:
+                    for s, x in enumerate(exact_phi(spec, f, g)):
+                        got = Fraction(float(tensor[f.ordinal, g.ordinal, s]))
+                        worst = max(worst, abs(got - x) / max(1, abs(x)))
+        assert worst <= Fraction(1, 10**13)
+
+    def test_one_action_golden_is_this_game(self):
+        # tests/data/one_action.json pins the CLI output of this game
+        data = Path(__file__).parent / "data" / "one_action.json"
+        assert parse_game(data.read_text()) == _unreachable_from_choices()
+
     def test_ratio_takes_each_chains_own_product(self):
         # the stacked product must round as q_star[i] @ r[i] does, so a
         # tensor keeps the bits of a pair evaluated on its own
@@ -658,7 +716,7 @@ class TestBatchedPairs:
             tau = rng.uniform(0.5, 3.0, (m, n))
             expected = (np.array([a @ v for a, v in zip(q_star, r)])
                         / np.array([a @ v for a, v in zip(q_star, tau)]))
-            assert np.array_equal(SOLVE_MODULE._ratio(q_star, r, tau), expected)
+            assert np.array_equal(CENSOR_MODULE._ratio(q_star, r, tau), expected)
 
     @pytest.mark.parametrize("eps_proj", [-1.0, 1e-16])
     def test_failed_check_names_the_first_failing_pair(
@@ -679,6 +737,64 @@ class TestBatchedPairs:
         with pytest.raises(NumericalError) as exc:
             solve(example_spec)
         assert str(exc.value) == expected
+
+    def test_failed_censoring_names_the_first_pair(self, monkeypatch):
+        # a check of the once-per-solve censoring fails for every pair, so
+        # the solve's error is the first pair's
+        monkeypatch.setattr(MARKOV_MODULE, "EPS_PROJ", -1.0)
+        spec = _unreachable_from_choices()
+        with pytest.raises(NumericalError) as exc:
+            solve(spec)
+        assert str(exc.value) == (
+            "pair (f1, g1): numerically degenerate chain: absorption rows do not sum to 1"
+        )
+
+    def test_states_reaching_one_class_share_its_payoffs(self):
+        # a state that reaches a single recurrent class of a pair's full
+        # chain has that class's payoff bit for bit, whether it is a
+        # decision state, a one-action state in the class, or transient
+        for spec in [*_corpus.game_corpus(200, seed=424242), _unreachable_from_choices(),
+                     _corpus.sparse_game(np.random.default_rng(11), n=40)]:
+            fs, gs, tensor = self._tensor(spec)
+            for f in fs:
+                for g in gs:
+                    q = induce(spec, f, g).q
+                    dec = cesaro_structural(q).decomposition
+                    reach = (q > 1e-12) | np.eye(spec.n, dtype=bool)
+                    for _ in range(spec.n):
+                        reach = reach | (reach.astype(float) @ reach > 0)
+                    phi = tensor[f.ordinal, g.ordinal]
+                    for members in dec.recurrent_classes:
+                        head = members[0]
+                        only = reach[:, head] & (reach[:, [c[0] for c in dec.recurrent_classes]].sum(axis=1) == 1)
+                        assert np.all(phi[only] == phi[head]), spec.name
+
+    def test_censored_edges_come_from_path_counts(self):
+        # state 1 chooses; its first action enters the one-action state 2
+        # with probability 1e-7, and 2 moves on to the absorbing state 3
+        # with probability 1e-7, else to the absorbing state 4. The
+        # censored row of 1 puts 1e-14 <= EPS_EDGE on 3, but the full
+        # chain's edges reach 3, so state 1 mixes the two classes
+        def action(label, reward, row):
+            return ActionSpec(label, reward, tuple(Transition(d, p) for d, p in row.items()),
+                              SojournModel("mean", (1.0,)))
+        spec = GameSpec("thin-path", (
+            StateSpec(1, "I", (action("a", 0.0, {4: 1 - 1e-7, 2: 1e-7}),
+                               action("b", 0.0, {4: 1.0}))),
+            StateSpec(2, "II", (action("c", 0.0, {3: 1e-7, 4: 1 - 1e-7}),)),
+            StateSpec(3, "II", (action("d", 4.0, {3: 1.0}), action("e", 3.0, {3: 1.0}))),
+            StateSpec(4, "I", (action("f", 5.0, {4: 1.0}), action("g", 6.0, {4: 1.0}))),
+        ))
+        fs, gs, tensor = self._tensor(spec)
+        for f in fs:
+            for g in gs:
+                phi = tensor[f.ordinal, g.ordinal]
+                chain = induce(spec, f, g)
+                q_star = cesaro_structural(chain.q).q_star
+                assert np.allclose(phi, (q_star @ chain.r) / (q_star @ chain.tau),
+                                   rtol=1e-13, atol=0)
+                # through the thin path state 1 sits 1e-14 of the way to 3
+                assert (phi[0] < phi[3]) == (f.actions[0] == 0)
 
     def test_tensor_memory_at_n150(self):
         # one n = 150 chain per stack; stacking all 256 chains of this
