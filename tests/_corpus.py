@@ -58,6 +58,10 @@ def _random_sojourn(rng: np.random.Generator) -> SojournModel:
     kind = ("mean", "mean", "deterministic", "exponential", "uniform")[
         int(rng.integers(0, 5))
     ]
+    return _random_sojourn_of(rng, kind)
+
+
+def _random_sojourn_of(rng: np.random.Generator, kind: str) -> SojournModel:
     if kind in ("mean", "deterministic"):
         return SojournModel(kind, (float(rng.uniform(0.5, 3.0)),))
     if kind == "exponential":
@@ -123,6 +127,32 @@ def sparse_game(rng: np.random.Generator, n: int = 150) -> GameSpec:
             )
         states.append(StateSpec(sid, controller, tuple(actions)))
     spec = GameSpec(f"sparse-{n}", tuple(states))
+    validate(spec)
+    return spec
+
+
+def mixed_sojourn_game(rng: np.random.Generator, n: int = 6) -> GameSpec:
+    """n states alternating between the players, two actions each, as in
+    the benchmark's simulate workload: every action moves with
+    probability 1/4 to the next state on a ring and to three other
+    states, and its four transitions carry one sojourn kind each."""
+    kinds = ("mean", "deterministic", "exponential", "uniform")
+    states = []
+    for sid in range(1, n + 1):
+        actions = []
+        for a in range(2):
+            others = [s for s in range(1, n + 1) if s != sid % n + 1]
+            dests = [sid % n + 1, *(int(d) for d in rng.choice(others, size=3, replace=False))]
+            actions.append(ActionSpec(
+                label=f"a{a + 1}",
+                reward=float(np.round(rng.uniform(1.0, 5.0), 4)),
+                transitions=tuple(
+                    Transition(d, 0.25, _random_sojourn_of(rng, kinds[k]))
+                    for d, k in zip(dests, rng.permutation(len(kinds)))
+                ),
+            ))
+        states.append(StateSpec(sid, "I" if sid % 2 else "II", tuple(actions)))
+    spec = GameSpec(f"mixed-{n}", tuple(states))
     validate(spec)
     return spec
 

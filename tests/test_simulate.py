@@ -12,6 +12,7 @@ from pismg import (
 )
 
 import _corpus
+import _scalar_sim
 
 
 PHI_F3 = float(Fraction(154, 67))
@@ -115,8 +116,10 @@ class TestEstimatePayoff:
             simulate(example_spec, f, g, start=1, horizon=200, seed=seed ^ k)
             for k in range(4)
         ]
-        point = sum(s.cum_reward for s in singles) / sum(s.cum_time for s in singles)
-        assert est.point == pytest.approx(point, abs=1e-14)
+        # the expression estimate_payoff evaluates, so the bits must agree
+        point = (float(np.array([s.cum_reward for s in singles]).mean())
+                 / float(np.array([s.cum_time for s in singles]).mean()))
+        assert est.point == point
 
     def test_estimate_is_reproducible(self, example_spec):
         f, g = _pair(example_spec, 2, 0)
@@ -192,3 +195,56 @@ class TestEstimatePayoff:
             est = estimate_payoff(spec, f, g, start=1, horizon=500, reps=4, seed=1)
             assert np.isfinite(est.point)
             assert np.isfinite(est.stderr)
+
+
+def _stochastic(spec) -> bool:
+    return any(
+        model is not None and model.kind in ("exponential", "uniform")
+        for st in spec.states for act in st.actions
+        for model in (act.default_sojourn, *(tr.sojourn for tr in act.transitions))
+    )
+
+
+MIXED = _corpus.mixed_sojourn_game(np.random.default_rng(424242))
+# every stochastic-sojourn game of the corpus at seed 83, pair (0, 0)
+CORPUS = [spec for spec in _corpus.game_corpus(40, seed=83) if _stochastic(spec)]
+# 1024 is a square, 1001 is not; 1, 2 and 3 are shorter than any block
+HORIZONS = (1, 2, 3, 1024, 1001)
+SEEDS = (0, 2**128 - 1)
+
+
+class TestScalarOracle:
+    """The block simulator against the epoch-by-epoch loop in
+    ``_scalar_sim``: equal TrajectoryStats, float bits included."""
+
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    @pytest.mark.parametrize("seed", SEEDS, ids=["0", "2**128-1"])
+    def test_mixed_sojourn_game(self, horizon, seed):
+        for f_ordinal, g_ordinal, start in ((0, 0, 1), (5, 2, 4), (7, 7, 6)):
+            f, g = _pair(MIXED, f_ordinal, g_ordinal)
+            assert simulate(MIXED, f, g, start, horizon, seed) == \
+                _scalar_sim.trajectory(MIXED, f, g, start, horizon, seed)
+
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    @pytest.mark.parametrize("seed", SEEDS, ids=["0", "2**128-1"])
+    def test_corpus_games_with_stochastic_sojourns(self, horizon, seed):
+        assert len(CORPUS) >= 10
+        for spec in CORPUS:
+            f, g = _pair(spec, 0, 0)
+            start = spec.n
+            assert simulate(spec, f, g, start, horizon, seed) == \
+                _scalar_sim.trajectory(spec, f, g, start, horizon, seed)
+
+    def test_example_game(self, example_spec):
+        for f_ordinal in range(3):
+            f, g = _pair(example_spec, f_ordinal, 1)
+            for start in range(1, 5):
+                assert simulate(example_spec, f, g, start, 999, 7) == \
+                    _scalar_sim.trajectory(example_spec, f, g, start, 999, 7)
+
+    @pytest.mark.parametrize("spec", [MIXED, *CORPUS[:3]], ids=lambda s: s.name)
+    def test_estimate_equals_oracle_estimate(self, spec):
+        f, g = _pair(spec, 0, 0)
+        est = estimate_payoff(spec, f, g, start=1, horizon=257, reps=5, seed=2**128 - 3)
+        point, stderr = _scalar_sim.estimate(spec, f, g, 1, 257, 5, 2**128 - 3)
+        assert (est.point, est.stderr) == (point, stderr)
