@@ -129,6 +129,8 @@ class _CensoredGame:
     the next node. A closed-class node has one action, which stays put,
     with its class's per-epoch means. Decision state ``decision[i]`` is
     node i; a game without one-action states is its own censored game.
+    ``states[x]`` lists the 0-based states node x stands for (None when
+    the nodes are the states), so an error names a class by its states.
 
     A state that enters one node only takes that node's payoff; the
     states that may enter several mix the nodes' limits by their exit
@@ -147,9 +149,11 @@ class _CensoredGame:
             self.q, self.edges, self.values = q, q > EPS_EDGE, table
             self.exits, self.enters = np.eye(spec.n), np.zeros((0, spec.n))
             self.first, self.rows = self.decision[:0], self.decision
+            self.states = None
             return
         closed, exits, enters, accumulated, means = censor(
             q[:, 0], self.decision, table[:, :, 0].T)
+        self.states = [(x,) for x in self.decision.tolist()] + [c.tolist() for c in closed]
         chosen = q[self.decision]
         self.q = chosen @ exits
         self.edges = (chosen > EPS_EDGE).astype(float) @ enters > 0
@@ -196,7 +200,7 @@ class _CensoredGame:
         states of a class share bits."""
         nodes = np.arange(acts.shape[1])
         lower, upper, reaches = structural_limits(self.q[nodes, acts],
-                                                  self.edges[nodes, acts])
+                                                  self.edges[nodes, acts], self.states)
         reward, epochs, time = self.values[:, nodes, acts]
         lower = np.where(reaches.sum(axis=2, keepdims=True) == 1, reaches, lower)
         span = (upper * epochs[:, None]).sum(axis=2, keepdims=True)

@@ -316,11 +316,20 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
-def _stationary(sub: np.ndarray, members: np.ndarray) -> np.ndarray:
+def _class_name(members: np.ndarray, states=None) -> tuple:
+    """The 0-based states of a class of chain nodes ``members``; a node x
+    stands for the states ``states[x]`` (None: node x is state x)."""
+    if states is None:
+        return tuple(members.tolist())
+    return tuple(sorted(s for x in members.tolist() for s in states[x]))
+
+
+def _stationary(sub: np.ndarray, members: np.ndarray, states=None) -> np.ndarray:
     """Stationary rows of a stack of (g, c, c) class blocks, block j over
-    the states ``members[j]``: one balance equation replaced with
+    the nodes ``members[j]``: one balance equation replaced with
     normalization, dense LU, residual checked, clipped at 0 and
-    renormalised. A failure names the first failing block's states."""
+    renormalised. A failure names the first failing block's states (see
+    :func:`_class_name`)."""
     g, c, _ = sub.shape
     a = sub.transpose(0, 2, 1).copy()
     a.reshape(g, c * c)[:, ::c + 1] -= 1.0
@@ -337,7 +346,7 @@ def _stationary(sub: np.ndarray, members: np.ndarray) -> np.ndarray:
             except np.linalg.LinAlgError as e:
                 raise NumericalError(
                     f"numerically degenerate chain: stationary solve failed for "
-                    f"class {tuple(members[j].tolist())}: {e}"
+                    f"class {_class_name(members[j], states)}: {e}"
                 ) from e
         raise
     residual = abs((pi[:, None, :] @ sub)[:, 0] - pi).max(axis=1)
@@ -345,7 +354,7 @@ def _stationary(sub: np.ndarray, members: np.ndarray) -> np.ndarray:
         j = ((residual > EPS_PROJ) | (pi.min(axis=1) < -EPS_PROJ)).argmax()
         raise NumericalError(
             f"numerically degenerate chain: stationary residual "
-            f"{float(residual[j])!r} for class {tuple(members[j].tolist())}"
+            f"{float(residual[j])!r} for class {_class_name(members[j], states)}"
         )
     np.maximum(pi, 0.0, out=pi)
     pi /= pi.sum(axis=1, keepdims=True)
@@ -373,7 +382,7 @@ def _absorption(tt: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray:
     return x
 
 
-def _structural_stack(qs: np.ndarray, edges: np.ndarray | None = None
+def _structural_stack(qs: np.ndarray, edges: np.ndarray | None = None, states=None
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Factors ``lower`` (m, n, k) and ``upper`` (m, k, n) of the
     (unchecked) Q* = lower @ upper of every chain of a validated (m, n, n)
@@ -382,10 +391,12 @@ def _structural_stack(qs: np.ndarray, edges: np.ndarray | None = None
     transient.
 
     ``edges`` is the stack's 0/1 transition graph; None takes the
-    transitions with probability > EPS_EDGE. A state is recurrent when
-    every state it reaches (reflexive closure) reaches it back, and then
-    its closure row is its class. Each chain's classes are numbered by
-    smallest member and k is padded to the stack's largest class count.
+    transitions with probability > EPS_EDGE. ``states`` names a failing
+    class by the states its nodes stand for (see :func:`_class_name`).
+    A state is recurrent when every state it reaches (reflexive closure)
+    reaches it back, and then its closure row is its class. Each chain's
+    classes are numbered by smallest member and k is padded to the
+    stack's largest class count.
     ``upper[i, k]`` is class k's stationary row in chain i, ``lower[i,
     :, k]`` is 1 on class k and the absorption probabilities into it on
     the transient states, and ``reaches[i, :, k]`` is 1 on the states
@@ -420,7 +431,7 @@ def _structural_stack(qs: np.ndarray, edges: np.ndarray | None = None
         ci, ck = np.nonzero(sizes == c)
         idx = order[ci[:, None], starts[ci, ck][:, None] + np.arange(c)]
         sub = qs[ci[:, None, None], idx[:, :, None], idx[:, None, :]]
-        upper[ci[:, None], ck[:, None], idx] = _stationary(sub, idx)
+        upper[ci[:, None], ck[:, None], idx] = _stationary(sub, idx, states)
     transient = n - sizes.sum(axis=1)
     for t in sorted(set(transient[transient > 0].tolist())):
         ci = np.flatnonzero(transient == t)
@@ -435,18 +446,21 @@ def _structural_stack(qs: np.ndarray, edges: np.ndarray | None = None
     return lower, upper, reaches, np.where(recurrent, first, -1)
 
 
-def structural_limits(qs, edges=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def structural_limits(qs, edges=None, states=None
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Q* of every chain of an (m, n, n) stack by the structural method,
     as its factors ``(lower, upper)`` (Q* = lower @ upper) and the 0/1
     ``reaches``, each state's reachable classes (see
     :func:`_structural_stack`). ``edges`` is the stack's 0/1 transition
-    graph (None: the transitions above EPS_EDGE). The rows are checked
-    stochastic, and Q* sums to 1 by row, lies in [0, 1] and satisfies
-    the projection identities; a check failing anywhere raises, and on a
-    stack of one the message is exact."""
+    graph (None: the transitions above EPS_EDGE), and ``states[x]`` the
+    states node x stands for, which name a failing class (None: node x
+    is state x). The rows are checked stochastic, and Q* sums to 1 by
+    row, lies in [0, 1] and satisfies the projection identities; a check
+    failing anywhere raises, and on a stack of one the message is
+    exact."""
     qs = np.asarray(qs, dtype=float)
     _check_stochastic(qs)
-    lower, upper, reaches, _ = _structural_stack(qs, edges)
+    lower, upper, reaches, _ = _structural_stack(qs, edges, states)
     _check_limit(lower @ upper, qs, "structural")
     return lower, upper, reaches
 

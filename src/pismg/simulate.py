@@ -13,12 +13,33 @@ holding-time models draw lazily from the same stream in trajectory
 order. ``deterministic`` sojourns consume no randomness; the
 analytic-only ``mean`` kind declares no shape, so it is simulated as a
 constant at its mean, which preserves the ratio-of-expectations target.
+
+A trajectory is computed in array passes, with no Python step per epoch,
+and equals the epoch-by-epoch loop bit for bit:
+
+- Every state's cumulative row is a subset of one sorted grid, so one
+  ``searchsorted`` of the uniforms against the grid puts each epoch in a
+  bucket, and within a bucket every row inverts to the same transition.
+  A (buckets x states) table then gives each state's move at each epoch.
+- The path follows from those per-epoch maps in chunks of about
+  sqrt(horizon / 8) epochs: the maps of each chunk are composed (all
+  chunks at once), the chunk heads are walked, and the chunks are filled
+  in, all by integer gathers. A chunk costs a few numpy calls per epoch
+  column and a head one Python step, which this width balances.
+  Composing maps costs horizon * n gathers, so for games of some
+  hundreds of states a trajectory is slower than the per-epoch loop.
+- The transitions fix which epochs draw a sojourn before any sojourn is
+  drawn, so one block of exactly that many uniforms follows the
+  transition block; on Philox a block equals the same draws taken one
+  at a time. Exponential sojourns go through ``math.log1p`` per draw, as
+  the loop did, because ``np.log1p`` may round the last bit differently.
+- Reward and time are summed with ``cumsum``, which adds in epoch order
+  as the loop did; ``np.sum`` adds pairwise and would change bits.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,68 +83,140 @@ class PayoffEstimate:
     note: str = SIMULATION_NOTE
 
 
-def _runtime_table(spec: GameSpec, f: PureStationaryStrategy,
-                   g: PureStationaryStrategy):
-    """Per state: reward, destination list, cumulative probabilities and
-    sojourn models, restricted to positive-probability transitions."""
-    table = []
-    for st in spec.states:
-        act = selected_action(spec, st.id, f, g)
-        dests: list[int] = []
-        probs: list[float] = []
-        sojourns = []
-        for tr in act.transitions:
-            if tr.prob <= 0.0:
-                continue
-            dests.append(tr.to)
-            probs.append(tr.prob)
-            sojourns.append(tr.sojourn if tr.sojourn is not None else act.default_sojourn)
-        weights = np.asarray(probs)
-        weights = weights / weights.sum()
-        cumulative = np.cumsum(weights)
-        cumulative[-1] = 1.0
-        table.append((act.reward, dests, cumulative.tolist(), sojourns))
-    return table
+def _total(values: np.ndarray) -> float:
+    """The sum of ``values`` in order from 0.0, as a loop adds them:
+    ``cumsum`` adds sequentially, and adding 0.0 turns the -0.0 that a
+    sum of negative zeros leaves into the loop's 0.0."""
+    return float(np.cumsum(values, out=values)[-1]) + 0.0
 
 
-def _sample_sojourn(model, rng: np.random.Generator) -> float:
-    if model.kind == "mean" or model.kind == "deterministic":
-        return model.params[0]
+def _terms(model) -> tuple[int, float, float]:
+    """(kind, base, scale) of a sojourn model, kind 0 for one that draws
+    nothing: for a uniform draw v the holding time is base, -log1p(-v) /
+    scale (exponential, kind 1) or base + scale * v (uniform, kind 2)."""
     if model.kind == "exponential":
-        return -math.log1p(-rng.random()) / model.params[0]
-    a, b = model.params
-    return a + (b - a) * rng.random()
+        return 1, 0.0, model.params[0]
+    if model.kind == "uniform":
+        a, b = model.params
+        return 2, a, b - a
+    return 0, model.params[0], 0.0
 
 
-def _run(table, start: int, horizon: int, rng: np.random.Generator) -> TrajectoryStats:
-    u = rng.random(horizon)
-    state = start
-    cum_reward = 0.0
-    cum_time = 0.0
-    visits = [0] * len(table)
-    for m in range(horizon):
-        reward, dests, cumulative, sojourns = table[state - 1]
-        visits[state - 1] += 1
-        cum_reward += reward
-        k = bisect_right(cumulative, u[m])
-        if k >= len(dests):
-            k = len(dests) - 1
-        cum_time += _sample_sojourn(sojourns[k], rng)
-        state = dests[k]
-    return TrajectoryStats(
-        cum_reward=cum_reward,
-        cum_time=cum_time,
-        steps=horizon,
-        final_state=state,
-        visits=tuple(visits),
-    )
+class _Chain:
+    """The runtime table of the chain (f, g) induces, compiled once for
+    any number of trajectories.
+
+    The transitions are the positive-probability ones of every state's
+    chosen action, numbered by sojourn kind (see :func:`_terms`): those
+    below ``first_drawn`` draw nothing, those from ``first_uniform`` on
+    are uniform. ``grid`` is the sorted union of the cumulative rows'
+    entries below 1; a uniform u falls in bucket ``searchsorted(grid, u,
+    "right")``, and ``move[bucket * n + s]`` is the transition state s
+    takes there: the count of its row's entries <= u, which is what
+    ``bisect_right`` returns on the row. ``step`` holds each move's
+    0-based destination, and its extra last bucket stays put, to pad a
+    trajectory to whole chunks."""
+
+    def __init__(self, spec: GameSpec, f: PureStationaryStrategy,
+                 g: PureStationaryStrategy):
+        n = spec.n
+        rewards, cums, lengths, dests, terms = [], [], [], [], []
+        for st in spec.states:
+            act = selected_action(spec, st.id, f, g)
+            taken = [tr for tr in act.transitions if tr.prob > 0.0]
+            weights = np.array([tr.prob for tr in taken])
+            cumulative = np.cumsum(weights / weights.sum())
+            cumulative[-1] = 1.0
+            rewards.append(act.reward)
+            cums.append(cumulative)
+            lengths.append(len(taken))
+            for tr in taken:
+                dests.append(tr.to - 1)
+                terms.append(_terms(tr.sojourn if tr.sojourn is not None
+                                    else act.default_sojourn))
+        cum = np.concatenate(cums)
+        inner = cum < 1.0
+        grid = np.sort(cum[inner])
+        # np.unique would import numpy.ma, about 1 MB
+        self.grid = grid[np.diff(grid, prepend=-1.0) > 0]
+        # entry t counts in every bucket from the one just above it on
+        move_type = np.min_scalar_type(len(cum) - 1)
+        move = np.zeros((len(self.grid) + 1, n), dtype=move_type)
+        rows = np.repeat(np.arange(n), lengths)[inner]
+        np.add.at(move, (np.searchsorted(self.grid, cum[inner]) + 1, rows), 1)
+        move = move.cumsum(axis=0, dtype=move_type, out=move).ravel()
+        move += np.tile(np.cumsum(lengths) - lengths, len(self.grid) + 1).astype(move_type)
+        terms = np.array(terms)
+        order = np.argsort(terms[:, 0], kind="stable")
+        number = np.empty(len(order), dtype=move_type)
+        number[order] = np.arange(len(order))
+        self.n = n
+        self.state_type = np.min_scalar_type(n - 1)
+        self.step = np.concatenate([np.array(dests)[move], np.arange(n)]).astype(self.state_type)
+        self.move = number[move]
+        self.pad = len(self.grid) + 1
+        self.key_type = np.min_scalar_type((self.pad + 1) * n)
+        self.reward = np.array(rewards, dtype=float)
+        kinds, self.base, self.scale = terms[order].T
+        self.first_drawn, self.first_uniform = np.searchsorted(kinds, [0.5, 1.5]).tolist()
+
+    def run(self, start: int, horizon: int, seed: int) -> TrajectoryStats:
+        """One trajectory of ``horizon`` epochs from 1-based ``start`` on
+        the Philox stream keyed ``seed``."""
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        n = self.n
+        width = math.isqrt(horizon // 8) + 1
+        chunks = -(-horizon // width)
+        # keys[m] = bucket of epoch m, times n; the padding stays put
+        keys = np.full(chunks * width, self.pad * n, dtype=self.key_type)
+        np.multiply(np.searchsorted(self.grid, rng.random(horizon), side="right"), n,
+                    out=keys[:horizon], casting="unsafe")
+        # column k of a (width, chunks) view is chunk k
+        by_chunk = keys.reshape(chunks, width).T
+        maps = np.broadcast_to(np.arange(n, dtype=self.state_type), (chunks, n))
+        for i in range(width):
+            maps = self.step[by_chunk[i, :, None] + maps]
+        maps = maps.ravel()
+        heads = [start - 1]
+        for k in range(chunks):
+            heads.append(maps.item(k * n + heads[-1]))
+        del maps
+        states = np.empty((width, chunks), dtype=self.state_type)
+        states[0] = heads[:-1]
+        for i in range(1, width):
+            states[i] = self.step[by_chunk[i - 1] + states[i - 1]]
+        path = states.T.ravel()[:horizon]
+        del states
+        moves = self.move[keys[:horizon] + path]
+        del keys, by_chunk
+        cum_reward = _total(self.reward[path])
+        visits = tuple(np.bincount(path, minlength=n).tolist())
+        del path
+
+        time = self.base[moves]
+        drawn = moves >= self.first_drawn
+        picked = moves[drawn]
+        del moves
+        draws = rng.random(len(picked))
+        exponential = picked < self.first_uniform
+        rates = self.scale[picked[exponential]]
+        logs = np.fromiter(map(math.log1p, memoryview(-draws[exponential])),
+                           dtype=float, count=len(rates))
+        draws[exponential] = -logs / rates
+        uniform = ~exponential
+        picked = picked[uniform]
+        draws[uniform] = self.base[picked] + self.scale[picked] * draws[uniform]
+        time[drawn] = draws
+        return TrajectoryStats(
+            cum_reward=cum_reward,
+            cum_time=_total(time),
+            steps=horizon,
+            final_state=heads[-1] + 1,
+            visits=visits,
+        )
 
 
-def simulate(spec: GameSpec, f: PureStationaryStrategy,
-             g: PureStationaryStrategy, start: int, horizon: int,
-             seed: int) -> TrajectoryStats:
-    """One trajectory of ``horizon`` decision epochs under (f, g) from
-    ``start``, driven by the Philox stream keyed ``seed``."""
+def _check(spec: GameSpec, start: int, horizon: int, seed: int) -> None:
     if not 1 <= start <= spec.n:
         raise ValueError(f"start state {start} out of range 1..{spec.n}")
     if horizon < 1:
@@ -131,8 +224,15 @@ def simulate(spec: GameSpec, f: PureStationaryStrategy,
     # Philox keys are unsigned 128-bit integers
     if not 0 <= seed < 2**128:
         raise ValueError(f"seed {seed} out of range 0..2**128 - 1")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    return _run(_runtime_table(spec, f, g), start, horizon, rng)
+
+
+def simulate(spec: GameSpec, f: PureStationaryStrategy,
+             g: PureStationaryStrategy, start: int, horizon: int,
+             seed: int) -> TrajectoryStats:
+    """One trajectory of ``horizon`` decision epochs under (f, g) from
+    ``start``, driven by the Philox stream keyed ``seed``."""
+    _check(spec, start, horizon, seed)
+    return _Chain(spec, f, g).run(start, horizon, seed)
 
 
 def estimate_payoff(spec: GameSpec, f: PureStationaryStrategy,
@@ -145,7 +245,9 @@ def estimate_payoff(spec: GameSpec, f: PureStationaryStrategy,
     reproduced in isolation with :func:`simulate`."""
     if reps < 2:
         raise ValueError("reps must be at least 2 for a standard error")
-    runs = [simulate(spec, f, g, start, horizon, seed ^ k) for k in range(reps)]
+    _check(spec, start, horizon, seed)
+    chain = _Chain(spec, f, g)
+    runs = [chain.run(start, horizon, seed ^ k) for k in range(reps)]
     rewards = np.array([stats.cum_reward for stats in runs])
     times = np.array([stats.cum_time for stats in runs])
     mean_reward = float(rewards.mean())

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -241,6 +242,33 @@ class TestScalarOracle:
             for start in range(1, 5):
                 assert simulate(example_spec, f, g, start, 999, 7) == \
                     _scalar_sim.trajectory(example_spec, f, g, start, 999, 7)
+
+    def test_uniform_on_a_breakpoint_takes_the_next_transition(self):
+        # the first uniform of stream 5 is state 1's first cumulative
+        # entry; bisect_right counts an equal entry, so the move is to 2
+        u = float(np.random.Generator(np.random.Philox(key=5)).random())
+        spec = parse_game(json.dumps({"name": "tie", "states": [
+            {"id": 1, "player": "I", "actions": [{
+                "label": "a", "reward": 1.0, "sojourn": {"kind": "uniform", "a": 0.5, "b": 2.0},
+                "transitions": [{"to": 1, "prob": u}, {"to": 2, "prob": 1.0 - u}]}]},
+            {"id": 2, "player": "II", "actions": [{
+                "label": "b", "reward": 2.0, "sojourn": {"kind": "exponential", "rate": 3.0},
+                "transitions": [{"to": 1, "prob": 1.0}]}]},
+        ]}))
+        f, g = _pair(spec, 0, 0)
+        stats = simulate(spec, f, g, start=1, horizon=1, seed=5)
+        assert stats.final_state == 2
+        for horizon in (1, 2, 9):
+            assert simulate(spec, f, g, 1, horizon, 5) == \
+                _scalar_sim.trajectory(spec, f, g, 1, horizon, 5)
+
+    def test_negative_zero_rewards_sum_to_positive_zero(self, loop_spec):
+        # the loop adds -0.0 to its 0.0 start; TrajectoryStats equality
+        # cannot see the sign of a zero, but the JSON bytes can
+        spec = _corpus.scale_rewards(loop_spec, -0.0)
+        f, g = _pair(spec, 0, 0)
+        for stats in (simulate(spec, f, g, 1, 10, 1), _scalar_sim.trajectory(spec, f, g, 1, 10, 1)):
+            assert math.copysign(1.0, stats.cum_reward) == 1.0
 
     @pytest.mark.parametrize("spec", [MIXED, *CORPUS[:3]], ids=lambda s: s.name)
     def test_estimate_equals_oracle_estimate(self, spec):

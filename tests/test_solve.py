@@ -454,9 +454,9 @@ class TestSolve:
         limits, per_chain = CENSOR_MODULE.structural_limits, SOLVE_MODULE.cesaro
         per_pair = SOLVE_MODULE.payoff_vector
 
-        def counted_limits(qs, edges):
+        def counted_limits(qs, *args):
             counts["chains"] += len(qs)
-            return limits(qs, edges)
+            return limits(qs, *args)
 
         def counted_per_chain(*args, **kwargs):
             counts["cesaro"] += 1
@@ -700,6 +700,24 @@ class TestBatchedPairs:
                         worst = max(worst, abs(got - x) / max(1, abs(x)))
         assert worst <= Fraction(1, 10**13)
 
+    @pytest.mark.parametrize("method, options, tol", [
+        ("lazari", {}, 1e-7),
+        ("averaging", {"averaging_tol": 1e-10, "averaging_n_max": 2**40}, 1e-5),
+    ], ids=["lazari", "averaging"])
+    def test_other_methods_match_exact_oracle_on_corpus(self, method, options, tol):
+        # each pair's own chain under lazari and averaging against exact
+        # rational phi, at the benchmark's cross-check tolerances and
+        # averaging settings (perfbench/worker.py), relative to
+        # max(1, |phi|); 60 corpus games, 6522 entries
+        for spec in _corpus.game_corpus(60, seed=424242):
+            got = _phi_by_method(spec, method, **options)
+            for f in enumerate_pure(spec, "I"):
+                for g in enumerate_pure(spec, "II"):
+                    for s, x in enumerate(exact_phi(spec, f, g)):
+                        error = abs(Fraction(float(got[f.ordinal, g.ordinal, s])) - x)
+                        assert error <= Fraction(tol) * max(1, abs(x)), (spec.name, f.label,
+                                                                          g.label, s + 1)
+
     def test_one_action_golden_is_this_game(self):
         # tests/data/one_action.json pins the CLI output of this game
         data = Path(__file__).parent / "data" / "one_action.json"
@@ -748,6 +766,35 @@ class TestBatchedPairs:
         assert str(exc.value) == (
             "pair (f1, g1): numerically degenerate chain: absorption rows do not sum to 1"
         )
+
+    @pytest.mark.parametrize("closed, states", [(False, "(1, 3)"), (True, "(4, 5)")])
+    def test_censored_failure_names_the_class_by_its_states(
+        self, monkeypatch, closed, states
+    ):
+        # decision states 2 and 4 are censored nodes 0 and 1, and under
+        # (f1, g1) they form one class. With ``closed``, the one-action
+        # class {5, 6} is node 2, a class of one node, whose stationary
+        # row comes first. Censored with the real tolerance, then every
+        # check of the stack fails at its first stationary row.
+        def action(label, row):
+            return ActionSpec(label, 1.0, tuple(Transition(d, p) for d, p in row.items()),
+                              SojournModel("mean", (1.0,)))
+        spec = GameSpec("nodes-are-not-states", (
+            StateSpec(1, "I", (action("a", {2: 0.5, 4: 0.5}),)),
+            StateSpec(2, "I", (action("b", {1: 0.3, 4: 0.7}), action("c", {3: 1.0}))),
+            StateSpec(3, "II", (action("d", {2: 1.0}),)),
+            StateSpec(4, "II", (action("e", {2: 0.3, 3: 0.7}),
+                                action("f", {5: 1.0} if closed else {1: 1.0}))),
+            *((StateSpec(5, "I", (action("g", {6: 1.0}),)),
+               StateSpec(6, "II", (action("h", {5: 1.0}),))) if closed else ()),
+        ))
+        game = CENSOR_MODULE._CensoredGame(spec)
+        acts = game.actions(enumerate_pure(spec, "I")[:1], enumerate_pure(spec, "II")[:1])
+        monkeypatch.setattr(MARKOV_MODULE, "EPS_PROJ", -1.0)
+        with pytest.raises(NumericalError) as exc:
+            game.payoffs(acts)
+        assert str(exc.value).startswith("numerically degenerate chain: stationary residual")
+        assert str(exc.value).endswith(f"for class {states}")
 
     def test_states_reaching_one_class_share_its_payoffs(self):
         # a state that reaches a single recurrent class of a pair's full
