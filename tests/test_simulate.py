@@ -207,10 +207,11 @@ def _stochastic(spec) -> bool:
 
 
 MIXED = _corpus.mixed_sojourn_game(np.random.default_rng(424242))
-# every stochastic-sojourn game of the corpus at seed 83, pair (0, 0)
+# the games with stochastic sojourns among 40 corpus games at seed 83
 CORPUS = [spec for spec in _corpus.game_corpus(40, seed=83) if _stochastic(spec)]
-# 1024 is a square, 1001 is not; 1, 2 and 3 are shorter than any block
-HORIZONS = (1, 2, 3, 1024, 1001)
+# 1, 2 and 3 run in chunks of one epoch; 1008 fills 84 chunks of 12
+# epochs, and 1001 and 1024 (a square) pad their last chunk
+HORIZONS = (1, 2, 3, 1001, 1008, 1024)
 SEEDS = (0, 2**128 - 1)
 
 
