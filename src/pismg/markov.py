@@ -107,13 +107,14 @@ def validate_stochastic(q) -> np.ndarray:
     return a
 
 
-def _check_stochastic(a: np.ndarray) -> None:
-    # also on a stack of matrices, naming the first offending chain's row
+def _check_stochastic(a: np.ndarray, states=None) -> None:
+    # also on a stack of matrices, naming the first offending chain's row;
+    # node x stands for the states ``states[x]`` (None: node x is state x)
     if not np.isfinite(a).all():
         raise NumericalError("not a stochastic matrix: non-finite entries")
     if a.min() < -EPS_STOCH:
         at = tuple(np.argwhere(a < -EPS_STOCH)[0])
-        i, j = at[-2:]
+        i, j = (_node_name(x, states) for x in at[-2:])
         raise NumericalError(
             f"not a stochastic matrix: negative entry {float(a[at])!r} at ({i}, {j})"
         )
@@ -122,8 +123,16 @@ def _check_stochastic(a: np.ndarray) -> None:
     if bad.any():
         at = tuple(np.argwhere(bad)[0])
         raise NumericalError(
-            f"not a stochastic matrix: row {at[-1]} sums to {float(sums[at])!r}"
+            f"not a stochastic matrix: row {_node_name(at[-1], states)} "
+            f"sums to {float(sums[at])!r}"
         )
+
+
+def _node_name(x, states=None):
+    """Node x by the 0-based game states it stands for: the state, or the
+    tuple of a closed class's states (see :func:`_class_name`)."""
+    members = _class_name(np.array([x]), states)
+    return members[0] if len(members) == 1 else members
 
 
 def char_poly(q) -> np.ndarray:
@@ -453,13 +462,13 @@ def structural_limits(qs, edges=None, states=None
     ``reaches``, each state's reachable classes (see
     :func:`_structural_stack`). ``edges`` is the stack's 0/1 transition
     graph (None: the transitions above EPS_EDGE), and ``states[x]`` the
-    states node x stands for, which name a failing class (None: node x
-    is state x). The rows are checked stochastic, and Q* sums to 1 by
-    row, lies in [0, 1] and satisfies the projection identities; a check
-    failing anywhere raises, and on a stack of one the message is
+    states node x stands for, which name a failing row or class (None:
+    node x is state x). The rows are checked stochastic, and Q* sums to
+    1 by row, lies in [0, 1] and satisfies the projection identities; a
+    check failing anywhere raises, and on a stack of one the message is
     exact."""
     qs = np.asarray(qs, dtype=float)
-    _check_stochastic(qs)
+    _check_stochastic(qs, states)
     lower, upper, reaches, _ = _structural_stack(qs, edges, states)
     _check_limit(lower @ upper, qs, "structural")
     return lower, upper, reaches

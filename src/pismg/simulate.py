@@ -20,14 +20,17 @@ and equals the epoch-by-epoch loop bit for bit:
 - Every state's cumulative row is a subset of one sorted grid, so one
   ``searchsorted`` of the uniforms against the grid puts each epoch in a
   bucket, and within a bucket every row inverts to the same transition.
-  A (buckets x states) table then gives each state's move at each epoch.
-- The path follows from those per-epoch maps in chunks of about
-  sqrt(horizon / 8) epochs: the maps of each chunk are composed (all
-  chunks at once), the chunk heads are walked, and the chunks are filled
-  in, all by integer gathers. A chunk costs a few numpy calls per epoch
-  column and a head one Python step, which this width balances.
-  Composing maps costs horizon * n gathers, so for games of some
-  hundreds of states a trajectory is slower than the per-epoch loop.
+  That transition is one binary search in a sorted array with one
+  integer key per transition, so the compiled chain stays linear in the
+  transition count; where the answers for every state and bucket fit in
+  ``_TABLE_ENTRIES``, they are looked up from a table instead.
+- The path follows in chunks of about sqrt(horizon * n / 48) epochs:
+  each chunk's map of every state is composed (all chunks at once), the
+  chunk heads are walked, and the chunks are filled in. Composition
+  follows only the distinct states a chunk's starting states have
+  reached, so where paths from different states meet, as on a chain
+  whose rows draw on the same uniform, it costs far less than
+  ``horizon * n`` steps; it costs that much only where they never meet.
 - The transitions fix which epochs draw a sojourn before any sojourn is
   drawn, so one block of exactly that many uniforms follows the
   transition block; on Philox a block equals the same draws taken one
@@ -47,6 +50,8 @@ import numpy as np
 from .game import GameSpec
 from .strategies import PureStationaryStrategy, selected_action
 
+# the largest (states x buckets) transition table a chain precomputes
+_TABLE_ENTRIES = 2**20
 SIMULATION_NOTE = "fixed-horizon ratio estimate; the long-run limit is not certified"
 
 
@@ -104,95 +109,145 @@ def _terms(model) -> tuple[int, float, float]:
 
 class _Chain:
     """The runtime table of the chain (f, g) induces, compiled once for
-    any number of trajectories.
+    any number of trajectories, in space linear in its transitions.
 
     The transitions are the positive-probability ones of every state's
-    chosen action, numbered by sojourn kind (see :func:`_terms`): those
-    below ``first_drawn`` draw nothing, those from ``first_uniform`` on
-    are uniform. ``grid`` is the sorted union of the cumulative rows'
-    entries below 1; a uniform u falls in bucket ``searchsorted(grid, u,
-    "right")``, and ``move[bucket * n + s]`` is the transition state s
-    takes there: the count of its row's entries <= u, which is what
-    ``bisect_right`` returns on the row. ``step`` holds each move's
-    0-based destination, and its extra last bucket stays put, to pad a
-    trajectory to whole chunks."""
+    chosen action, in state order; ``number`` renumbers them by sojourn
+    kind (see :func:`_terms`): those below ``first_drawn`` draw nothing,
+    those from ``first_uniform`` on are uniform. ``grid`` is the sorted
+    union of the cumulative rows' entries below 1, and a uniform u falls
+    in bucket ``searchsorted(grid, u, "right")``, the count of grid
+    entries <= u. An entry of row s counts from the bucket after its
+    grid index on, and an entry >= 1 never does, so with ``stride`` =
+    buckets + 1 the ascending ``keys`` hold s * stride + that first
+    bucket for every entry (``stride`` for one >= 1). The transition
+    state s takes in bucket b is then ``searchsorted(keys, s * stride +
+    b, "right")``: the transitions of the rows before s plus the count of
+    its entries <= u, which is what ``bisect_right`` returns on the row.
+    ``table`` holds those searches for every s * stride + b where they
+    fit, else None."""
 
     def __init__(self, spec: GameSpec, f: PureStationaryStrategy,
                  g: PureStationaryStrategy):
         n = spec.n
-        rewards, cums, lengths, dests, terms = [], [], [], [], []
+        rewards, cums, lengths, dests, models = [], [], [], [], []
         for st in spec.states:
             act = selected_action(spec, st.id, f, g)
-            taken = [tr for tr in act.transitions if tr.prob > 0.0]
-            weights = np.array([tr.prob for tr in taken])
+            probs = []
+            for tr in act.transitions:
+                if tr.prob > 0.0:
+                    probs.append(tr.prob)
+                    dests.append(tr.to - 1)
+                    models.append(act.default_sojourn if tr.sojourn is None else tr.sojourn)
+            weights = np.array(probs)
             cumulative = np.cumsum(weights / weights.sum())
             cumulative[-1] = 1.0
             rewards.append(act.reward)
             cums.append(cumulative)
-            lengths.append(len(taken))
-            for tr in taken:
-                dests.append(tr.to - 1)
-                terms.append(_terms(tr.sojourn if tr.sojourn is not None
-                                    else act.default_sojourn))
+            lengths.append(len(probs))
         cum = np.concatenate(cums)
         inner = cum < 1.0
         grid = np.sort(cum[inner])
         # np.unique would import numpy.ma, about 1 MB
         self.grid = grid[np.diff(grid, prepend=-1.0) > 0]
-        # entry t counts in every bucket from the one just above it on
-        move_type = np.min_scalar_type(len(cum) - 1)
-        move = np.zeros((len(self.grid) + 1, n), dtype=move_type)
-        rows = np.repeat(np.arange(n), lengths)[inner]
-        np.add.at(move, (np.searchsorted(self.grid, cum[inner]) + 1, rows), 1)
-        move = move.cumsum(axis=0, dtype=move_type, out=move).ravel()
-        move += np.tile(np.cumsum(lengths) - lengths, len(self.grid) + 1).astype(move_type)
-        terms = np.array(terms)
+        self.stride = len(self.grid) + 1
+        self.state_type = np.int32 if n * self.stride < 2**31 else np.int64
+        first = np.where(inner, np.searchsorted(self.grid, cum) + 1, self.stride)
+        self.keys = (np.repeat(np.arange(n), lengths) * self.stride + first).astype(self.state_type)
+        self.dest = np.array(dests, dtype=self.state_type)
+        self.table = None
+        if n * self.stride <= _TABLE_ENTRIES:
+            self.table = np.searchsorted(self.keys, np.arange(n * self.stride), side="right"
+                                         ).astype(self.state_type)
+        # the transitions of an action share its default model object
+        ids = list(map(id, models))
+        by_id = dict(zip(ids, models))
+        slot = {key: k for k, key in enumerate(by_id)}
+        terms = np.array([_terms(model) for model in by_id.values()])[
+            np.fromiter(map(slot.__getitem__, ids), dtype=np.intp, count=len(ids))]
         order = np.argsort(terms[:, 0], kind="stable")
-        number = np.empty(len(order), dtype=move_type)
-        number[order] = np.arange(len(order))
+        self.number = np.empty(len(order), dtype=self.state_type)
+        self.number[order] = np.arange(len(order))
         self.n = n
-        self.state_type = np.min_scalar_type(n - 1)
-        self.step = np.concatenate([np.array(dests)[move], np.arange(n)]).astype(self.state_type)
-        self.move = number[move]
-        self.pad = len(self.grid) + 1
-        self.key_type = np.min_scalar_type((self.pad + 1) * n)
         self.reward = np.array(rewards, dtype=float)
         kinds, self.base, self.scale = terms[order].T
         self.first_drawn, self.first_uniform = np.searchsorted(kinds, [0.5, 1.5]).tolist()
+
+    def _step(self, states: np.ndarray, buckets: np.ndarray) -> np.ndarray:
+        """The transitions that 0-based ``states`` take in ``buckets``."""
+        at = states * self.stride + buckets
+        if self.table is None:
+            return np.searchsorted(self.keys, at, side="right")
+        return self.table[at]
+
+    def _heads(self, by_chunk: np.ndarray, start: int) -> list[int]:
+        """The 0-based state at the start of every chunk whose buckets
+        are a column of ``by_chunk``, and after the last, from ``start``.
+
+        Every chunk's map of the n states is composed one epoch at a
+        time, all chunks at once. A lane carries one chunk and a state
+        that one or more of the chunk's starting states reach. After 1,
+        2, 4, ... epochs, the lanes of a chunk at one state merge into one
+        if that drops at least a quarter of all lanes (``relabels`` keeps
+        where each lane went), so the lanes thin out as paths meet, and
+        the kept relabels hold at most four times the first lanes."""
+        n = self.n
+        width, chunks = by_chunk.shape
+        if chunks == 0:
+            return [start]
+        lanes = chunks * n
+        chunk = np.repeat(np.arange(chunks, dtype=self.state_type), n)
+        state = np.tile(np.arange(n, dtype=self.state_type), chunks)
+        slot = np.empty(lanes, dtype=np.intp)
+        relabels = []
+        for i in range(width):
+            state = self.dest[self._step(state, by_chunk[i, chunk])]
+            if i & (i + 1) == 0:
+                lane = np.arange(len(state))
+                key = chunk * n + state
+                slot[key] = lane
+                first = slot[key]
+                kept = first == lane
+                if 4 * np.count_nonzero(kept) <= 3 * len(state):
+                    relabels.append((np.cumsum(kept) - 1)[first])
+                    state, chunk = state[kept], chunk[kept]
+        for relabel in reversed(relabels):
+            state = state[relabel]
+        heads = [start]
+        for k in range(chunks):
+            heads.append(state.item(k * n + heads[-1]))
+        return heads
 
     def run(self, start: int, horizon: int, seed: int) -> TrajectoryStats:
         """One trajectory of ``horizon`` epochs from 1-based ``start`` on
         the Philox stream keyed ``seed``."""
         rng = np.random.Generator(np.random.Philox(key=seed))
         n = self.n
-        width = math.isqrt(horizon // 8) + 1
+        # wider chunks on larger games: fewer lanes to compose, more
+        # numpy calls per epoch column
+        width = math.isqrt(horizon * n // 48) + 1
         chunks = -(-horizon // width)
-        # keys[m] = bucket of epoch m, times n; the padding stays put
-        keys = np.full(chunks * width, self.pad * n, dtype=self.key_type)
-        np.multiply(np.searchsorted(self.grid, rng.random(horizon), side="right"), n,
-                    out=keys[:horizon], casting="unsafe")
-        # column k of a (width, chunks) view is chunk k
-        by_chunk = keys.reshape(chunks, width).T
-        maps = np.broadcast_to(np.arange(n, dtype=self.state_type), (chunks, n))
+        # bucket 0 pads the last chunk to full width
+        buckets = np.zeros(chunks * width, dtype=self.state_type)
+        buckets[:horizon] = np.searchsorted(self.grid, rng.random(horizon), side="right")
+        # row i of a (width, chunks) view holds epoch i of every chunk
+        by_chunk = buckets.reshape(chunks, width).T
+        state = np.array(self._heads(by_chunk[:, :-1], start - 1), dtype=self.state_type)
+        moves = np.empty((chunks, width), dtype=self.state_type)
         for i in range(width):
-            maps = self.step[by_chunk[i, :, None] + maps]
-        maps = maps.ravel()
-        heads = [start - 1]
-        for k in range(chunks):
-            heads.append(maps.item(k * n + heads[-1]))
-        del maps
-        states = np.empty((width, chunks), dtype=self.state_type)
-        states[0] = heads[:-1]
-        for i in range(1, width):
-            states[i] = self.step[by_chunk[i - 1] + states[i - 1]]
-        path = states.T.ravel()[:horizon]
-        del states
-        moves = self.move[keys[:horizon] + path]
-        del keys, by_chunk
+            moves[:, i] = self._step(state, by_chunk[i])
+            state = self.dest[moves[:, i]]
+        del buckets, by_chunk
+        moves = moves.ravel()[:horizon]
+        path = np.empty(horizon, dtype=self.state_type)
+        path[0] = start - 1
+        path[1:] = self.dest[moves[:-1]]
+        final_state = int(self.dest[moves[-1]]) + 1
         cum_reward = _total(self.reward[path])
         visits = tuple(np.bincount(path, minlength=n).tolist())
         del path
 
+        moves = self.number[moves]
         time = self.base[moves]
         drawn = moves >= self.first_drawn
         picked = moves[drawn]
@@ -211,7 +266,7 @@ class _Chain:
             cum_reward=cum_reward,
             cum_time=_total(time),
             steps=horizon,
-            final_state=heads[-1] + 1,
+            final_state=final_state,
             visits=visits,
         )
 

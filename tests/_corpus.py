@@ -131,6 +131,27 @@ def sparse_game(rng: np.random.Generator, n: int = 150) -> GameSpec:
     return spec
 
 
+def dense_game(rng: np.random.Generator, n: int = 200) -> GameSpec:
+    """n states with one action each, moving to between 1 and n states
+    with integer weights, as the rows of ``random_game`` do."""
+    states = []
+    for sid in range(1, n + 1):
+        dests = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False) + 1
+        weights = rng.integers(1, 10, size=dests.size).astype(float)
+        action = ActionSpec(
+            label="a1",
+            reward=float(np.round(rng.uniform(-5.0, 5.0), 4)),
+            transitions=tuple(
+                Transition(int(d), float(p)) for d, p in zip(dests, weights / weights.sum())
+            ),
+            default_sojourn=_random_sojourn(rng),
+        )
+        states.append(StateSpec(sid, "I" if sid % 2 else "II", (action,)))
+    spec = GameSpec(f"dense-{n}", tuple(states))
+    validate(spec)
+    return spec
+
+
 def mixed_sojourn_game(rng: np.random.Generator, n: int = 6) -> GameSpec:
     """n states alternating between the players, two actions each, as in
     the benchmark's simulate workload: every action moves with

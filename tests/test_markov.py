@@ -76,6 +76,16 @@ class TestValidateStochastic:
         with pytest.raises(NumericalError, match="row 1 sums"):
             routine([[1.0, 0.0], [0.4, 0.4]])
 
+    @pytest.mark.parametrize("q, message", [
+        ([[1.0, 0.0], [0.4, 0.4]], "row (4, 5) sums to 0.8"),
+        ([[0.5, 0.5], [-0.2, 1.2]], "negative entry -0.2 at ((4, 5), 3)"),
+    ])
+    def test_censored_stack_names_rows_by_their_states(self, q, message):
+        # node 0 stands for state 3, node 1 for the closed class {4, 5}
+        with pytest.raises(NumericalError) as exc:
+            structural_limits(np.array([q]), states=[(3,), (4, 5)])
+        assert str(exc.value) == f"not a stochastic matrix: {message}"
+
 
 class TestCharPoly:
     def test_identity(self):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 from fractions import Fraction
@@ -6,6 +7,11 @@ import numpy as np
 import pytest
 
 from pismg import (
+    ActionSpec,
+    GameSpec,
+    SojournModel,
+    StateSpec,
+    Transition,
     estimate_payoff,
     parse_game,
     simulate,
@@ -15,6 +21,8 @@ from pismg import (
 import _corpus
 import _scalar_sim
 
+
+SIMULATE_MODULE = importlib.import_module("pismg.simulate")
 
 PHI_F3 = float(Fraction(154, 67))
 
@@ -209,10 +217,21 @@ def _stochastic(spec) -> bool:
 MIXED = _corpus.mixed_sojourn_game(np.random.default_rng(424242))
 # the games with stochastic sojourns among 40 corpus games at seed 83
 CORPUS = [spec for spec in _corpus.game_corpus(40, seed=83) if _stochastic(spec)]
-# 1, 2 and 3 run in chunks of one epoch; 1008 fills 84 chunks of 12
-# epochs, and 1001 and 1024 (a square) pad their last chunk
+# on six states, 1, 2 and 3 run in chunks of one epoch; 1008 fills 84
+# chunks of 12 epochs, and 1001 and 1024 (a square) pad their last chunk
 HORIZONS = (1, 2, 3, 1001, 1008, 1024)
 SEEDS = (0, 2**128 - 1)
+# every row of DENSE reaches up to 200 states, so its grid has about as
+# many buckets as the game has transitions and no table fits. On RING
+# every state moves one or two steps on at the same uniform, so paths
+# from different states never meet and no lanes merge.
+DENSE = _corpus.dense_game(np.random.default_rng(61), n=200)
+RING = GameSpec("ring-200", tuple(
+    StateSpec(sid, "I", (ActionSpec(
+        "a", float(sid % 7), (Transition(sid % 200 + 1, 0.5), Transition((sid + 1) % 200 + 1, 0.5)),
+        SojournModel("exponential", (2.0,))),))
+    for sid in range(1, 201)
+))
 
 
 class TestScalarOracle:
@@ -236,6 +255,29 @@ class TestScalarOracle:
             start = spec.n
             assert simulate(spec, f, g, start, horizon, seed) == \
                 _scalar_sim.trajectory(spec, f, g, start, horizon, seed)
+
+    @pytest.mark.parametrize("spec", [DENSE, RING], ids=lambda s: s.name)
+    @pytest.mark.parametrize("horizon", (1, 7, 4099))
+    def test_large_games(self, spec, horizon):
+        f, g = _pair(spec, 0, 0)
+        for seed in SEEDS:
+            assert simulate(spec, f, g, 2, horizon, seed) == \
+                _scalar_sim.trajectory(spec, f, g, 2, horizon, seed)
+
+    def test_binary_search_equals_the_table(self, monkeypatch):
+        # games whose tables fit, simulated without one
+        monkeypatch.setattr(SIMULATE_MODULE, "_TABLE_ENTRIES", 0)
+        for spec in [MIXED, *CORPUS[:5]]:
+            f, g = _pair(spec, 0, 0)
+            for horizon in (3, 1001):
+                assert simulate(spec, f, g, 1, horizon, 2**128 - 1) == \
+                    _scalar_sim.trajectory(spec, f, g, 1, horizon, 2**128 - 1)
+
+    def test_dense_game_compiles_in_space_linear_in_its_transitions(self):
+        chain = SIMULATE_MODULE._Chain(DENSE, *_pair(DENSE, 0, 0))
+        assert chain.table is None
+        size = sum(a.nbytes for a in vars(chain).values() if isinstance(a, np.ndarray))
+        assert size <= 64 * len(chain.dest)
 
     def test_example_game(self, example_spec):
         for f_ordinal in range(3):
