@@ -28,9 +28,9 @@ and equals the epoch-by-epoch loop bit for bit:
   each chunk's map of every state is composed (all chunks at once), the
   chunk heads are walked, and the chunks are filled in. Composition
   follows only the distinct states a chunk's starting states have
-  reached, so where paths from different states meet, as on a chain
-  whose rows draw on the same uniform, it costs far less than
-  ``horizon * n`` steps; it costs that much only where they never meet.
+  reached, so where paths from different states meet it costs far less
+  than ``horizon * n`` steps; it costs that much only where they never
+  meet, as on a ring where every state moves on by the same step.
 - The transitions fix which epochs draw a sojourn before any sojourn is
   drawn, so one block of exactly that many uniforms follows the
   transition block; on Philox a block equals the same draws taken one
