@@ -224,9 +224,10 @@ def _check_limit(q_star: np.ndarray, q: np.ndarray, method: str,
                                    ("Q*Q*", q_star, q_star)):
             gap = _max_abs(left @ right - q_star)
             if gap > EPS_PROJ:
+                advice = "" if method == "structural" else "; fall back to the structural method"
                 raise NumericalError(
                     f"{method}: projection identity {label} = Q* violated "
-                    f"by {gap!r}; fall back to the structural method"
+                    f"by {gap!r}{advice}"
                 )
 
 

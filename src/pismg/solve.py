@@ -19,8 +19,12 @@ block can occur in a solvable game (see ``TestAdjacentPairProperty`` in
 ``tests/test_solve.py``). The sweep filters row pairs by interval
 overlap (a rising and a falling column must overlap) in both of the
 block test's rounding forms, ``x < y - eps`` and ``y > x + eps``, and
-confirms each flagged row pair with the block test itself; see
-:func:`check_all_2x2`.
+confirms each flagged row pair with the block test itself. phi(s, f, g)
+depends only on the choices at states the chain from s can reach, so
+strategies that differ only elsewhere give equal rows or columns; with
+``eps >= 0`` a block with equal rows or equal columns is never
+saddle-free, so the filter runs over the distinct columns and the row
+pairs of unequal rows only. See :func:`check_all_2x2`.
 
 A solve evaluates each pure pair once, into the (D1, D2, N) payoff
 tensor ``SolveReport.payoffs``: ``payoffs[i, j, s - 1]`` is phi(s, f, g)
@@ -239,6 +243,15 @@ def _overlap(top: np.ndarray, bot: np.ndarray, eps: float) -> np.ndarray:
     return ((down & (reach_up > start)) | (up & (reach_down > start))).any(axis=(0, 2))
 
 
+def _first_equal(a: np.ndarray) -> np.ndarray:
+    """For each row of ``a``, the index of the first row with the same
+    bytes (exact equality, no tolerance)."""
+    raw, width = a.tobytes(), a.shape[1] * a.itemsize
+    first: dict[bytes, int] = {}
+    return np.array([first.setdefault(raw[k:k + width], i)
+                     for i, k in enumerate(range(0, len(raw), width))])
+
+
 def check_all_2x2(entries, eps: float | None = None) -> SaddleCertificate:
     """Sweep every 2x2 submatrix (row pair x column pair) for the
     saddle-free pattern: with corners a=(i,j), b=(i,j'), c=(i',j),
@@ -261,9 +274,20 @@ def check_all_2x2(entries, eps: float | None = None) -> SaddleCertificate:
     of at most ``_CHUNK_ENTRIES // (2 D2)``; each flagged row pair is
     confirmed with the block test on its C(D2, 2) column pairs, and the
     first confirmed block is the violation. The whole sweep costs
-    O(D1^2 D2 log D2). Without an explicit ``eps``, non-finite entries
-    raise ValueError, as in :func:`find_pure_saddle` (the default
-    tolerance of such a matrix would be inf or nan)."""
+    O(D1^2 D2 log D2).
+
+    With ``eps >= 0`` a block with two equal rows or two equal columns
+    fails both strict tests, and a row pair's flag depends only on the
+    set of its columns' value pairs. So the overlap test runs on the
+    distinct columns only (D2 above counts those), over the row pairs
+    whose two rows differ, and a matrix with fewer than two distinct
+    columns passes at once; rows and columns are compared by their
+    bytes. Confirmation still runs on the full row pair, so the first
+    violation is the same. A negative ``eps`` lets a block with equal
+    rows or columns be saddle-free, so there every row pair is confirmed.
+    Without an explicit ``eps``, non-finite entries raise ValueError, as
+    in :func:`find_pure_saddle` (the default tolerance of such a matrix
+    would be inf or nan)."""
     a = np.asarray(entries, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"payoff matrix must be 2-D, got shape {a.shape}")
@@ -274,23 +298,35 @@ def check_all_2x2(entries, eps: float | None = None) -> SaddleCertificate:
     d1, d2 = a.shape
     if d1 < 2 or d2 < 2:
         return SaddleCertificate(True, None)
-    # row pairs i < i' in lexicographic order, as np.triu_indices(d1, 1)
-    # gives them but at a fixed cost that the many tiny matrices feel
-    rows_i, rows_j = np.nonzero(np.less.outer(np.arange(d1), np.arange(d1)))
-    step = max(1, _CHUNK_ENTRIES // (2 * d2))
+    if eps < 0:
+        # a block with equal rows or equal columns can be saddle-free
+        first_row, cols = np.arange(d1), np.arange(d2)
+    else:
+        first_row = _first_equal(a)
+        cols = np.flatnonzero(_first_equal(a.T) == np.arange(d2))
+        if cols.size < 2:
+            return SaddleCertificate(True, None)
+    # row pairs i < i' of unequal rows in lexicographic order, as
+    # np.triu_indices(d1, 1) gives them but at a fixed cost that the many
+    # tiny matrices feel
+    rows_i, rows_j = np.nonzero(np.less.outer(np.arange(d1), np.arange(d1))
+                                & (first_row[:, None] != first_row))
+    distinct = a[:, cols]
+    step = max(1, _CHUNK_ENTRIES // (2 * cols.size))
     for lo in range(0, rows_i.size, step):
-        top, bot = a[rows_i[lo:lo + step]], a[rows_j[lo:lo + step]]
-        for k in np.flatnonzero(_overlap(top, bot, eps)):
+        block_i, block_j = rows_i[lo:lo + step], rows_j[lo:lo + step]
+        for k in np.flatnonzero(_overlap(distinct[block_i], distinct[block_j], eps)):
+            top, bot = a[block_i[k]], a[block_j[k]]
             cols_i, cols_j = np.triu_indices(d2, k=1)
-            tl, tr = top[k, cols_i], top[k, cols_j]
-            bl, br = bot[k, cols_i], bot[k, cols_j]
+            tl, tr = top[cols_i], top[cols_j]
+            bl, br = bot[cols_i], bot[cols_j]
             bad = ((np.maximum(tl, br) < np.minimum(tr, bl) - eps)
                    | (np.minimum(tl, br) > np.maximum(tr, bl) + eps))
             if bad.any():
                 cp = int(np.argmax(bad))
                 return SaddleCertificate(
                     passed=False,
-                    violation=(int(rows_i[lo + k]) + 1, int(rows_j[lo + k]) + 1,
+                    violation=(int(block_i[k]) + 1, int(block_j[k]) + 1,
                                int(cols_i[cp]) + 1, int(cols_j[cp]) + 1),
                 )
     return SaddleCertificate(True, None)

@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 from pismg.cli import build_parser, main
-from test_solve import TWO_SINKS
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -335,10 +334,10 @@ class TestSimulateCommand:
 
 
 # Expected CLI outputs, one file in tests/data per case. "{game}" is the
-# game file: example_s5.json, the two-sinks game of test_solve.py, whose
-# state-1 matrix violates the all-pairs 2x2 certificate, or
-# tests/data/one_action.json, the unreachable-from-choices game of
-# test_solve.py, whose one-action states are the transient states 3, 6
+# game file: example_s5.json, or tests/data/<game>.json for the two-sinks
+# game of test_solve.py, whose state-1 matrix violates the all-pairs 2x2
+# certificate, and for the unreachable-from-choices game of test_solve.py
+# (one_action), whose one-action states are the transient states 3, 6
 # and 7 and the decision-free closed class {4, 5}. Regenerate a file with
 # `pismg <argv> > tests/data/<file>`.
 GOLDEN = [
@@ -376,14 +375,8 @@ def _assert_same_json(got, want, where="$"):
 
 class TestGoldenOutput:
     @pytest.mark.parametrize("name, game, argv", GOLDEN, ids=[c[0] for c in GOLDEN])
-    def test_matches_expected(self, capsys, tmp_path, example_path, name, game, argv):
-        if game == "two_sinks":
-            path = tmp_path / "two_sinks.json"
-            path.write_text(TWO_SINKS)
-        elif game == "one_action":
-            path = DATA / "one_action.json"
-        else:
-            path = example_path
+    def test_matches_expected(self, capsys, example_path, name, game, argv):
+        path = example_path if game == "example" else DATA / f"{game}.json"
         code, out, err = _run(capsys, *(a.format(game=path) for a in argv))
         assert code == 0 and err == ""
         want = (DATA / name).read_text()

@@ -1,3 +1,5 @@
+import importlib
+import json
 import subprocess
 import sys
 
@@ -15,6 +17,10 @@ from pismg import (
     char_poly,
     decompose_chain,
     deflate_unit_root,
+    enumerate_pure,
+    induce,
+    parse_game,
+    solve,
     validate_stochastic,
 )
 from pismg.censor import _sink_reach, censor
@@ -22,6 +28,7 @@ from pismg.markov import EPS_EDGE, EPS_PROJ, _closure, structural_limits
 
 import _corpus
 
+MARKOV_MODULE = importlib.import_module("pismg.markov")
 
 IDENTITY2 = np.eye(2)
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -423,6 +430,35 @@ class TestStructural:
         for q in _corpus.matrix_corpus(30, seed=53):
             result = cesaro_structural(q)
             _assert_limit_invariants(result.q_star, q)
+
+    def test_projection_failure_advises_fallback_for_other_methods_only(
+            self, monkeypatch):
+        # state 3 has one action; with no slack, pair (f1, g1)'s Q*Q* = Q*
+        # misses by one rounding in both the structural solve and lazari
+        def action(label, reward, *row):
+            return {"label": label, "reward": reward,
+                    "sojourn": {"kind": "mean", "value": 1.0},
+                    "transitions": [{"to": to, "prob": p} for to, p in row]}
+
+        spec = parse_game(json.dumps({"name": "projection", "states": [
+            {"id": 1, "player": "I", "actions": [
+                action("a", 2.0, (1, 0.25), (2, 0.75)),
+                action("b", 1.0, (1, 0.3), (2, 0.7))]},
+            {"id": 2, "player": "II", "actions": [
+                action("a", 0.0, (1, 1.0)),
+                action("b", 0.0, (1, 0.75), (3, 0.25))]},
+            {"id": 3, "player": "II", "actions": [action("a", 2.0, (3, 1.0))]},
+        ]}))
+        monkeypatch.setattr(MARKOV_MODULE, "EPS_PROJ", 0.0)
+        with pytest.raises(NumericalError) as structural:
+            solve(spec)
+        assert "structural: projection identity" in str(structural.value)
+        assert "fall back" not in str(structural.value)
+        q = induce(spec, *(enumerate_pure(spec, p)[0] for p in ("I", "II"))).q
+        with pytest.raises(NumericalError) as lazari:
+            cesaro_lazari(q)
+        assert "lazari: projection identity" in str(lazari.value)
+        assert str(lazari.value).endswith("; fall back to the structural method")
 
 
 class TestDispatch:

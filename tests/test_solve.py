@@ -1,6 +1,5 @@
 import importlib
 import inspect
-import json
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -314,6 +313,78 @@ class TestCertificate2x2:
                     expected = _first_saddle_free_2x2(a, eps)
                 assert (cert.passed, cert.violation) == (expected is None, expected)
 
+    @pytest.mark.parametrize("chunk_entries", [None, 24], ids=["default", "small-blocks"])
+    @pytest.mark.parametrize("kind", ["integer", "two-decimal", "signed-zero", "non-finite"])
+    def test_repeated_rows_and_columns_match_four_loop_reference(
+            self, monkeypatch, kind, chunk_entries):
+        # strategies that differ only where the chain cannot reach repeat
+        # rows and columns; the filter skips equal rows and repeated
+        # columns, which hold no saddle-free block unless eps < 0
+        if chunk_entries is not None:
+            monkeypatch.setattr(SOLVE_MODULE, "_CHUNK_ENTRIES", chunk_entries)
+        rng = np.random.default_rng(13)
+        outcomes = Counter()
+        for _ in range(150):
+            shape = rng.integers(1, 5, size=2)
+            if kind == "integer":
+                base = rng.integers(0, 3, size=shape).astype(float)
+            elif kind == "signed-zero":
+                base = rng.choice([-0.0, 0.0, 1.0], size=shape)
+            else:
+                base = np.round(rng.random(shape), 2)
+            if kind == "non-finite":
+                base[rng.random(shape) < 0.15] = np.inf
+                base[rng.random(shape) < 0.15] = -np.inf
+                base[rng.random(shape) < 0.15] = np.nan
+            a = base[np.ix_(rng.integers(0, shape[0], size=rng.integers(1, 9)),
+                            rng.integers(0, shape[1], size=rng.integers(1, 9)))]
+            finite = kind != "non-finite"
+            for eps in (0.0, 0.01, 0.5, -0.01) + ((None,) if finite else ()):
+                with np.errstate(invalid="ignore"):
+                    cert = check_all_2x2(a, eps)
+                    expected = _first_saddle_free_2x2(
+                        a, saddle_tolerance(a) if eps is None else eps)
+                assert (cert.passed, cert.violation) == (expected is None, expected)
+                outcomes[expected is None, eps is not None and eps < 0] += 1
+        # both verdicts occur, with eps >= 0 and with eps < 0
+        assert len(outcomes) == 4 and min(outcomes.values()) >= 10
+
+    @pytest.mark.parametrize("repeated", ["column", "row"])
+    def test_one_distinct_column_or_row_skips_the_filter(self, monkeypatch, repeated):
+        # the decoupled games' matrices: one player's choice never matters
+        a = np.repeat(np.random.default_rng(8).random((100, 1)), 100, axis=1)
+        if repeated == "row":
+            a = a.T
+        calls = []
+        overlap = SOLVE_MODULE._overlap
+        monkeypatch.setattr(SOLVE_MODULE, "_overlap",
+                            lambda *args: calls.append(1) or overlap(*args))
+        assert check_all_2x2(a) == SaddleCertificate(True, None)
+        assert calls == []
+
+    def test_filter_sees_unequal_row_pairs_on_distinct_columns(self, monkeypatch):
+        monkeypatch.setattr(SOLVE_MODULE, "_CHUNK_ENTRIES", 24)
+        # rows and columns of the base are pairwise distinct
+        base = np.array([[0.0, 1.0, 2.0], [2.0, 0.0, 1.0],
+                         [1.0, 1.0, 0.0], [0.0, 2.0, 2.0]])
+        a = base[np.ix_([0, 1, 0, 2, 3, 1, 2], [0, 1, 1, 2, 0])]
+        seen = []
+
+        def recording(top, bot, eps):
+            assert 2 * top.size <= 24
+            seen.append((top.copy(), bot.copy()))
+            return np.zeros(len(top), dtype=bool)
+
+        monkeypatch.setattr(SOLVE_MODULE, "_overlap", recording)
+        assert check_all_2x2(a, 0.0) == SaddleCertificate(True, None)
+        pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)
+                 if not np.array_equal(a[i], a[j])]
+        assert len(pairs) == 21 - 3
+        rows_i, rows_j = map(list, zip(*pairs))
+        distinct = a[:, [0, 1, 3]]
+        assert np.array_equal(np.concatenate([top for top, _ in seen]), distinct[rows_i])
+        assert np.array_equal(np.concatenate([bot for _, bot in seen]), distinct[rows_j])
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
     def test_default_eps_rejects_non_finite(self, bad):
         # the default tolerance of such a matrix would be inf or nan, which
@@ -356,30 +427,12 @@ class TestCertificate2x2:
                 assert find_pure_saddle(a).exists
 
 
-def _action(label, reward, to):
-    return {
-        "label": label,
-        "reward": reward,
-        "sojourn": {"kind": "mean", "value": 1.0},
-        "transitions": [{"to": to, "prob": 1.0}],
-    }
-
-
-# State 1 (I) moves to state 2 or 3 for reward 0; states 2 and 3 (II)
-# each self-loop for reward 1 ("hi") or 0 ("lo"). II's strategies in
-# odometer order over (state 2, state 3): g1 hi,hi  g2 hi,lo  g3 lo,hi
-# g4 lo,lo.
-TWO_SINKS = json.dumps({
-    "name": "two-sinks",
-    "states": [
-        {"id": 1, "player": "I",
-         "actions": [_action("to2", 0.0, 2), _action("to3", 0.0, 3)]},
-        {"id": 2, "player": "II",
-         "actions": [_action("hi", 1.0, 2), _action("lo", 0.0, 2)]},
-        {"id": 3, "player": "II",
-         "actions": [_action("hi", 1.0, 3), _action("lo", 0.0, 3)]},
-    ],
-})
+# tests/data/two_sinks.json, the game whose CLI output the two-sinks
+# golden files pin. State 1 (I) moves to state 2 or 3 for reward 0; states
+# 2 and 3 (II) each self-loop for reward 1 ("hi") or 0 ("lo"). II's
+# strategies in odometer order over (state 2, state 3): g1 hi,hi
+# g2 hi,lo  g3 lo,hi  g4 lo,lo.
+TWO_SINKS = (Path(__file__).parent / "data" / "two_sinks.json").read_text()
 
 
 class TestAdjacentPairProperty:
