@@ -353,6 +353,12 @@ GOLDEN = [
     ("simulate_example_s5.json", "example",
      ["simulate", "{game}", "--max", "2", "--min", "0", "--start", "1",
       "--horizon", "1000", "--reps", "10", "--seed", "3", "--format", "json"]),
+    # uniform, deterministic and mean sojourns, as action defaults and as
+    # transition overrides, and a probability-0 transition: the sojourn
+    # kind each transition draws is pinned with no libm call in the bytes
+    ("simulate_uniform_sojourns.json", "uniform_sojourns",
+     ["simulate", "{game}", "--max", "0", "--min", "0", "--start", "2",
+      "--horizon", "1000", "--reps", "10", "--seed", "5", "--format", "json"]),
 ]
 
 
