@@ -475,24 +475,11 @@ def structural_limits(qs, edges=None, states=None
     return lower, upper, reaches
 
 
-def _decomposition(lower: np.ndarray, upper: np.ndarray,
-                   signature: np.ndarray) -> ChainDecomposition:
-    heads = sorted(set(signature.tolist()) - {-1})
-    classes = [np.flatnonzero(signature == h) for h in heads]
-    transient = np.flatnonzero(signature < 0)
-    return ChainDecomposition(
-        recurrent_classes=tuple(tuple(idx.tolist()) for idx in classes),
-        transient=tuple(transient.tolist()),
-        stationary=tuple(upper[k, idx] for k, idx in enumerate(classes)),
-        absorption=lower[transient, :len(classes)],
-    )
-
-
 def decompose_chain(q) -> ChainDecomposition:
     """Recurrent classes, transient states, stationary distributions and
-    absorption probabilities of one stochastic matrix (a stack of one)."""
-    lower, upper, _, signatures = _structural_stack(validate_stochastic(q)[None])
-    return _decomposition(lower[0], upper[0], signatures[0])
+    absorption probabilities of one stochastic matrix, as the structural
+    method finds and checks them (see :func:`cesaro_structural`)."""
+    return cesaro_structural(q).decomposition
 
 
 def cesaro_structural(q) -> CesaroResult:
@@ -501,8 +488,16 @@ def cesaro_structural(q) -> CesaroResult:
     lower, upper, _, signatures = _structural_stack(qs)
     q_star = lower @ upper
     _check_limit(q_star, qs, "structural")
-    return CesaroResult(q_star=q_star[0], method="structural",
-                        decomposition=_decomposition(lower[0], upper[0], signatures[0]))
+    lower, upper, signature = lower[0], upper[0], signatures[0]
+    heads = sorted(set(signature.tolist()) - {-1})
+    classes = [np.flatnonzero(signature == h) for h in heads]
+    transient = np.flatnonzero(signature < 0)
+    return CesaroResult(q_star=q_star[0], method="structural", decomposition=ChainDecomposition(
+        recurrent_classes=tuple(tuple(idx.tolist()) for idx in classes),
+        transient=tuple(transient.tolist()),
+        stationary=tuple(upper[k, idx] for k, idx in enumerate(classes)),
+        absorption=lower[transient, :len(classes)],
+    ))
 
 
 def cesaro(q, method: str = "structural", *,

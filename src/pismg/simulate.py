@@ -38,6 +38,10 @@ and equals the epoch-by-epoch loop bit for bit:
   the loop did, because ``np.log1p`` may round the last bit differently.
 - Reward and time are summed with ``cumsum``, which adds in epoch order
   as the loop did; ``np.sum`` adds pairwise and would change bits.
+
+Every integer array is ``np.intp``, numpy's own index type: numpy casts
+an index array of any other type to it on every fancy index, so int32
+indices save memory but cost time.
 """
 
 from __future__ import annotations
@@ -112,13 +116,12 @@ class _Chain:
     any number of trajectories, in space linear in its transitions.
 
     The transitions are the positive-probability ones of every state's
-    chosen action, in state order; ``number`` renumbers them by sojourn
-    kind (see :func:`_terms`): those below ``first_drawn`` draw nothing,
-    those from ``first_uniform`` on are uniform. ``grid`` is the sorted
-    union of the cumulative rows' entries below 1, and a uniform u falls
-    in bucket ``searchsorted(grid, u, "right")``, the count of grid
-    entries <= u. An entry of row s counts from the bucket after its
-    grid index on, and an entry >= 1 never does, so with ``stride`` =
+    chosen action, in state order, and ``kind``, ``base`` and ``scale``
+    hold each one's sojourn terms (see :func:`_terms`). ``grid`` is the
+    sorted union of the cumulative rows' entries below 1, and a uniform
+    u falls in bucket ``searchsorted(grid, u, "right")``, the count of
+    grid entries <= u. An entry of row s counts from the bucket after
+    its grid index on, and an entry >= 1 never does, so with ``stride`` =
     buckets + 1 the ascending ``keys`` hold s * stride + that first
     bucket for every entry (``stride`` for one >= 1). The transition
     state s takes in bucket b is then ``searchsorted(keys, s * stride +
@@ -130,15 +133,16 @@ class _Chain:
     def __init__(self, spec: GameSpec, f: PureStationaryStrategy,
                  g: PureStationaryStrategy):
         n = spec.n
-        rewards, cums, lengths, dests, models = [], [], [], [], []
+        rewards, cums, lengths, dests, terms = [], [], [], [], []
         for st in spec.states:
             act = selected_action(spec, st.id, f, g)
+            default = None if act.default_sojourn is None else _terms(act.default_sojourn)
             probs = []
             for tr in act.transitions:
                 if tr.prob > 0.0:
                     probs.append(tr.prob)
                     dests.append(tr.to - 1)
-                    models.append(act.default_sojourn if tr.sojourn is None else tr.sojourn)
+                    terms.append(default if tr.sojourn is None else _terms(tr.sojourn))
             weights = np.array(probs)
             cumulative = np.cumsum(weights / weights.sum())
             cumulative[-1] = 1.0
@@ -151,27 +155,17 @@ class _Chain:
         # np.unique would import numpy.ma, about 1 MB
         self.grid = grid[np.diff(grid, prepend=-1.0) > 0]
         self.stride = len(self.grid) + 1
-        self.state_type = np.int32 if n * self.stride < 2**31 else np.int64
         first = np.where(inner, np.searchsorted(self.grid, cum) + 1, self.stride)
-        self.keys = (np.repeat(np.arange(n), lengths) * self.stride + first).astype(self.state_type)
-        self.dest = np.array(dests, dtype=self.state_type)
+        self.keys = np.repeat(np.arange(n), lengths) * self.stride + first
+        self.dest = np.array(dests, dtype=np.intp)
         self.table = None
         if n * self.stride <= _TABLE_ENTRIES:
-            self.table = np.searchsorted(self.keys, np.arange(n * self.stride), side="right"
-                                         ).astype(self.state_type)
-        # the transitions of an action share its default model object
-        ids = list(map(id, models))
-        by_id = dict(zip(ids, models))
-        slot = {key: k for k, key in enumerate(by_id)}
-        terms = np.array([_terms(model) for model in by_id.values()])[
-            np.fromiter(map(slot.__getitem__, ids), dtype=np.intp, count=len(ids))]
-        order = np.argsort(terms[:, 0], kind="stable")
-        self.number = np.empty(len(order), dtype=self.state_type)
-        self.number[order] = np.arange(len(order))
+            self.table = np.searchsorted(self.keys, np.arange(n * self.stride), side="right")
         self.n = n
         self.reward = np.array(rewards, dtype=float)
-        kinds, self.base, self.scale = terms[order].T
-        self.first_drawn, self.first_uniform = np.searchsorted(kinds, [0.5, 1.5]).tolist()
+        terms = np.fromiter(terms, dtype=[("kind", np.intp), ("base", float), ("scale", float)],
+                            count=len(terms))
+        self.kind, self.base, self.scale = terms["kind"], terms["base"], terms["scale"]
 
     def _step(self, states: np.ndarray, buckets: np.ndarray) -> np.ndarray:
         """The transitions that 0-based ``states`` take in ``buckets``."""
@@ -196,8 +190,8 @@ class _Chain:
         if chunks == 0:
             return [start]
         lanes = chunks * n
-        chunk = np.repeat(np.arange(chunks, dtype=self.state_type), n)
-        state = np.tile(np.arange(n, dtype=self.state_type), chunks)
+        chunk = np.repeat(np.arange(chunks), n)
+        state = np.tile(np.arange(n), chunks)
         slot = np.empty(lanes, dtype=np.intp)
         relabels = []
         for i in range(width):
@@ -228,18 +222,18 @@ class _Chain:
         width = math.isqrt(horizon * n // 48) + 1
         chunks = -(-horizon // width)
         # bucket 0 pads the last chunk to full width
-        buckets = np.zeros(chunks * width, dtype=self.state_type)
+        buckets = np.zeros(chunks * width, dtype=np.intp)
         buckets[:horizon] = np.searchsorted(self.grid, rng.random(horizon), side="right")
         # row i of a (width, chunks) view holds epoch i of every chunk
         by_chunk = buckets.reshape(chunks, width).T
-        state = np.array(self._heads(by_chunk[:, :-1], start - 1), dtype=self.state_type)
-        moves = np.empty((chunks, width), dtype=self.state_type)
+        state = np.array(self._heads(by_chunk[:, :-1], start - 1), dtype=np.intp)
+        moves = np.empty((chunks, width), dtype=np.intp)
         for i in range(width):
             moves[:, i] = self._step(state, by_chunk[i])
             state = self.dest[moves[:, i]]
         del buckets, by_chunk
         moves = moves.ravel()[:horizon]
-        path = np.empty(horizon, dtype=self.state_type)
+        path = np.empty(horizon, dtype=np.intp)
         path[0] = start - 1
         path[1:] = self.dest[moves[:-1]]
         final_state = int(self.dest[moves[-1]]) + 1
@@ -247,13 +241,13 @@ class _Chain:
         visits = tuple(np.bincount(path, minlength=n).tolist())
         del path
 
-        moves = self.number[moves]
+        kind = self.kind[moves]
         time = self.base[moves]
-        drawn = moves >= self.first_drawn
+        drawn = kind > 0
         picked = moves[drawn]
-        del moves
+        exponential = kind[drawn] == 1
+        del moves, kind
         draws = rng.random(len(picked))
-        exponential = picked < self.first_uniform
         rates = self.scale[picked[exponential]]
         logs = np.fromiter(map(math.log1p, memoryview(-draws[exponential])),
                            dtype=float, count=len(rates))

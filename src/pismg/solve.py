@@ -21,10 +21,11 @@ overlap (a rising and a falling column must overlap) in both of the
 block test's rounding forms, ``x < y - eps`` and ``y > x + eps``, and
 confirms each flagged row pair with the block test itself. phi(s, f, g)
 depends only on the choices at states the chain from s can reach, so
-strategies that differ only elsewhere give equal rows or columns; with
-``eps >= 0`` a block with equal rows or equal columns is never
-saddle-free, so the filter runs over the distinct columns and the row
-pairs of unequal rows only. See :func:`check_all_2x2`.
+strategies that differ only elsewhere give equal rows or columns; a
+block with equal rows or equal columns is never saddle-free, since a
+tolerance is never negative, so the filter runs over the distinct
+columns and the row pairs of unequal rows only. See
+:func:`check_all_2x2`.
 
 A solve evaluates each pure pair once, into the (D1, D2, N) payoff
 tensor ``SolveReport.payoffs``: ``payoffs[i, j, s - 1]`` is phi(s, f, g)
@@ -132,6 +133,11 @@ def saddle_tolerance(entries) -> float:
     return EPS_SADDLE_REL * max(1.0, _max_abs(a))
 
 
+def _check_tolerance(eps: float | None) -> None:
+    if eps is not None and not 0.0 <= eps < math.inf:
+        raise ValueError(f"saddle tolerance must be finite and >= 0, got {eps!r}")
+
+
 def payoff_vector(spec: GameSpec, f: PureStationaryStrategy,
                   g: PureStationaryStrategy) -> np.ndarray:
     """phi(s, f, g) for every initial state s, as an array indexed
@@ -184,12 +190,14 @@ def find_pure_saddle(entries, eps: float | None = None) -> SaddleResult:
     max-of-row-mins >= min-of-col-maxes up to comparison fuzz (when that
     inequality holds within eps, the (argmax, argmin) cell always
     qualifies). Reported row/col is the row-major first cell. Saddle
-    values are asserted to agree within 2 eps (interchangeability)."""
+    values are asserted to agree within 2 eps (interchangeability). An
+    ``eps`` that is negative or non-finite raises ValueError."""
     a = np.asarray(entries, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError(f"payoff matrix must be 2-D and non-empty, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("payoff matrix has non-finite entries")
+    _check_tolerance(eps)
     if eps is None:
         eps = saddle_tolerance(a)
     row_min = a.min(axis=1)
@@ -227,10 +235,7 @@ def _overlap(top: np.ndarray, bot: np.ndarray, eps: float) -> np.ndarray:
     later of its two columns: the running maximum of ``hi - m`` over the
     earlier columns of the other direction exceeds its ``lo + p``. Ties
     in ``lo`` overlap whatever their order, so one unstable sort serves
-    both forms, which are stacked on a leading axis. A negative ``eps``
-    lets a column rise and fall at once, so every row pair is flagged."""
-    if eps < 0:
-        return np.ones(len(top), dtype=bool)
+    both forms, which are stacked on a leading axis."""
     lo, hi = np.minimum(top, bot), np.maximum(top, bot)
     flat = np.argsort(lo, axis=1) + np.arange(0, top.size, top.shape[1])[:, None]
     top, bot, lo, hi = (x.ravel()[flat] for x in (top, bot, lo, hi))
@@ -276,21 +281,21 @@ def check_all_2x2(entries, eps: float | None = None) -> SaddleCertificate:
     first confirmed block is the violation. The whole sweep costs
     O(D1^2 D2 log D2).
 
-    With ``eps >= 0`` a block with two equal rows or two equal columns
+    Since ``eps >= 0``, a block with two equal rows or two equal columns
     fails both strict tests, and a row pair's flag depends only on the
     set of its columns' value pairs. So the overlap test runs on the
     distinct columns only (D2 above counts those), over the row pairs
     whose two rows differ, and a matrix with fewer than two distinct
     columns passes at once; rows and columns are compared by their
     bytes. Confirmation still runs on the full row pair, so the first
-    violation is the same. A negative ``eps`` lets a block with equal
-    rows or columns be saddle-free, so there every row pair is confirmed.
-    Without an explicit ``eps``, non-finite entries raise ValueError, as
-    in :func:`find_pure_saddle` (the default tolerance of such a matrix
-    would be inf or nan)."""
+    violation is the same. An ``eps`` that is negative or non-finite
+    raises ValueError, as in :func:`find_pure_saddle`; so do non-finite
+    entries without an explicit ``eps`` (the default tolerance of such a
+    matrix would be inf or nan)."""
     a = np.asarray(entries, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"payoff matrix must be 2-D, got shape {a.shape}")
+    _check_tolerance(eps)
     if eps is None:
         if not np.all(np.isfinite(a)):
             raise ValueError("payoff matrix has non-finite entries")
@@ -298,14 +303,10 @@ def check_all_2x2(entries, eps: float | None = None) -> SaddleCertificate:
     d1, d2 = a.shape
     if d1 < 2 or d2 < 2:
         return SaddleCertificate(True, None)
-    if eps < 0:
-        # a block with equal rows or equal columns can be saddle-free
-        first_row, cols = np.arange(d1), np.arange(d2)
-    else:
-        first_row = _first_equal(a)
-        cols = np.flatnonzero(_first_equal(a.T) == np.arange(d2))
-        if cols.size < 2:
-            return SaddleCertificate(True, None)
+    first_row = _first_equal(a)
+    cols = np.flatnonzero(_first_equal(a.T) == np.arange(d2))
+    if cols.size < 2:
+        return SaddleCertificate(True, None)
     # row pairs i < i' of unequal rows in lexicographic order, as
     # np.triu_indices(d1, 1) gives them but at a fixed cost that the many
     # tiny matrices feel
@@ -359,8 +360,7 @@ def solve(spec: GameSpec, *, saddle_eps: float | None = None) -> SolveReport:
     when its first violation is None), and deltas against bundled
     reference values if the game has any.
     A ``saddle_eps`` that is negative or non-finite raises ValueError."""
-    if saddle_eps is not None and not 0.0 <= saddle_eps < math.inf:
-        raise ValueError(f"saddle tolerance must be finite and >= 0, got {saddle_eps!r}")
+    _check_tolerance(saddle_eps)
     report = validate(spec)
     fs = enumerate_pure(spec, PLAYER_I)
     gs = enumerate_pure(spec, PLAYER_II)
@@ -374,8 +374,10 @@ def solve(spec: GameSpec, *, saddle_eps: float | None = None) -> SolveReport:
         key = entries.tobytes()
         if key not in searched:
             eps = saddle_eps if saddle_eps is not None else saddle_tolerance(entries)
-            searched[key] = (check_all_2x2(entries, eps).violation,
-                             find_pure_saddle(entries, eps))
+            # the saddle search first: it rejects non-finite entries, whose
+            # default tolerance the sweep would reject as inf or nan
+            found = find_pure_saddle(entries, eps)
+            searched[key] = (check_all_2x2(entries, eps).violation, found)
         violation, found = searched[key]
         violations.append(violation)
         if not found.exists:

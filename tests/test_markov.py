@@ -280,6 +280,19 @@ class TestDecompose:
         assert dec.transient == tuple(range(n - 1))
         assert np.allclose(dec.absorption, np.ones((n - 1, 1)), atol=1e-14)
 
+    def test_checks_the_limit(self, monkeypatch):
+        # every stationary row the first state of its class: rows sum to 1
+        # and lie in [0, 1], so only the projection identities see it
+        def first_state(sub, members, states=None):
+            pi = np.zeros(sub.shape[:2])
+            pi[:, 0] = 1.0
+            return pi
+
+        monkeypatch.setattr(MARKOV_MODULE, "_stationary", first_state)
+        with pytest.raises(NumericalError) as exc:
+            decompose_chain([[0.5, 0.5], [0.5, 0.5]])
+        assert str(exc.value) == "structural: projection identity Q*Q = Q* violated by 0.5"
+
     def test_entry_at_edge_threshold_is_no_edge(self):
         # 1e-13 <= EPS_EDGE, so 0 -> 1 is no edge and 0 is absorbing
         dec = decompose_chain([[1.0 - 1e-13, 1e-13], [0.0, 1.0]])

@@ -16,6 +16,7 @@ from pismg import (
     parse_game,
     simulate,
     strategy_from_ordinal,
+    validate,
 )
 
 import _corpus
@@ -233,6 +234,22 @@ RING = GameSpec("ring-200", tuple(
     for sid in range(1, 201)
 ))
 
+MODELS = (SojournModel("mean", (1.5,)), SojournModel("deterministic", (0.25,)),
+          SojournModel("exponential", (3.0,)), SojournModel("uniform", (0.5, 2.0)))
+# state s's action has the sojourn of kind (s - 1) % 4 as its default,
+# which one transition takes; three transitions override it with every
+# other kind, and a probability-0 transition that would draw comes first
+DEFAULTS = GameSpec("defaults-and-overrides", tuple(
+    StateSpec(s, "I" if s % 2 else "II", (ActionSpec(
+        "a", float(s), (
+            Transition(s, 0.0, MODELS[2]),
+            Transition(s % 5 + 1, 0.4),
+            *(Transition((s + d) % 5 + 1, 0.2, MODELS[(s - 1 + d) % 4]) for d in (1, 2, 3)),
+        ), MODELS[(s - 1) % 4]),))
+    for s in range(1, 6)
+))
+validate(DEFAULTS)
+
 
 class TestScalarOracle:
     """The block simulator against the epoch-by-epoch loop in
@@ -272,6 +289,26 @@ class TestScalarOracle:
             for horizon in (3, 1001):
                 assert simulate(spec, f, g, 1, horizon, 2**128 - 1) == \
                     _scalar_sim.trajectory(spec, f, g, 1, horizon, 2**128 - 1)
+
+    @pytest.mark.parametrize("table_entries", [None, 0], ids=["table", "binary-search"])
+    def test_action_defaults_and_transition_overrides(self, monkeypatch, table_entries):
+        if table_entries is not None:
+            monkeypatch.setattr(SIMULATE_MODULE, "_TABLE_ENTRIES", table_entries)
+        f, g = _pair(DEFAULTS, 0, 0)
+        for start in range(1, 6):
+            for horizon in HORIZONS:
+                for seed in SEEDS:
+                    assert simulate(DEFAULTS, f, g, start, horizon, seed) == \
+                        _scalar_sim.trajectory(DEFAULTS, f, g, start, horizon, seed)
+
+    def test_every_integer_array_is_intp(self):
+        # numpy casts any other index type to intp on every fancy index
+        for spec in (MIXED, DENSE):
+            chain = SIMULATE_MODULE._Chain(spec, *_pair(spec, 0, 0))
+            arrays = {name: a for name, a in vars(chain).items() if isinstance(a, np.ndarray)}
+            assert {"keys", "dest", "kind"} <= set(arrays)
+            for name, a in arrays.items():
+                assert a.dtype.kind == "f" or a.dtype == np.intp, name
 
     def test_dense_game_compiles_in_space_linear_in_its_transitions(self):
         chain = SIMULATE_MODULE._Chain(DENSE, *_pair(DENSE, 0, 0))

@@ -65,6 +65,7 @@ A4 = np.array(
     ]
 )
 
+NEGATIVE_EPS = r"^saddle tolerance must be finite and >= 0, got -0\.01$"
 MATCHING_PENNIES = np.array([[1.0, 0.0], [0.0, 1.0]])
 
 # rows (1,3) x cols (1,4) is the first strictly saddle-free quadruple;
@@ -319,7 +320,7 @@ class TestCertificate2x2:
             self, monkeypatch, kind, chunk_entries):
         # strategies that differ only where the chain cannot reach repeat
         # rows and columns; the filter skips equal rows and repeated
-        # columns, which hold no saddle-free block unless eps < 0
+        # columns, which hold no saddle-free block as eps is never negative
         if chunk_entries is not None:
             monkeypatch.setattr(SOLVE_MODULE, "_CHUNK_ENTRIES", chunk_entries)
         rng = np.random.default_rng(13)
@@ -339,15 +340,30 @@ class TestCertificate2x2:
             a = base[np.ix_(rng.integers(0, shape[0], size=rng.integers(1, 9)),
                             rng.integers(0, shape[1], size=rng.integers(1, 9)))]
             finite = kind != "non-finite"
-            for eps in (0.0, 0.01, 0.5, -0.01) + ((None,) if finite else ()):
+            for eps in (0.0, 0.01, 0.5) + ((None,) if finite else ()):
                 with np.errstate(invalid="ignore"):
                     cert = check_all_2x2(a, eps)
                     expected = _first_saddle_free_2x2(
                         a, saddle_tolerance(a) if eps is None else eps)
                 assert (cert.passed, cert.violation) == (expected is None, expected)
-                outcomes[expected is None, eps is not None and eps < 0] += 1
-        # both verdicts occur, with eps >= 0 and with eps < 0
-        assert len(outcomes) == 4 and min(outcomes.values()) >= 10
+                outcomes[expected is None] += 1
+            with pytest.raises(ValueError, match=NEGATIVE_EPS):
+                check_all_2x2(a, -0.01)
+            # the saddle search checks its entries first
+            with pytest.raises(ValueError,
+                               match=NEGATIVE_EPS if np.isfinite(a).all() else "non-finite"):
+                find_pure_saddle(a, -0.01)
+        # both verdicts occur
+        assert len(outcomes) == 2 and min(outcomes.values()) >= 10
+
+    @pytest.mark.parametrize("eps", [-0.01, -1e-300, np.inf, np.nan])
+    def test_negative_or_non_finite_eps_raises(self, eps):
+        # as solve rejects such a saddle_eps, with the same message
+        a = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for check in (check_all_2x2, find_pure_saddle):
+            with pytest.raises(ValueError) as exc:
+                check(a, eps)
+            assert str(exc.value) == f"saddle tolerance must be finite and >= 0, got {eps!r}"
 
     @pytest.mark.parametrize("repeated", ["column", "row"])
     def test_one_distinct_column_or_row_skips_the_filter(self, monkeypatch, repeated):
@@ -490,6 +506,16 @@ class TestSolve:
     def test_bad_saddle_eps_rejected(self, example_spec, eps):
         with pytest.raises(ValueError, match=f"got {eps!r}$"):
             solve(example_spec, saddle_eps=eps)
+
+    def test_overflowing_payoff_names_the_entries(self):
+        # phi = 1.7e308 / 0.5 overflows, so the default tolerance is inf
+        # too; the saddle search runs before the sweep and names the entries
+        spec = GameSpec("huge", (StateSpec(1, "I", tuple(
+            ActionSpec(label, reward, (Transition(1, 1.0),), SojournModel("mean", (0.5,)))
+            for label, reward in (("a", 1.7e308), ("b", 1.0)))),))
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as exc:
+            solve(spec)
+        assert str(exc.value) == "payoff matrix has non-finite entries"
 
     def test_zero_saddle_eps_allowed(self, example_spec):
         assert solve(example_spec, saddle_eps=0.0).value == solve(example_spec).value
