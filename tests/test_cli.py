@@ -338,7 +338,9 @@ class TestSimulateCommand:
 # game of test_solve.py, whose state-1 matrix violates the all-pairs 2x2
 # certificate, and for the unreachable-from-choices game of test_solve.py
 # (one_action), whose one-action states are the transient states 3, 6
-# and 7 and the decision-free closed class {4, 5}. Regenerate a file with
+# and 7 and the decision-free closed class {4, 5}, and for the decoupled
+# game, two independent two-state sub-games, one per player, that the
+# one-action state 5 links. Regenerate a file with
 # `pismg <argv> > tests/data/<file>`.
 GOLDEN = [
     ("solve_example_s5.txt", "example", ["solve", "{game}", "--no-banner", "--emit-matrices"]),
@@ -349,6 +351,7 @@ GOLDEN = [
      ["solve", "{game}", "--no-banner", "--emit-matrices"]),
     ("solve_two_sinks.json", "two_sinks",
      ["solve", "{game}", "--no-banner", "--emit-matrices", "--format", "json"]),
+    ("solve_decoupled.txt", "decoupled", ["solve", "{game}", "--no-banner", "--emit-matrices"]),
     ("validate_example_s5.json", "example", ["validate", "{game}", "--format", "json"]),
     ("simulate_example_s5.json", "example",
      ["simulate", "{game}", "--max", "2", "--min", "0", "--start", "1",
