@@ -108,7 +108,8 @@ def _ratio(weights: np.ndarray, r: np.ndarray, tau: np.ndarray) -> np.ndarray:
     matrices (or one matrix shared by the stack), rewards and sojourns,
     one matrix-vector product per chain: a stacked matmul with a column
     operand runs the same product per chain as ``weights[i] @ r[i]``,
-    without a Python loop over the chains."""
+    without a Python loop over the chains. A valid game's rewards and
+    sojourns may overflow the ratio to inf, without a warning."""
     num = (weights @ r[..., None])[..., 0]
     den = (weights @ tau[..., None])[..., 0]
     if float(den.min()) <= 0.0:
@@ -116,7 +117,8 @@ def _ratio(weights: np.ndarray, r: np.ndarray, tau: np.ndarray) -> np.ndarray:
             "nonpositive expected time in the limit; sojourn validation "
             "should have prevented this"
         )
-    return num / den
+    with np.errstate(over="ignore"):
+        return num / den
 
 
 class _CensoredGame:
@@ -138,7 +140,14 @@ class _CensoredGame:
     identity) and then those of the mixed states, and ``enters`` and
     ``first`` are the supports of the mixed states' rows and their first
     nodes. State s reads its payoff from column ``rows[s]`` of the
-    payoffs of the ``exits`` rows."""
+    payoffs of the ``exits`` rows.
+
+    The nodes fall into components (see :meth:`components`) that no
+    action and no state links, and Q* is block-diagonal over them, so
+    each state's payoff depends only on the actions inside its own
+    component. A solve evaluates each component's pairs once and copies
+    the entries to every pair that plays the same actions inside it;
+    every entry is still phi of that pair's own chain, bit for bit."""
 
     def __init__(self, spec: GameSpec):
         q, r, tau = action_tables(spec)
@@ -186,6 +195,19 @@ class _CensoredGame:
         acts[:, :len(self.decision)] = profile.reshape(-1, self.n)[:, self.decision]
         return acts
 
+    def components(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The weakly connected pieces of the node graph, as ``(nodes,
+        states)`` arrays of 0-based indices, by smallest node. Two nodes
+        are joined when an action of one may enter the other, or when a
+        mixed state may enter both, since its payoff mixes their limits;
+        every state lies in the component of the nodes it may enter."""
+        s = len(self.q)
+        link = self.edges.any(axis=1) | (self.enters.T @ self.enters > 0)
+        heads = _closure((link | link.T | np.eye(s, dtype=bool)).astype(float)).argmax(axis=1)
+        owner = heads[np.concatenate([np.arange(s), self.first])][self.rows]
+        return [(np.flatnonzero(heads == h), np.flatnonzero(owner == h))
+                for h in sorted(set(heads.tolist()))]
+
     def payoffs(self, acts: np.ndarray) -> np.ndarray:
         """phi(s, f, g) for every state s of the pairs whose node actions
         are the rows of ``acts``, from one stack of censored chains.
@@ -212,4 +234,8 @@ class _CensoredGame:
             whole = ((self.enters @ reaches) > 0).sum(axis=2) == 1
             mixed = phi[:, len(nodes):]
             mixed[whole] = phi[:, self.first][whole]
-        return phi[:, self.rows]
+        phi = phi[:, self.rows]
+        if not np.isfinite(phi).all():
+            chain, x = np.argwhere(~np.isfinite(phi))[0]
+            raise NumericalError(f"payoff of state {x + 1} is not finite: {float(phi[chain, x])!r}")
+        return phi

@@ -27,11 +27,11 @@ tolerance is never negative, so the filter runs over the distinct
 columns and the row pairs of unequal rows only. See
 :func:`check_all_2x2`.
 
-A solve evaluates each pure pair once, into the (D1, D2, N) payoff
-tensor ``SolveReport.payoffs``: ``payoffs[i, j, s - 1]`` is phi(s, f, g)
-for the maximiser's strategy of ordinal i and the minimiser's of ordinal
-j, so the slice ``payoffs[:, :, s - 1]`` is the payoff matrix of initial
-state s. Q* comes from the structural method only; the other
+A solve evaluates each pure pair at most once, into the (D1, D2, N)
+payoff tensor ``SolveReport.payoffs``: ``payoffs[i, j, s - 1]`` is
+phi(s, f, g) for the maximiser's strategy of ordinal i and the
+minimiser's of ordinal j, so the slice ``payoffs[:, :, s - 1]`` is the
+payoff matrix of initial state s. Q* comes from the structural method only; the other
 limiting-matrix methods of :mod:`pismg.markov` are cross-checks and do
 not run in a solve.
 
@@ -50,6 +50,19 @@ absorption solves are stacked across chains
 (:func:`pismg.markov.structural_limits`). A game without one-action
 states is its own censored game; one with n = 150 states of which 8
 choose runs chains of about 9 nodes.
+
+The nodes fall into components that no action and no state links (see
+:meth:`pismg.censor._CensoredGame.components`). Q* is block-diagonal
+over them (Kemeny and Snell), so a state's payoff depends only on the
+actions at its own component's nodes, and its D1 x D2 matrix is a
+broadcast of that component's smaller set of pairs. So pairs are
+evaluated once per component: its representative pairs, which play
+action 0 at every node outside it, run through the same stacks on the
+full node set, and every pair copies its entries at the component's
+states from the representative with the same actions inside. Every
+entry is still phi of that pair's own chain, bit for bit. A game of one
+component evaluates all D1 D2 pairs; two independent sub-games of 100
+strategies each evaluate 200 chains, not 10,000.
 """
 
 from __future__ import annotations
@@ -150,20 +163,40 @@ def payoff_vector(spec: GameSpec, f: PureStationaryStrategy,
 
 
 def _payoff_tensor(spec: GameSpec, fs, gs) -> np.ndarray:
-    """phi(s, f, g) at [f.ordinal, g.ordinal, s - 1] for every pure pair,
-    in stacks of pairs in ordinal order."""
+    """phi(s, f, g) at [f.ordinal, g.ordinal, s - 1] for every pure pair.
+
+    Per component of the censored game (see
+    :meth:`pismg.censor._CensoredGame.components`), only its
+    representative pairs are evaluated, in stacks in ordinal order: those
+    that play action 0 at every node outside it. Every other pair then
+    copies its entries at the component's states from the representative
+    with the same actions inside. A representative's row is written whole,
+    so the entries it holds outside the component are those of its own
+    chain; a later component's copies overwrite only their own states."""
     tensor = np.empty((len(fs), len(gs), spec.n))
-    flat, lo = tensor.reshape(-1, spec.n), 0
+    flat = tensor.reshape(-1, spec.n)
     try:
         game = _CensoredGame(spec)
         acts = game.actions(fs, gs)
         step = max(1, _CHUNK_ENTRIES // acts.shape[1] ** 2)
-        for lo in range(0, len(flat), step):
-            flat[lo:lo + step] = game.payoffs(acts[lo:lo + step])
+        # the pairs count through the nodes' actions in mixed radix, so a
+        # pair's index is the sum of its actions times their place values:
+        # at each node, the index of the first pair that plays action 1
+        # there (0 at a node with one action)
+        place = (acts == 1).argmax(axis=0)
+        for nodes, states in game.components():
+            rep = acts[:, nodes] @ place[nodes]
+            own = rep == np.arange(len(rep))
+            reps = np.flatnonzero(own)
+            for lo in range(0, len(reps), step):
+                chunk = reps[lo:lo + step]
+                flat[chunk] = game.payoffs(acts[chunk])
+            copies = np.flatnonzero(~own)
+            flat[copies[:, None], states] = flat[rep[copies, None], states]
     except NumericalError:
         # a check failed in the stack (or in the censoring): the per-pair
         # path raises for its first failing pair, naming it
-        for k in range(lo, len(flat)):
+        for k in range(len(flat)):
             payoff_vector(spec, fs[k // len(gs)], gs[k % len(gs)])
         raise
     return tensor

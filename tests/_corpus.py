@@ -131,6 +131,53 @@ def sparse_game(rng: np.random.Generator, n: int = 150) -> GameSpec:
     return spec
 
 
+def decoupled_game(rng: np.random.Generator) -> GameSpec:
+    """Four states, two per player, ten actions each, as in the
+    benchmark's decoupled wide game: each player's states move only
+    among themselves, so the game is two independent sub-games."""
+    owner = {1: "I", 2: "I", 3: "II", 4: "II"}
+    states = []
+    for sid, controller in owner.items():
+        pool = [s for s in owner if owner[s] == controller]
+        acts = []
+        for a in range(10):
+            dests = rng.choice(pool, size=int(rng.integers(1, 3)), replace=False)
+            weights = rng.integers(1, 10, size=dests.size).astype(float)
+            acts.append(ActionSpec(
+                label=f"a{a + 1}",
+                reward=float(np.round(rng.uniform(-5.0, 5.0), 4)),
+                transitions=tuple(
+                    Transition(int(d), float(p)) for d, p in zip(dests, weights / weights.sum())
+                ),
+                default_sojourn=_random_sojourn(rng),
+            ))
+        states.append(StateSpec(sid, controller, tuple(acts)))
+    spec = GameSpec("decoupled", tuple(states))
+    validate(spec)
+    return spec
+
+
+def disjoint_union(first: GameSpec, second: GameSpec, link: bool = False) -> GameSpec:
+    """The two games side by side, ``second``'s states renumbered after
+    ``first``'s. With ``link``, one more state, with one action, enters
+    each game's state 1 with probability 1/2, so its payoff mixes both."""
+    shift = first.n
+    states = list(first.states) + [
+        replace(st, id=st.id + shift, actions=tuple(
+            replace(act, transitions=tuple(replace(tr, to=tr.to + shift)
+                                           for tr in act.transitions))
+            for act in st.actions))
+        for st in second.states
+    ]
+    if link:
+        states.append(StateSpec(len(states) + 1, "I", (ActionSpec(
+            "link", 1.5, (Transition(1, 0.5), Transition(shift + 1, 0.5)),
+            SojournModel("mean", (1.0,))),)))
+    spec = GameSpec(f"{first.name}+{second.name}{'+link' if link else ''}", tuple(states))
+    validate(spec)
+    return spec
+
+
 def dense_game(rng: np.random.Generator, n: int = 200) -> GameSpec:
     """n states with one action each, moving to between 1 and n states
     with integer weights, as the rows of ``random_game`` do."""

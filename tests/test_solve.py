@@ -28,6 +28,7 @@ from pismg import (
     payoff_vector,
     saddle_tolerance,
     solve,
+    strategy_count,
     strategy_from_ordinal,
 )
 from pismg.cli import main
@@ -508,14 +509,15 @@ class TestSolve:
             solve(example_spec, saddle_eps=eps)
 
     def test_overflowing_payoff_names_the_entries(self):
-        # phi = 1.7e308 / 0.5 overflows, so the default tolerance is inf
-        # too; the saddle search runs before the sweep and names the entries
+        # phi = 1.7e308 / 0.5 overflows a valid game: the tensor names the
+        # first pair and its first state whose payoff is not finite, and
+        # the overflow emits no warning (warnings are errors here)
         spec = GameSpec("huge", (StateSpec(1, "I", tuple(
             ActionSpec(label, reward, (Transition(1, 1.0),), SojournModel("mean", (0.5,)))
             for label, reward in (("a", 1.7e308), ("b", 1.0)))),))
-        with np.errstate(over="ignore"), pytest.raises(ValueError) as exc:
+        with pytest.raises(NumericalError) as exc:
             solve(spec)
-        assert str(exc.value) == "payoff matrix has non-finite entries"
+        assert str(exc.value) == "pair (f1, g1): payoff of state 1 is not finite: inf"
 
     def test_zero_saddle_eps_allowed(self, example_spec):
         assert solve(example_spec, saddle_eps=0.0).value == solve(example_spec).value
@@ -935,6 +937,72 @@ class TestBatchedPairs:
         assert len(fs) == len(gs) == 16
         assert np.all(np.isfinite(tensor))
         assert peak < 8 * 2**20
+
+
+class TestComponents:
+    """Each component of the censored game evaluates its own pairs only;
+    every entry is still phi of its pair's own chain."""
+
+    @staticmethod
+    def _action(label, reward, mean, row):
+        return ActionSpec(label, reward, tuple(Transition(d, p) for d, p in row.items()),
+                          SojournModel("mean", (mean,)))
+
+    def test_mixed_state_joins_the_nodes_it_enters(self):
+        # states 1 and 2 are absorbing and linked by no action, but the
+        # one-action state 3 enters both, so its payoff mixes them: joined
+        # by actions alone, (f2, g2) would copy (f2, g1)'s 5/2
+        act = self._action
+        spec = GameSpec("mixed-link", (
+            StateSpec(1, "I", (act("a", 1.0, 1.0, {1: 1.0}), act("b", 2.0, 1.0, {1: 1.0}))),
+            StateSpec(2, "II", (act("c", 3.0, 1.0, {2: 1.0}), act("d", 5.0, 2.0, {2: 1.0}))),
+            StateSpec(3, "I", (act("e", 0.0, 1.0, {1: 0.5, 2: 0.5}),)),
+        ))
+        tensor = solve(spec).payoffs
+        want = [[Fraction(2), Fraction(2)], [Fraction(5, 2), Fraction(7, 3)]]
+        for f in enumerate_pure(spec, "I"):
+            for g in enumerate_pure(spec, "II"):
+                exact = exact_phi(spec, f, g)[2]
+                assert exact == want[f.ordinal][g.ordinal]
+                got = Fraction(float(tensor[f.ordinal, g.ordinal, 2]))
+                assert abs(got - exact) <= Fraction(1, 10**15)
+        assert [s.tolist() for _, s in CENSOR_MODULE._CensoredGame(spec).components()] == [[0, 1, 2]]
+
+    def test_decoupled_game_evaluates_each_components_pairs_once(self, monkeypatch):
+        # two independent sub-games of 10 x 10 pure strategies each: 100
+        # chains per component where D1 * D2 = 10,000
+        spec = _corpus.decoupled_game(np.random.default_rng(5))
+        game = CENSOR_MODULE._CensoredGame(spec)
+        assert [(x.tolist(), s.tolist()) for x, s in game.components()] == [
+            ([0, 1], [0, 1]), ([2, 3], [2, 3])]
+        chains = []
+        limits = CENSOR_MODULE.structural_limits
+
+        def counted_limits(qs, *args):
+            chains.append(len(qs))
+            return limits(qs, *args)
+
+        monkeypatch.setattr(CENSOR_MODULE, "structural_limits", counted_limits)
+        report = solve(spec)
+        assert report.diagnostics["d1"] * report.diagnostics["d2"] == 10_000
+        assert sum(chains) == 200
+
+    @pytest.mark.parametrize("link", [False, True], ids=["disjoint", "linked"])
+    def test_disjoint_unions_match_payoff_vector_bit_for_bit(self, link):
+        # pairs of corpus games side by side, each its own set of
+        # components, and the same with one state that links them
+        corpus = _corpus.game_corpus(120, seed=424242)
+        unions = [(a, b) for a, b in zip(corpus[::2], corpus[1::2])
+                  if np.prod([strategy_count(g, p) for g in (a, b) for p in ("I", "II")]) <= 144]
+        assert len(unions) >= 20
+        for a, b in unions:
+            spec = _corpus.disjoint_union(a, b, link)
+            # the link joins the component of each game's state 1
+            parts = [len(CENSOR_MODULE._CensoredGame(g).components()) for g in (a, b)]
+            assert len(CENSOR_MODULE._CensoredGame(spec).components()) == sum(parts) - link
+            fs, gs, tensor = TestBatchedPairs._tensor(spec)
+            reference = np.array([[payoff_vector(spec, f, g) for g in gs] for f in fs])
+            assert np.array_equal(tensor, reference), spec.name
 
 
 class TestScaling:
