@@ -362,6 +362,12 @@ GOLDEN = [
     ("simulate_uniform_sojourns.json", "uniform_sojourns",
      ["simulate", "{game}", "--max", "0", "--min", "0", "--start", "2",
       "--horizon", "1000", "--reps", "10", "--seed", "5", "--format", "json"]),
+    # the grid of this pair is {0.3, 0.5, 0.6}, not dyadic, and 1001
+    # epochs end in a part of a group: pins the last epochs of a
+    # trajectory and the uniforms that fall between grid points
+    ("simulate_uniform_sojourns_1001.json", "uniform_sojourns",
+     ["simulate", "{game}", "--max", "1", "--min", "0", "--start", "2",
+      "--horizon", "1001", "--reps", "10", "--seed", "9", "--format", "json"]),
 ]
 
 
