@@ -89,11 +89,26 @@ def censor(rows, decision, values) -> tuple:
         out = rows[transient]
         tt = out[:, transient]
         rhs = np.concatenate([out @ nodes, values[transient]], axis=1)
-        x = _absorption(tt, rhs, s)
-        residual = _max_abs(x - tt @ x - rhs)
-        if residual > EPS_PROJ * max(1.0, _max_abs(x)):
+        # values past the largest double overflow to inf without a
+        # warning, and the state they accumulate from is named below
+        with np.errstate(over="ignore"):
+            x = _absorption(tt, rhs, s)
+        finite = np.isfinite(x).all(axis=1)
+        if not finite.all():
+            state = transient[finite.argmin()] + 1
             raise NumericalError(
-                f"numerically degenerate chain: absorption residual {residual!r}"
+                f"numerically degenerate chain: values accumulated from state {state} "
+                "are not finite"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = abs(x - tt @ x - rhs).max(axis=1)
+        # a NaN residual fails too
+        passed = residual <= EPS_PROJ * max(1.0, _max_abs(x))
+        if not passed.all():
+            worst = passed.argmin()
+            raise NumericalError(
+                f"numerically degenerate chain: absorption residual "
+                f"{float(residual[worst])!r} at state {transient[worst] + 1}"
             )
         exits[transient], accumulated[transient] = x[:, :s], x[:, s:]
     means = np.zeros((len(classes), values.shape[1]))
@@ -166,8 +181,11 @@ class _CensoredGame:
         chosen = q[self.decision]
         self.q = chosen @ exits
         self.edges = (chosen > EPS_EDGE).astype(float) @ enters > 0
-        self.values = (table[:, self.decision]
-                       + (chosen @ accumulated).transpose(2, 0, 1))
+        # a node's value may overflow to inf as phi may (see _ratio);
+        # payoffs names the first state whose payoff it makes infinite
+        with np.errstate(over="ignore"):
+            self.values = (table[:, self.decision]
+                           + (chosen @ accumulated).transpose(2, 0, 1))
         if closed:
             c, m = len(self.decision), len(closed)
             stay = np.zeros((m, q.shape[1], c + m))

@@ -17,27 +17,41 @@ constant at its mean, which preserves the ratio-of-expectations target.
 A trajectory is computed in array passes, with no Python step per epoch,
 and equals the epoch-by-epoch loop bit for bit:
 
-- Every state's cumulative row is a subset of one sorted grid, so one
-  ``searchsorted`` of the uniforms against the grid puts each epoch in a
-  bucket, and within a bucket every row inverts to the same transition.
-  That transition is one binary search in a sorted array with one
-  integer key per transition, so the compiled chain stays linear in the
-  transition count; where the answers for every state and bucket fit in
-  ``_TABLE_ENTRIES``, they are looked up from a table instead.
-- The path follows in chunks of about sqrt(horizon * n / 48) epochs:
+- Every state's cumulative row is a subset of one sorted grid, so the
+  grid puts each epoch's uniform in a bucket, and within a bucket every
+  row inverts to the same transition. Where the answers for every state
+  and bucket fit in ``_TABLE_ENTRIES`` they are a table, and a uniform
+  finds its bucket in a table of cells: one exact multiply by a power
+  of two and one gather, plus one comparison for each grid entry that
+  lies strictly inside a cell. Elsewhere the bucket is a ``searchsorted``
+  and the transition a binary search in a sorted array with one integer
+  key per transition, so the compiled chain stays linear in the
+  transition count.
+- With s buckets there are only s one-epoch maps of the states, so
+  where there is a table the map of every block of K epochs is tabulated, K the largest
+  power of two whose n * s^K entries fit in ``_BLOCK_ENTRIES``, and the
+  path is walked K epochs a step: the block tabulation of the "four
+  Russians" (Arlazarov, Dinic, Kronrod & Faradzev, Soviet Math. Dokl.
+  11, 1970).
+- The path follows in chunks of about sqrt(blocks * n / 48) blocks:
   each chunk's map of every state is composed (all chunks at once), the
-  chunk heads are walked, and the chunks are filled in. Composition
-  follows only the distinct states a chunk's starting states have
-  reached, so where paths from different states meet it costs far less
-  than ``horizon * n`` steps; it costs that much only where they never
-  meet, as on a ring where every state moves on by the same step.
+  chunk heads are walked, and the chunks are filled in; the inner epochs
+  of all blocks then follow one epoch at a time, and every epoch's
+  transition is one gather. Composition follows only the distinct states
+  a chunk's starting states have reached, so where paths from different
+  states meet it costs far less than ``blocks * n`` steps; it costs that
+  much only where they never meet, as on a ring where every state moves
+  on by the same step.
 - The transitions fix which epochs draw a sojourn before any sojourn is
   drawn, so one block of exactly that many uniforms follows the
   transition block; on Philox a block equals the same draws taken one
-  at a time. Exponential sojourns go through ``math.log1p`` per draw, as
-  the loop did, because ``np.log1p`` may round the last bit differently.
-- Reward and time are summed with ``cumsum``, which adds in epoch order
-  as the loop did; ``np.sum`` adds pairwise and would change bits.
+  at a time. The epochs that draw, and which of them draw an exponential
+  or a uniform sojourn, are index arrays. Exponential sojourns go
+  through ``math.log1p`` per draw, as the loop did, because ``np.log1p``
+  may round the last bit differently.
+- Each epoch's reward and visit are read off its transition. Reward
+  and time are summed with ``cumsum``, which adds in epoch order as the
+  loop did; ``np.sum`` adds pairwise and would change bits.
 
 Every integer array is ``np.intp``, numpy's own index type: numpy casts
 an index array of any other type to it on every fancy index, so int32
@@ -56,6 +70,8 @@ from .strategies import PureStationaryStrategy, selected_action
 
 # the largest (states x buckets) transition table a chain precomputes
 _TABLE_ENTRIES = 2**20
+# the largest map of the states after a block of epochs a chain tabulates
+_BLOCK_ENTRIES = 2**14
 SIMULATION_NOTE = "fixed-horizon ratio estimate; the long-run limit is not certified"
 
 
@@ -111,24 +127,77 @@ def _terms(model) -> tuple[int, float, float]:
     return 0, model.params[0], 0.0
 
 
+class _Cells:
+    """The bucket of a uniform u, ``searchsorted(grid, u, "right")``,
+    found by cells: the unit interval is cut into ``size`` = 2^m cells,
+    more than four per grid entry, and u lies in cell ``int(u * size)``;
+    the product is exact, since size is a power of two. ``bucket[c]``,
+    of length size, counts the grid entries <= c / size, which u passes;
+    the entries strictly inside cell c are the rows of ``edges`` at
+    column c (2.0, above any uniform, where a cell has fewer), and u
+    passes those it is at or above. An entry on a cell edge thus costs
+    nothing, and one strictly inside a cell one comparison per uniform
+    and row."""
+
+    def __init__(self, bucket: np.ndarray, edges: np.ndarray):
+        self.bucket, self.edges = bucket, edges
+
+    @classmethod
+    def of(cls, grid: np.ndarray) -> _Cells | None:
+        """The cells of ``grid``, or None where more entries share a
+        cell than a binary search over the grid makes comparisons, or
+        the cells would not fit in ``_TABLE_ENTRIES``."""
+        size = 1 << (4 * len(grid)).bit_length()
+        inner = grid[grid * size != np.floor(grid * size)]
+        cell = (inner * size).astype(np.intp)
+        # the entries of a cell are consecutive in the sorted grid
+        rank = np.arange(len(inner)) - np.searchsorted(cell, cell)
+        rows = int(rank.max(initial=-1)) + 1
+        if rows > len(grid).bit_length() or (rows + 1) * size > _TABLE_ENTRIES:
+            return None
+        edges = np.full((rows, size), 2.0)
+        edges[rank, cell] = inner
+        return cls(np.searchsorted(grid, np.arange(size) / size, side="right"), edges)
+
+    def lookup(self, u: np.ndarray, out: np.ndarray) -> None:
+        """Writes the bucket of every uniform of ``u`` to ``out``."""
+        # truncated to an index as astype would, with no float temporary
+        cell = np.multiply(u, len(self.bucket), out=np.empty_like(out), casting="unsafe")
+        # an index out of range cannot occur; "raise" would buffer out
+        np.take(self.bucket, cell, out=out, mode="clip")
+        for edges in self.edges:
+            out += u >= edges[cell]
+
+
 class _Chain:
     """The runtime table of the chain (f, g) induces, compiled once for
-    any number of trajectories, in space linear in its transitions.
+    any number of trajectories.
 
     The transitions are the positive-probability ones of every state's
-    chosen action, in state order, and ``kind``, ``base`` and ``scale``
-    hold each one's sojourn terms (see :func:`_terms`). ``grid`` is the
-    sorted union of the cumulative rows' entries below 1, and a uniform
-    u falls in bucket ``searchsorted(grid, u, "right")``, the count of
-    grid entries <= u. An entry of row s counts from the bucket after
-    its grid index on, and an entry >= 1 never does, so with ``stride`` =
-    buckets + 1 the ascending ``keys`` hold s * stride + that first
-    bucket for every entry (``stride`` for one >= 1). The transition
-    state s takes in bucket b is then ``searchsorted(keys, s * stride +
-    b, "right")``: the transitions of the rows before s plus the count of
-    its entries <= u, which is what ``bisect_right`` returns on the row.
-    ``table`` holds those searches for every s * stride + b where they
-    fit, else None."""
+    chosen action, in state order: ``dest`` holds each one's next state,
+    ``reward`` its state's reward, ``kind``, ``base`` and ``scale`` its
+    sojourn terms (see :func:`_terms`), and ``row_start`` the first
+    transition of every state. ``grid`` is the sorted union of the
+    cumulative rows' entries below 1, and a uniform u falls in bucket
+    ``searchsorted(grid, u, "right")``, the count of grid entries <= u;
+    there are ``stride`` buckets. An entry of row s counts from the
+    bucket after its grid index on, and an entry >= 1 never does, so the
+    ascending ``keys`` hold s * stride + that first bucket for every
+    entry (``stride`` for one >= 1). The transition state s takes in
+    bucket b is then ``searchsorted(keys, s * stride + b, "right")``: the
+    transitions of the rows before s plus the count of its entries <= u,
+    which is what ``bisect_right`` returns on the row. So far the chain
+    is linear in its transitions.
+
+    Where the answers for every s * stride + b fit in ``_TABLE_ENTRIES``,
+    ``table`` holds them and ``cells`` finds buckets (see
+    :class:`_Cells`; None where it would not pay). Where even two epochs
+    fit in ``_BLOCK_ENTRIES``, ``next`` holds the state each s * stride +
+    b moves to, and ``block`` the state after K = ``span`` epochs of
+    buckets b_1 .. b_K at s * stride^K + (the number b_1 .. b_K write in
+    base stride), for the largest power of two K that fits: the map of
+    2K epochs is that of K composed with itself. Otherwise a block is
+    one epoch, and ``next`` and ``block`` are None."""
 
     def __init__(self, spec: GameSpec, f: PureStationaryStrategy,
                  g: PureStationaryStrategy):
@@ -158,11 +227,23 @@ class _Chain:
         first = np.where(inner, np.searchsorted(self.grid, cum) + 1, self.stride)
         self.keys = np.repeat(np.arange(n), lengths) * self.stride + first
         self.dest = np.array(dests, dtype=np.intp)
-        self.table = None
+        self.n = n
+        self.table = self.cells = self.next = self.block = None
+        self.span = 1
         if n * self.stride <= _TABLE_ENTRIES:
             self.table = np.searchsorted(self.keys, np.arange(n * self.stride), side="right")
-        self.n = n
-        self.reward = np.array(rewards, dtype=float)
+            self.cells = _Cells.of(self.grid)
+        if self.table is not None and self.stride > 1 and n * self.stride**2 <= _BLOCK_ENTRIES:
+            self.next = self.block = self.dest[self.table]
+            width = self.stride
+            while n * width * width <= _BLOCK_ENTRIES:
+                self.block = self.block.reshape(n, width)[self.block].ravel()
+                width *= width
+                self.span *= 2
+        # every transition's state: its reward, and the index of the
+        # state's first transition
+        self.reward = np.repeat(np.array(rewards, dtype=float), lengths)
+        self.row_start = np.cumsum(lengths) - lengths
         terms = np.fromiter(terms, dtype=[("kind", np.intp), ("base", float), ("scale", float)],
                             count=len(terms))
         self.kind, self.base, self.scale = terms["kind"], terms["base"], terms["scale"]
@@ -174,14 +255,21 @@ class _Chain:
             return np.searchsorted(self.keys, at, side="right")
         return self.table[at]
 
-    def _heads(self, by_chunk: np.ndarray, start: int) -> list[int]:
-        """The 0-based state at the start of every chunk whose buckets
-        are a column of ``by_chunk``, and after the last, from ``start``.
+    def _advance(self, states: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """The states that 0-based ``states`` reach after the blocks of
+        ``span`` epochs whose buckets the ``codes`` write in base stride."""
+        if self.block is None:
+            return self.dest[self._step(states, codes)]
+        return self.block[states * self.stride ** self.span + codes]
 
-        Every chunk's map of the n states is composed one epoch at a
+    def _heads(self, by_chunk: np.ndarray, start: int) -> list[int]:
+        """The 0-based state at the start of every chunk whose blocks are
+        a column of ``by_chunk``, and after the last, from ``start``.
+
+        Every chunk's map of the n states is composed one block at a
         time, all chunks at once. A lane carries one chunk and a state
         that one or more of the chunk's starting states reach. After 1,
-        2, 4, ... epochs, the lanes of a chunk at one state merge into one
+        2, 4, ... blocks, the lanes of a chunk at one state merge into one
         if that drops at least a quarter of all lanes (``relabels`` keeps
         where each lane went), so the lanes thin out as paths meet, and
         the kept relabels hold at most four times the first lanes."""
@@ -195,7 +283,7 @@ class _Chain:
         slot = np.empty(lanes, dtype=np.intp)
         relabels = []
         for i in range(width):
-            state = self.dest[self._step(state, by_chunk[i, chunk])]
+            state = self._advance(state, by_chunk[i, chunk])
             if i & (i + 1) == 0:
                 lane = np.arange(len(state))
                 key = chunk * n + state
@@ -216,45 +304,67 @@ class _Chain:
         """One trajectory of ``horizon`` epochs from 1-based ``start`` on
         the Philox stream keyed ``seed``."""
         rng = np.random.Generator(np.random.Philox(key=seed))
-        n = self.n
+        n, span = self.n, self.span
+        u = rng.random(horizon)
         # wider chunks on larger games: fewer lanes to compose, more
-        # numpy calls per epoch column
-        width = math.isqrt(horizon * n // 48) + 1
-        chunks = -(-horizon // width)
+        # numpy calls per block column
+        blocks = -(-horizon // span)
+        width = math.isqrt(blocks * n // 48) + 1
+        chunks = -(-blocks // width)
         # bucket 0 pads the last chunk to full width
-        buckets = np.zeros(chunks * width, dtype=np.intp)
-        buckets[:horizon] = np.searchsorted(self.grid, rng.random(horizon), side="right")
-        # row i of a (width, chunks) view holds epoch i of every chunk
-        by_chunk = buckets.reshape(chunks, width).T
+        buckets = np.zeros(chunks * width * span, dtype=np.intp)
+        if self.cells is None:
+            buckets[:horizon] = np.searchsorted(self.grid, u, side="right")
+        else:
+            self.cells.lookup(u, buckets[:horizon])
+        del u
+        by_block = buckets.reshape(-1, span)
+        codes = by_block[:, 0]
+        for j in range(1, span):
+            codes = codes * self.stride + by_block[:, j]
+        # row i of a (width, chunks) view holds block i of every chunk
+        by_chunk = codes.reshape(chunks, width).T
         state = np.array(self._heads(by_chunk[:, :-1], start - 1), dtype=np.intp)
-        moves = np.empty((chunks, width), dtype=np.intp)
-        for i in range(width):
-            moves[:, i] = self._step(state, by_chunk[i])
-            state = self.dest[moves[:, i]]
-        del buckets, by_chunk
-        moves = moves.ravel()[:horizon]
-        path = np.empty(horizon, dtype=np.intp)
-        path[0] = start - 1
-        path[1:] = self.dest[moves[:-1]]
+        if self.block is None:
+            # a block is one epoch: the fill takes its transitions
+            moves = np.empty((chunks, width), dtype=np.intp)
+            for i in range(width):
+                moves[:, i] = self._step(state, by_chunk[i])
+                state = self.dest[moves[:, i]]
+            moves = moves.ravel()[:horizon]
+        else:
+            heads = np.empty((chunks, width), dtype=np.intp)
+            for i in range(width):
+                heads[:, i] = state
+                state = self._advance(state, by_chunk[i])
+            # the inner epochs of all blocks follow one at a time, and
+            # each bucket becomes its epoch's index into the table
+            state = heads.ravel()
+            for j in range(span):
+                by_block[:, j] += state * self.stride
+                if j < span - 1:
+                    state = self.next[by_block[:, j]]
+            moves = self.table[buckets[:horizon]]
+        del buckets, by_block, codes, by_chunk, state
         final_state = int(self.dest[moves[-1]]) + 1
-        cum_reward = _total(self.reward[path])
-        visits = tuple(np.bincount(path, minlength=n).tolist())
-        del path
+        cum_reward = _total(self.reward[moves])
+        visits = tuple(np.add.reduceat(np.bincount(moves, minlength=len(self.dest)),
+                                       self.row_start).tolist())
 
-        kind = self.kind[moves]
         time = self.base[moves]
-        drawn = kind > 0
-        picked = moves[drawn]
-        exponential = kind[drawn] == 1
-        del moves, kind
-        draws = rng.random(len(picked))
-        rates = self.scale[picked[exponential]]
+        drawn = np.flatnonzero(self.kind[moves])
+        moves = moves[drawn]
+        kind = self.kind[moves]
+        exponential = np.flatnonzero(kind == 1)
+        uniform = np.flatnonzero(kind == 2)
+        del kind
+        draws = rng.random(len(drawn))
+        rates = self.scale[moves[exponential]]
         logs = np.fromiter(map(math.log1p, memoryview(-draws[exponential])),
                            dtype=float, count=len(rates))
         draws[exponential] = -logs / rates
-        uniform = ~exponential
-        picked = picked[uniform]
-        draws[uniform] = self.base[picked] + self.scale[picked] * draws[uniform]
+        moves = moves[uniform]
+        draws[uniform] = self.base[moves] + self.scale[moves] * draws[uniform]
         time[drawn] = draws
         return TrajectoryStats(
             cum_reward=cum_reward,

@@ -301,12 +301,42 @@ class TestScalarOracle:
                     assert simulate(DEFAULTS, f, g, start, horizon, seed) == \
                         _scalar_sim.trajectory(DEFAULTS, f, g, start, horizon, seed)
 
+    @pytest.mark.parametrize("span", [1, 2])
+    def test_shorter_blocks_equal_the_loop(self, monkeypatch, span):
+        # MIXED and DEFAULTS tabulate blocks of 4 epochs; a map-size
+        # bound of 0 leaves blocks of one epoch, and one of n * stride^2
+        # blocks of two
+        for spec, pairs in ((MIXED, ((0, 0, 1), (5, 2, 4), (7, 7, 6))),
+                            (DEFAULTS, tuple((0, 0, start) for start in range(1, 6)))):
+            stride = SIMULATE_MODULE._Chain(spec, *_pair(spec, 0, 0)).stride
+            monkeypatch.setattr(SIMULATE_MODULE, "_BLOCK_ENTRIES",
+                                0 if span == 1 else spec.n * stride ** 2)
+            for f_ordinal, g_ordinal, start in pairs:
+                f, g = _pair(spec, f_ordinal, g_ordinal)
+                assert SIMULATE_MODULE._Chain(spec, f, g).span == span
+                for horizon in (*range(1, 10), 1001):
+                    for seed in SEEDS:
+                        assert simulate(spec, f, g, start, horizon, seed) == \
+                            _scalar_sim.trajectory(spec, f, g, start, horizon, seed)
+
+    def test_blocks_of_four_on_the_benchmark_game(self):
+        chain = SIMULATE_MODULE._Chain(MIXED, *_pair(MIXED, 0, 0))
+        assert (chain.stride, chain.span) == (4, 4)
+        assert chain.block.shape == (MIXED.n * 4**4,)
+
     def test_every_integer_array_is_intp(self):
-        # numpy casts any other index type to intp on every fancy index
+        # numpy casts any other index type to intp on every fancy index;
+        # the cells are an object of their own, so a scan of the chain
+        # alone would miss them
         for spec in (MIXED, DENSE):
             chain = SIMULATE_MODULE._Chain(spec, *_pair(spec, 0, 0))
             arrays = {name: a for name, a in vars(chain).items() if isinstance(a, np.ndarray)}
-            assert {"keys", "dest", "kind"} <= set(arrays)
+            if chain.cells is not None:
+                arrays.update((f"cells.{name}", a) for name, a in vars(chain.cells).items())
+            want = {"keys", "dest", "kind"}
+            if spec is MIXED:
+                want |= {"table", "next", "block", "cells.bucket", "cells.edges"}
+            assert want <= set(arrays)
             for name, a in arrays.items():
                 assert a.dtype.kind == "f" or a.dtype == np.intp, name
 
@@ -322,6 +352,28 @@ class TestScalarOracle:
             for start in range(1, 5):
                 assert simulate(example_spec, f, g, start, 999, 7) == \
                     _scalar_sim.trajectory(example_spec, f, g, start, 999, 7)
+
+    def test_grid_whose_entries_crowd_one_cell_is_searched(self):
+        # four grid entries lie strictly inside the cell of 0.5: more
+        # rows of cell comparisons than the three a binary search over
+        # the six entries makes, so the table path searches the grid
+        tiny = 1e-10
+        spec = GameSpec("crowded", (
+            StateSpec(1, "I", (ActionSpec("a", 1.0, (
+                Transition(1, 0.5), *(Transition(to, tiny) for to in range(2, 6)),
+                Transition(6, 0.5 - 4 * tiny)), SojournModel("uniform", (0.5, 1.5))),)),
+            *(StateSpec(s, "II", (ActionSpec("b", float(s), (Transition(1, 0.75),
+                                                            Transition(s, 0.25)),
+                                             SojournModel("exponential", (2.0,))),))
+              for s in range(2, 7)),
+        ))
+        validate(spec)
+        f, g = _pair(spec, 0, 0)
+        chain = SIMULATE_MODULE._Chain(spec, f, g)
+        assert chain.table is not None and chain.cells is None
+        for horizon in (1, 9, 1001):
+            assert simulate(spec, f, g, 1, horizon, 5) == \
+                _scalar_sim.trajectory(spec, f, g, 1, horizon, 5)
 
     def test_uniform_on_a_breakpoint_takes_the_next_transition(self):
         # the first uniform of stream 5 is state 1's first cumulative
@@ -356,3 +408,52 @@ class TestScalarOracle:
         est = estimate_payoff(spec, f, g, start=1, horizon=257, reps=5, seed=2**128 - 3)
         point, stderr = _scalar_sim.estimate(spec, f, g, 1, 257, 5, 2**128 - 3)
         assert (est.point, est.stderr) == (point, stderr)
+
+
+def _cell_probes(grid, size):
+    """Every grid entry and its neighbouring doubles, every cell edge,
+    0.0 and the largest double below 1, then random uniforms."""
+    below_one = np.nextafter(1.0, 0.0)
+    probes = np.concatenate([
+        grid, np.nextafter(grid, 0.0), np.nextafter(grid, 1.0),
+        np.arange(size) / size, [0.0, below_one],
+        np.random.default_rng(len(grid)).random(1000),
+    ])
+    return probes[(probes >= 0.0) & (probes < 1.0)]
+
+
+def _lookup(cells, u):
+    out = np.empty(len(u), dtype=np.intp)
+    cells.lookup(u, out)
+    return out
+
+
+class TestCells:
+    """The cell lookup against ``np.searchsorted(grid, u, "right")``."""
+
+    @pytest.mark.parametrize("size", [0, 1, 3, 10, 100, 1000])
+    def test_random_grids(self, size):
+        for seed in range(5):
+            grid = np.sort(np.random.default_rng(seed).random(size))
+            cells = SIMULATE_MODULE._Cells.of(grid)
+            assert cells is not None
+            u = _cell_probes(grid, len(cells.bucket))
+            assert np.array_equal(_lookup(cells, u), np.searchsorted(grid, u, side="right"))
+
+    def test_grids_with_entries_on_cell_edges(self):
+        # dyadic entries sit on cell edges; the grid {0.3, 0.5, 0.6} has
+        # one on an edge and two inside cells
+        for grid in ([0.25, 0.5, 0.75], [0.3, 0.5, 0.6], [0.125, 0.3, 0.3125, 0.5, 0.9375],
+                     np.arange(1, 64) / 64, np.arange(1, 10) / 10):
+            grid = np.array(grid, dtype=float)
+            cells = SIMULATE_MODULE._Cells.of(grid)
+            u = _cell_probes(grid, len(cells.bucket))
+            assert np.array_equal(_lookup(cells, u), np.searchsorted(grid, u, side="right"))
+
+    def test_dyadic_grid_needs_no_comparison(self):
+        cells = SIMULATE_MODULE._Cells.of(np.array([0.25, 0.5, 0.75]))
+        assert cells.edges.shape[0] == 0
+
+    def test_crowded_cell_leaves_the_binary_search(self):
+        grid = 0.5 + np.arange(5) * 1e-10
+        assert SIMULATE_MODULE._Cells.of(grid) is None

@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import json
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -515,6 +516,46 @@ class TestSolve:
         spec = GameSpec("huge", (StateSpec(1, "I", tuple(
             ActionSpec(label, reward, (Transition(1, 1.0),), SojournModel("mean", (0.5,)))
             for label, reward in (("a", 1.7e308), ("b", 1.0)))),))
+        with pytest.raises(NumericalError) as exc:
+            solve(spec)
+        assert str(exc.value) == "pair (f1, g1): payoff of state 1 is not finite: inf"
+
+    def test_overflowing_censored_values_name_the_state(self, tmp_path, capsys):
+        # the one-action state 2 earns 1e308 per epoch and stays with
+        # probability 0.9, so the value it accumulates before state 1
+        # overflows: censoring names it with no warning, where a NaN
+        # residual once passed its check
+        def mean(to):
+            return {"reward": 1.0, "sojourn": {"kind": "mean", "value": 1.0},
+                    "transitions": [{"to": to, "prob": 1.0}]}
+        game = {"name": "overflow", "states": [
+            {"id": 1, "player": "I", "actions": [
+                {"label": "enter", **mean(2)}, {"label": "stay", **mean(1)}]},
+            {"id": 2, "player": "II", "actions": [{
+                "label": "b", "reward": 1e308, "sojourn": {"kind": "mean", "value": 1.0},
+                "transitions": [{"to": 2, "prob": 0.9}, {"to": 1, "prob": 0.1}]}]},
+        ]}
+        spec = parse_game(json.dumps(game))
+        message = ("pair (f1, g1): numerically degenerate chain: "
+                   "values accumulated from state 2 are not finite")
+        with pytest.raises(NumericalError) as exc:
+            solve(spec)
+        assert str(exc.value) == message
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(game))
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_overflowing_node_value_names_the_payoff(self):
+        # each value is finite, but a node's reward plus what it
+        # accumulates before the next node overflows to inf
+        spec = GameSpec("node-overflow", (
+            StateSpec(1, "I", tuple(
+                ActionSpec(label, reward, (Transition(to, 1.0),), SojournModel("mean", (1.0,)))
+                for label, reward, to in (("enter", 1e308, 2), ("stay", 1.0, 1)))),
+            StateSpec(2, "II", (ActionSpec("b", 1e308, (Transition(1, 1.0),),
+                                           SojournModel("mean", (1.0,))),)),
+        ))
         with pytest.raises(NumericalError) as exc:
             solve(spec)
         assert str(exc.value) == "pair (f1, g1): payoff of state 1 is not finite: inf"
