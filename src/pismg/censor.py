@@ -123,8 +123,7 @@ def _ratio(weights: np.ndarray, r: np.ndarray, tau: np.ndarray) -> np.ndarray:
     matrices (or one matrix shared by the stack), rewards and sojourns,
     one matrix-vector product per chain: a stacked matmul with a column
     operand runs the same product per chain as ``weights[i] @ r[i]``,
-    without a Python loop over the chains. A valid game's rewards and
-    sojourns may overflow the ratio to inf, without a warning."""
+    without a Python loop over the chains."""
     num = (weights @ r[..., None])[..., 0]
     den = (weights @ tau[..., None])[..., 0]
     if float(den.min()) <= 0.0:
@@ -132,8 +131,7 @@ def _ratio(weights: np.ndarray, r: np.ndarray, tau: np.ndarray) -> np.ndarray:
             "nonpositive expected time in the limit; sojourn validation "
             "should have prevented this"
         )
-    with np.errstate(over="ignore"):
-        return num / den
+    return num / den
 
 
 class _CensoredGame:
@@ -181,8 +179,8 @@ class _CensoredGame:
         chosen = q[self.decision]
         self.q = chosen @ exits
         self.edges = (chosen > EPS_EDGE).astype(float) @ enters > 0
-        # a node's value may overflow to inf as phi may (see _ratio);
-        # payoffs names the first state whose payoff it makes infinite
+        # a node's value may overflow to inf as phi may (see payoffs),
+        # which names the first state whose payoff it leaves infinite
         with np.errstate(over="ignore"):
             self.values = (table[:, self.decision]
                            + (chosen @ accumulated).transpose(2, 0, 1))
@@ -246,8 +244,12 @@ class _CensoredGame:
         span = (upper * epochs[:, None]).sum(axis=2, keepdims=True)
         # a padded class has no stationary row and no span
         rates = lower @ (upper / np.maximum(span, np.finfo(float).tiny))
-        phi = _ratio(self.exits, (rates @ reward[..., None])[..., 0],
-                     (rates @ time[..., None])[..., 0])
+        # a valid game's values may overflow phi to inf, or to nan where
+        # an inf meets a zero weight or an inf of the other sign; the
+        # check below names the first such state, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = _ratio(self.exits, (rates @ reward[..., None])[..., 0],
+                         (rates @ time[..., None])[..., 0])
         if len(self.first):
             whole = ((self.enters @ reaches) > 0).sum(axis=2) == 1
             mixed = phi[:, len(nodes):]

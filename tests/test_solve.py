@@ -560,6 +560,20 @@ class TestSolve:
             solve(spec)
         assert str(exc.value) == "pair (f1, g1): payoff of state 1 is not finite: inf"
 
+    def test_node_values_overflowing_with_opposite_signs_name_the_payoff(self):
+        # the cycle 1 -> 3 -> 2 -> 4 -> 1 of pair (f1, g1) earns one node
+        # value that overflows to inf and one that overflows to -inf
+        def state(sid, player, to, reward, stay):
+            return StateSpec(sid, player, tuple(
+                ActionSpec(label, r, (Transition(dest, 1.0),), SojournModel("mean", (1.0,)))
+                for label, r, dest in (("go", reward, to), ("stay", 1.0, sid))[:1 + stay]))
+        spec = GameSpec("opposite-overflows", (
+            state(1, "I", 3, 1e308, True), state(2, "II", 4, -1e308, True),
+            state(3, "I", 2, 1e308, False), state(4, "II", 1, -1e308, False)))
+        with pytest.raises(NumericalError) as exc:
+            solve(spec)
+        assert str(exc.value) == "pair (f1, g1): payoff of state 1 is not finite: nan"
+
     def test_zero_saddle_eps_allowed(self, example_spec):
         assert solve(example_spec, saddle_eps=0.0).value == solve(example_spec).value
 
