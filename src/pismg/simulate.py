@@ -28,11 +28,11 @@ and equals the epoch-by-epoch loop bit for bit:
   key per transition, so the compiled chain stays linear in the
   transition count.
 - With s buckets there are only s one-epoch maps of the states, so
-  where there is a table the map of every block of K epochs is tabulated, K the largest
-  power of two whose n * s^K entries fit in ``_BLOCK_ENTRIES``, and the
-  path is walked K epochs a step: the block tabulation of the "four
-  Russians" (Arlazarov, Dinic, Kronrod & Faradzev, Soviet Math. Dokl.
-  11, 1970).
+  where there is a table the map of every block of K epochs is
+  tabulated, K the largest power of two whose n * s^K entries fit in
+  ``_BLOCK_ENTRIES``, and the path is walked K epochs a step: the block
+  tabulation of the "four Russians" (Arlazarov, Dinic, Kronrod &
+  Faradzev, Soviet Math. Dokl. 11, 1970).
 - The path follows in chunks of about sqrt(blocks * n / 48) blocks:
   each chunk's map of every state is composed (all chunks at once), the
   chunk heads are walked, and the chunks are filled in; the inner epochs

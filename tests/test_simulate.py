@@ -454,6 +454,6 @@ class TestCells:
         cells = SIMULATE_MODULE._Cells.of(np.array([0.25, 0.5, 0.75]))
         assert cells.edges.shape[0] == 0
 
-    def test_crowded_cell_leaves_the_binary_search(self):
+    def test_crowded_cell_falls_back_to_the_binary_search(self):
         grid = 0.5 + np.arange(5) * 1e-10
         assert SIMULATE_MODULE._Cells.of(grid) is None
