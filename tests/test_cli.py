@@ -352,6 +352,9 @@ GOLDEN = [
     ("solve_two_sinks.json", "two_sinks",
      ["solve", "{game}", "--no-banner", "--emit-matrices", "--format", "json"]),
     ("solve_decoupled.txt", "decoupled", ["solve", "{game}", "--no-banner", "--emit-matrices"]),
+    # one-action cycles around and away from a decision state, and a
+    # closed class entered only through transient states
+    ("solve_cycles.txt", "cycles", ["solve", "{game}", "--no-banner", "--emit-matrices"]),
     ("validate_example_s5.json", "example", ["validate", "{game}", "--format", "json"]),
     ("simulate_example_s5.json", "example",
      ["simulate", "{game}", "--max", "2", "--min", "0", "--start", "1",
