@@ -20,7 +20,6 @@ from .markov import (
     EPS_EDGE,
     EPS_PROJ,
     _absorption,
-    _closure,
     _max_abs,
     _stationary,
     structural_limits,
@@ -28,14 +27,103 @@ from .markov import (
 from .strategies import action_tables
 
 
-def _sink_reach(rows: np.ndarray, decision: np.ndarray) -> np.ndarray:
-    """Reflexive reachability closure of the (n, n) transition ``rows``
-    (edges > EPS_EDGE) with the ``decision`` states made sinks: entry
-    (i, j) is 1 when some path from i to j enters no decision state
-    before its end."""
+def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Strongly connected components of the graph on n states with the
+    edges ``src[k] -> dst[k]``, ``src`` ascending (as ``np.nonzero``
+    gives them), by one iterative pass of Tarjan's algorithm (SIAM J.
+    Comput. 1, 1972) in O(n + e). Returns each state's component,
+    numbered in the order the pass completes them: an edge never leads
+    to a component of a larger number (reverse topological order). The
+    pass starts from the states in ascending order, so on a symmetric
+    graph the components are numbered by smallest member."""
+    succ = dst.tolist()
+    start = np.searchsorted(src, np.arange(n + 1)).tolist()
+    index, low, comp = [-1] * n, [0] * n, [-1] * n
+    stack: list[int] = []
+    count = done = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        # the depth-first path, and the next edge to follow from each state
+        path, pos = [root], [start[root]]
+        while path:
+            v, i = path[-1], pos[-1]
+            end = start[v + 1]
+            while i < end:
+                w = succ[i]
+                i += 1
+                if index[w] < 0:
+                    break
+                # an edge to a state still on the stack closes a cycle
+                if comp[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                path.pop()
+                pos.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = done
+                        if w == v:
+                            break
+                    done += 1
+                if path and low[v] < low[path[-1]]:
+                    low[path[-1]] = low[v]
+                continue
+            pos[-1] = i
+            index[w] = low[w] = count
+            count += 1
+            stack.append(w)
+            path.append(w)
+            pos.append(start[w])
+    return np.array(comp, dtype=np.intp)
+
+
+def _sinks(rows: np.ndarray, decision: np.ndarray) -> tuple:
+    """The structure of the (n, n) transition ``rows`` (edges >
+    EPS_EDGE) with the ``decision`` states made sinks, from one pass of
+    :func:`_components`. Returns ``(open_, classes, enters)``: whether
+    each state is open, reaching a state that does not reach it back;
+    the decision-free closed classes, by smallest member, each an array
+    of its states ascending; and the (n, c + m) 0/1 support of the nodes
+    each state may enter, the i-th decision state node i and the j-th
+    closed class node c + j.
+
+    A component is closed when no edge leaves it and open otherwise; a
+    decision state, whose row is dropped, is a closed component of its
+    own. The nodes each component may enter are integer bitmasks,
+    propagated over the edges between components in reverse topological
+    order, so each component's mask is final before an edge reads it."""
+    n, c = len(rows), len(decision)
     edges = rows > EPS_EDGE
     edges[decision] = False
-    return _closure((edges | np.eye(len(rows), dtype=bool)).astype(float))
+    src, dst = np.nonzero(edges)
+    comp = _components(n, src, dst)
+    tail, head = comp[src], comp[dst]
+    cross = tail != head
+    tail, head = tail[cross], head[cross]
+    sinks = np.ones(int(comp.max()) + 1, dtype=bool)
+    sinks[tail] = False
+    open_ = ~sinks[comp]
+    sinks[comp[decision]] = False
+    classes = tuple(sorted((np.flatnonzero(comp == h) for h in np.flatnonzero(sinks)),
+                           key=lambda idx: idx[0]))
+    masks = [0] * len(sinks)
+    for x, h in enumerate(comp[decision].tolist() + [comp[idx[0]] for idx in classes]):
+        masks[h] = 1 << x
+    # every edge leads to a smaller component, so in ascending order of
+    # their tails each edge reads a finished mask
+    order = np.argsort(tail, kind="stable")
+    for a, b in zip(tail[order].tolist(), head[order].tolist()):
+        masks[a] |= masks[b]
+    s = c + len(classes)
+    width = (s + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(masks), width), axis=1, count=s, bitorder="little")
+    return open_, classes, bits[comp].astype(float)
 
 
 def censor(rows, decision, values) -> tuple:
@@ -63,25 +151,11 @@ def censor(rows, decision, values) -> tuple:
     rows = np.asarray(rows, dtype=float)
     values = np.asarray(values, dtype=float)
     n, c = len(rows), len(decision)
-    reach0 = _sink_reach(rows, decision)
-    # a decision state is a sink here: it reaches itself only, so it is
-    # never open, and it looks closed
-    open_ = (reach0 > reach0.T).any(axis=1)
-    nodes = np.zeros((n, c))
+    open_, classes, enters = _sinks(rows, decision)
+    nodes = np.zeros((n, c + len(classes)))
     nodes[decision, np.arange(c)] = 1.0
-    classes: tuple[np.ndarray, ...] = ()
-    closed = ~open_
-    closed[decision] = False
-    if closed.any():
-        # a closed state reaches exactly its own class, whose smallest
-        # member is the first state it reaches
-        heads = reach0.argmax(axis=1)
-        classes = tuple(np.flatnonzero(closed & (heads == h))
-                        for h in sorted(set(heads[closed].tolist())))
-        member = np.zeros((n, len(classes)))
-        for j, idx in enumerate(classes):
-            member[idx, j] = 1.0
-        nodes = np.concatenate([nodes, member], axis=1)
+    for j, idx in enumerate(classes):
+        nodes[idx, c + j] = 1.0
     s = nodes.shape[1]
     exits, accumulated = nodes.copy(), np.zeros(values.shape)
     transient = np.flatnonzero(open_)
@@ -115,7 +189,7 @@ def censor(rows, decision, values) -> tuple:
     for j, idx in enumerate(classes):
         pi = _stationary(rows[idx][:, idx][None], idx[None])
         means[j] = pi[0] @ values[idx]
-    return classes, exits, np.sign(reach0 @ nodes), accumulated, means
+    return classes, exits, enters, accumulated, means
 
 
 def _ratio(weights: np.ndarray, r: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -219,10 +293,12 @@ class _CensoredGame:
         every state lies in the component of the nodes it may enter."""
         s = len(self.q)
         link = self.edges.any(axis=1) | (self.enters.T @ self.enters > 0)
-        heads = _closure((link | link.T | np.eye(s, dtype=bool)).astype(float)).argmax(axis=1)
-        owner = heads[np.concatenate([np.arange(s), self.first])][self.rows]
-        return [(np.flatnonzero(heads == h), np.flatnonzero(owner == h))
-                for h in sorted(set(heads.tolist()))]
+        # the strongly connected components of the symmetrised graph,
+        # numbered by smallest node
+        comp = _components(s, *np.nonzero(link | link.T))
+        owner = comp[np.concatenate([np.arange(s), self.first])][self.rows]
+        return [(np.flatnonzero(comp == h), np.flatnonzero(owner == h))
+                for h in range(int(comp.max()) + 1)]
 
     def payoffs(self, acts: np.ndarray) -> np.ndarray:
         """phi(s, f, g) for every state s of the pairs whose node actions

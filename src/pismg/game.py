@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import GameFormatError, GameValidationError
 from .markov import EPS_STOCH
@@ -113,11 +113,15 @@ class StateSpec:
 
 @dataclass(frozen=True)
 class GameSpec:
-    """A parsed game."""
+    """A parsed game. ``_report`` is the report of the :func:`validate`
+    call it passed, if any; it is neither compared nor hashed, and
+    ``dataclasses.replace`` does not carry it to the new spec."""
 
     name: str
     states: tuple[StateSpec, ...]
     reference_values: tuple[float, ...] | None = None
+    _report: ValidationReport | None = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     @property
     def n(self) -> int:
@@ -186,8 +190,13 @@ def validate(spec: GameSpec) -> ValidationReport:
 
     Raises :class:`GameValidationError` naming the offending state and
     action on the first violation; otherwise returns the partition and
-    strategy-count report.
+    strategy-count report. A spec that passes keeps its report, and a
+    later call returns it without walking the transitions again: the
+    spec is frozen, so the report stays true of it. A spec that fails
+    raises on every call.
     """
+    if spec._report is not None:
+        return spec._report
     if spec.n < 1:
         raise GameValidationError("game must have at least one state")
     warnings: list[str] = []
@@ -258,7 +267,7 @@ def validate(spec: GameSpec) -> ValidationReport:
     s2 = tuple(st.id for st in spec.states if st.controller == PLAYER_II)
     counts1 = tuple(len(spec.state(s).actions) for s in s1)
     counts2 = tuple(len(spec.state(s).actions) for s in s2)
-    return ValidationReport(
+    report = ValidationReport(
         s1=s1,
         s2=s2,
         player1_action_counts=counts1,
@@ -267,6 +276,8 @@ def validate(spec: GameSpec) -> ValidationReport:
         d2=math.prod(counts2),
         warnings=tuple(warnings),
     )
+    object.__setattr__(spec, "_report", report)
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 import json
 
 import pytest
@@ -19,6 +21,8 @@ from pismg import (
 )
 
 import _corpus
+
+GAME_MODULE = importlib.import_module("pismg.game")
 
 
 MINIMAL = """
@@ -182,6 +186,62 @@ class TestValidation:
         )
         report = validate(spec)
         assert any("duplicate action labels" in w for w in report.warnings)
+
+
+class TestValidationOnce:
+    """A spec that passed :func:`validate` keeps its report: a second
+    call neither walks the transitions nor builds a new report. The memo
+    lives on the spec, so a spec built by ``dataclasses.replace`` is
+    validated afresh, and a failing spec raises on every call."""
+
+    @staticmethod
+    def _count_walks(monkeypatch):
+        calls = []
+        original = GAME_MODULE.expected_sojourn
+
+        def counted(action):
+            calls.append(action)
+            return original(action)
+
+        monkeypatch.setattr(GAME_MODULE, "expected_sojourn", counted)
+        return calls
+
+    def test_second_call_returns_the_same_report(self, example_path, monkeypatch):
+        calls = self._count_walks(monkeypatch)
+        spec = parse_game(example_path.read_text())
+        assert len(calls) == sum(len(st.actions) for st in spec.states)
+        calls.clear()
+        first = validate(spec)
+        assert validate(spec) is first
+        assert calls == []
+
+    def test_replaced_spec_is_validated_afresh(self, example_path, monkeypatch):
+        spec = parse_game(example_path.read_text())
+        calls = self._count_walks(monkeypatch)
+        renamed = dataclasses.replace(spec, name="renamed")
+        report = validate(renamed)
+        assert len(calls) == sum(len(st.actions) for st in spec.states)
+        assert report == validate(spec) and report is not validate(spec)
+        broken = dataclasses.replace(spec, reference_values=(1.0,))
+        with pytest.raises(GameValidationError, match="reference_values has 1 entries"):
+            validate(broken)
+
+    def test_invalid_spec_raises_on_every_call(self, example_path):
+        spec = parse_game(example_path.read_text())
+        first = spec.state(1).actions[0]
+        bad = dataclasses.replace(
+            first, transitions=(dataclasses.replace(first.transitions[0], prob=0.25),
+                                *first.transitions[1:]))
+        states = list(spec.states)
+        states[0] = dataclasses.replace(states[0], actions=(bad, *states[0].actions[1:]))
+        broken = dataclasses.replace(spec, states=tuple(states))
+        messages = []
+        for _ in range(3):
+            with pytest.raises(GameValidationError) as exc:
+                validate(broken)
+            messages.append(str(exc.value))
+        assert messages[0].startswith("state 1 action 1: transition probabilities sum to")
+        assert messages == messages[:1] * 3
 
 
 class TestExpectedSojourn:

@@ -1,7 +1,10 @@
 import importlib
+import importlib.util
+import itertools
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,13 +21,15 @@ from pismg import (
     decompose_chain,
     deflate_unit_root,
     enumerate_pure,
+    game_from_jsonable,
     induce,
     parse_game,
     solve,
     validate_stochastic,
 )
-from pismg.censor import _sink_reach, censor
+from pismg.censor import _sinks, censor
 from pismg.markov import EPS_EDGE, EPS_PROJ, _closure, structural_limits
+from pismg.strategies import action_tables
 
 import _corpus
 
@@ -330,6 +335,96 @@ class TestClosure:
         assert np.array_equal(_closure(reach[::-1, ::-1]), expected[::-1, ::-1])
 
 
+def _sink_reach(rows: np.ndarray, decision: np.ndarray) -> np.ndarray:
+    """Reflexive reachability closure of the (n, n) transition ``rows``
+    (edges > EPS_EDGE) with the ``decision`` states made sinks: entry
+    (i, j) is 1 when some path from i to j enters no decision state
+    before its end. A dense reference for the censoring's SCC pass."""
+    edges = rows > EPS_EDGE
+    edges[decision] = False
+    return _closure((edges | np.eye(len(rows), dtype=bool)).astype(float))
+
+
+def _closure_sinks(rows: np.ndarray, decision: np.ndarray) -> tuple:
+    """``(open_, classes, enters)`` of :func:`pismg.censor._sinks`, read
+    off the dense closure: a state is open when it reaches a state that
+    does not reach it back, a closed state's class is every state with
+    the same first reached state, and a state enters the nodes whose
+    states it reaches."""
+    n, c = len(rows), len(decision)
+    reach0 = _sink_reach(rows, decision)
+    open_ = (reach0 > reach0.T).any(axis=1)
+    closed = ~open_
+    closed[decision] = False
+    heads = reach0.argmax(axis=1)
+    classes = tuple(np.flatnonzero(closed & (heads == h))
+                    for h in sorted(set(heads[closed].tolist())))
+    nodes = np.zeros((n, c + len(classes)))
+    nodes[decision, np.arange(c)] = 1.0
+    for j, idx in enumerate(classes):
+        nodes[idx, c + j] = 1.0
+    return open_, classes, np.sign(reach0 @ nodes)
+
+
+def _assert_sinks_match(rows, decision):
+    rows = np.asarray(rows, dtype=float)
+    decision = np.asarray(decision, dtype=np.intp)
+    got_open, got_classes, got_enters = _sinks(rows, decision)
+    want_open, want_classes, want_enters = _closure_sinks(rows, decision)
+    assert np.array_equal(got_open, want_open)
+    assert [idx.tolist() for idx in got_classes] == [idx.tolist() for idx in want_classes]
+    assert got_enters.dtype == want_enters.dtype
+    assert np.array_equal(got_enters, want_enters)
+
+
+def _first_action_rows(spec):
+    """A game's rows under every state's first action, and its decision
+    states, as a solve censors them."""
+    q, _, _ = action_tables(spec)
+    return q[:, 0], np.flatnonzero([len(st.actions) > 1 for st in spec.states])
+
+
+def _perfbench_games(workload: str, seed: int, count: int):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    loader_spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(loader_spec)
+    loader_spec.loader.exec_module(gen)
+    return [game_from_jsonable(obj) for obj in itertools.islice(gen.games(workload, seed), count)]
+
+
+class TestSinkComponents:
+    """The censoring's one strongly-connected-components pass against
+    the dense closure it replaced: the same open states, the same closed
+    classes in the same order, and the same 0/1 entry supports."""
+
+    def test_corpus(self):
+        for spec in _corpus.game_corpus(200, 424242):
+            _assert_sinks_match(*_first_action_rows(spec))
+
+    def test_long_benchmark_games(self):
+        for spec in _perfbench_games("long", 424242, 40):
+            _assert_sinks_match(*_first_action_rows(spec))
+
+    @pytest.mark.parametrize("rows, decision", [
+        # a cycle of one-action states 0 -> 1 -> 2 -> 0 draining into the
+        # decision state 3
+        ([[0, 1, 0, 0], [0, 0, 1, 0], [0.5, 0, 0, 0.5], [1, 0, 0, 0]], [3]),
+        # the closed class {2, 3} entered only through the transient
+        # states 1 and 4
+        ([[0, 1, 0, 0, 0], [0, 0, 0.5, 0, 0.5], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0],
+          [0, 0, 0, 1, 0]], [0]),
+        # an entry of exactly EPS_EDGE is no edge, one of 2e-12 is
+        ([[1 - EPS_EDGE - 2e-12, EPS_EDGE, 2e-12], [0, 1, 0], [0, 0, 1]], []),
+        # state 0's only edge is its self-loop
+        ([[1, 0, 0], [0.5, 0, 0.5], [0, 1, 0]], [2]),
+        ([[1.0]], []),
+        ([[1.0]], [0]),
+    ], ids=["cycle-into-decision", "class-behind-transients", "eps-edge", "self-loop",
+            "n1-closed", "n1-decision"])
+    def test_hand_built(self, rows, decision):
+        _assert_sinks_match(rows, decision)
+
+
 class TestDecisionReach:
     """Chains that differ only in the rows of a few decision states,
     censored to those states and their decision-free closed classes:
@@ -346,6 +441,7 @@ class TestDecisionReach:
         for _ in range(20):
             decision = np.sort(rng.choice(n, size=c, replace=False))
             shared = _corpus.random_stochastic(rng, n)
+            _assert_sinks_match(shared, decision)
             closed, exits, enters, _, _ = censor(shared, decision, np.ones((n, 1)))
             s = exits.shape[1]
             assert s == c + len(closed)
@@ -393,11 +489,14 @@ class TestDecisionReach:
             assert holds == (k in kept)
 
     def test_sink_reach_stops_at_decision_states(self):
-        # 0 -> 1 -> 2 -> 3 with 2 a decision state: 0 reaches 2 but not 3
+        # 0 -> 1 -> 2 -> 3 with 2 a decision state: 0 enters 2 but not the
+        # closed class {3}
         rows = np.eye(4, k=1)
         rows[3, 3] = 1.0
-        expected = np.array([[1, 1, 1, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-        assert np.array_equal(_sink_reach(rows, np.array([2])), expected)
+        open_, classes, enters = _sinks(rows, np.array([2]))
+        assert open_.tolist() == [True, True, False, False]
+        assert [idx.tolist() for idx in classes] == [[3]]
+        assert enters.tolist() == [[1, 0], [1, 0], [1, 0], [0, 1]]
 
 
 class TestStructural:

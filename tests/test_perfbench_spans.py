@@ -8,14 +8,20 @@ from pathlib import Path
 
 import pytest
 
+from pismg import parse_game, solve
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def _wrapped():
+def _spans():
     loader_spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     module = importlib.util.module_from_spec(loader_spec)
     loader_spec.loader.exec_module(module)
-    return module.WRAPPED
+    return module
+
+
+def _wrapped():
+    return _spans().WRAPPED
 
 
 @pytest.mark.parametrize(
@@ -25,3 +31,12 @@ def _wrapped():
 )
 def test_wrapped_attribute_is_callable(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+def test_both_validate_sites_see_their_calls(example_path):
+    # parse_game validates through pismg.game and solve through
+    # pismg.solve; the second call returns the spec's kept report, and
+    # the tracer still counts it
+    with _spans().Tracer() as tracer:
+        solve(parse_game(example_path.read_text()))
+    assert tracer.layer_metrics()["game.validate.calls"] == 2

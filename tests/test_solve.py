@@ -611,6 +611,27 @@ class TestSolve:
             pairs = report.diagnostics["d1"] * report.diagnostics["d2"]
             assert counts == {"chains": pairs}
 
+    def test_no_closure_wider_than_the_censored_chains(self, monkeypatch):
+        # the censoring finds a 150-state game's open states, closed
+        # classes and entry supports in one SCC pass: the only transitive
+        # closures a solve squares are those of its censored chains
+        spec = _corpus.sparse_game(np.random.default_rng(8), n=150)
+        original = MARKOV_MODULE._closure
+        widths = []
+
+        def recording(reach):
+            widths.append(reach.shape[-1])
+            return original(reach)
+
+        # every module that holds the function by name
+        for module in (MARKOV_MODULE, CENSOR_MODULE, SOLVE_MODULE):
+            if getattr(module, "_closure", None) is original:
+                monkeypatch.setattr(module, "_closure", recording)
+        solve(spec)
+        nodes = len(CENSOR_MODULE._CensoredGame(spec).q)
+        assert widths and nodes < spec.n
+        assert max(widths) <= nodes
+
     def test_matrices_match_build_payoff_matrix(self, example_spec, example_payoffs):
         assert example_payoffs.shape == (4, 4, example_spec.n)
         for s in range(1, example_spec.n + 1):
