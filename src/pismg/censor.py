@@ -8,6 +8,15 @@ closed classes that never reach them are added as absorbing nodes
 1960). With the values each epoch earns accumulated between visits, a
 semi-Markov chain censored this way keeps its long-run averages, so
 every pure pair of a game can be evaluated on its censored chain.
+
+The structure of the censoring comes from one strongly connected
+components pass (Tarjan, SIAM J. Comput. 1, 1972) over the transitions,
+with the decision states made sinks, in time linear in the transitions:
+no closure of the full chain is squared. The components of the censored
+game's node graph come from the same pass. Besides this pass and its
+LU solves, the one other per-game step of a solve is validation, which
+runs once per spec: a parsed spec keeps its report
+(:func:`pismg.game.validate`).
 """
 
 from __future__ import annotations
@@ -27,18 +36,26 @@ from .markov import (
 from .strategies import action_tables
 
 
-def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+def _components(n: int, src: np.ndarray, dst: np.ndarray) -> tuple:
     """Strongly connected components of the graph on n states with the
     edges ``src[k] -> dst[k]``, ``src`` ascending (as ``np.nonzero``
     gives them), by one iterative pass of Tarjan's algorithm (SIAM J.
-    Comput. 1, 1972) in O(n + e). Returns each state's component,
-    numbered in the order the pass completes them: an edge never leads
-    to a component of a larger number (reverse topological order). The
-    pass starts from the states in ascending order, so on a symmetric
-    graph the components are numbered by smallest member."""
+    Comput. 1, 1972) in O(n + e).
+
+    Returns ``(comp, reach, sinks)``: each state's component, numbered
+    in the order the pass completes them, so that an edge never leads to
+    a component of a larger number (reverse topological order); per
+    state, the integer bitmask of the sink components (those no edge
+    leaves) it reaches, bit b for ``sinks[b]``; and the sink components
+    in the order they complete. A component completes after every
+    component it reaches, so its mask is the OR of the masks its edges
+    lead to, or a new bit of its own when no edge leaves it. The pass
+    starts from the states in ascending order, so on a symmetric graph
+    the components are numbered by smallest member."""
     succ = dst.tolist()
     start = np.searchsorted(src, np.arange(n + 1)).tolist()
-    index, low, comp = [-1] * n, [0] * n, [-1] * n
+    index, low, comp, reach = [-1] * n, [0] * n, [-1] * n, [0] * n
+    sinks: list[int] = []
     stack: list[int] = []
     count = done = 0
     for root in range(n):
@@ -57,21 +74,31 @@ def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
                 i += 1
                 if index[w] < 0:
                     break
-                # an edge to a state still on the stack closes a cycle
-                if comp[w] < 0 and index[w] < low[v]:
+                if comp[w] >= 0:
+                    # a completed component, whose mask is final
+                    reach[v] |= reach[w]
+                elif index[w] < low[v]:
+                    # a state still on the stack: the edge closes a cycle
                     low[v] = index[w]
             else:
                 path.pop()
                 pos.pop()
                 if low[v] == index[v]:
+                    mask = reach[v]
+                    if not mask:
+                        mask = 1 << len(sinks)
+                        sinks.append(done)
                     while True:
                         w = stack.pop()
-                        comp[w] = done
+                        comp[w], reach[w] = done, mask
                         if w == v:
                             break
                     done += 1
-                if path and low[v] < low[path[-1]]:
-                    low[path[-1]] = low[v]
+                if path:
+                    u = path[-1]
+                    reach[u] |= reach[v]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
                 continue
             pos[-1] = i
             index[w] = low[w] = count
@@ -79,7 +106,7 @@ def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
             stack.append(w)
             path.append(w)
             pos.append(start[w])
-    return np.array(comp, dtype=np.intp)
+    return np.array(comp, dtype=np.intp), reach, sinks
 
 
 def _sinks(rows: np.ndarray, decision: np.ndarray) -> tuple:
@@ -92,38 +119,25 @@ def _sinks(rows: np.ndarray, decision: np.ndarray) -> tuple:
     each state may enter, the i-th decision state node i and the j-th
     closed class node c + j.
 
-    A component is closed when no edge leaves it and open otherwise; a
-    decision state, whose row is dropped, is a closed component of its
-    own. The nodes each component may enter are integer bitmasks,
-    propagated over the edges between components in reverse topological
-    order, so each component's mask is final before an edge reads it."""
-    n, c = len(rows), len(decision)
+    The closed components are the sinks of the pass; a decision state,
+    whose row is dropped, is one of its own. The nodes each state may
+    enter are the bits of its mask, reordered from the order the sinks
+    complete to the order of the nodes."""
+    n = len(rows)
     edges = rows > EPS_EDGE
     edges[decision] = False
-    src, dst = np.nonzero(edges)
-    comp = _components(n, src, dst)
-    tail, head = comp[src], comp[dst]
-    cross = tail != head
-    tail, head = tail[cross], head[cross]
-    sinks = np.ones(int(comp.max()) + 1, dtype=bool)
-    sinks[tail] = False
-    open_ = ~sinks[comp]
-    sinks[comp[decision]] = False
-    classes = tuple(sorted((np.flatnonzero(comp == h) for h in np.flatnonzero(sinks)),
+    comp, reach, sinks = _components(n, *np.nonzero(edges))
+    closed = np.zeros(n, dtype=bool)
+    closed[sinks] = True
+    heads = comp[decision].tolist()
+    classes = tuple(sorted((np.flatnonzero(comp == h) for h in set(sinks).difference(heads)),
                            key=lambda idx: idx[0]))
-    masks = [0] * len(sinks)
-    for x, h in enumerate(comp[decision].tolist() + [comp[idx[0]] for idx in classes]):
-        masks[h] = 1 << x
-    # every edge leads to a smaller component, so in ascending order of
-    # their tails each edge reads a finished mask
-    order = np.argsort(tail, kind="stable")
-    for a, b in zip(tail[order].tolist(), head[order].tolist()):
-        masks[a] |= masks[b]
-    s = c + len(classes)
-    width = (s + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(len(masks), width), axis=1, count=s, bitorder="little")
-    return open_, classes, bits[comp].astype(float)
+    bit = {h: b for b, h in enumerate(sinks)}
+    order = [bit[h] for h in heads] + [bit[comp[idx[0]]] for idx in classes]
+    width = (len(sinks) + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in reach), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(n, width), axis=1, count=len(sinks), bitorder="little")
+    return ~closed[comp], classes, bits[:, order].astype(float)
 
 
 def censor(rows, decision, values) -> tuple:
@@ -142,8 +156,10 @@ def censor(rows, decision, values) -> tuple:
 
     Only the rows outside ``decision`` are read. With the decision
     states made sinks, a decision-free state is closed when every state
-    it reaches reaches it back; the other decision-free states U drain
-    into the decision states and the closed classes, and one LU of
+    it reaches reaches it back, which one strongly connected components
+    pass finds along with the support (see :func:`_sinks`); the other
+    decision-free states U drain into the decision states and the
+    closed classes, and one LU of
     I - Q_UU gives both their exit distribution and their accumulated
     values. The solve's residual and the exit rows' sums are checked,
     and each closed class's stationary row as in the structural
@@ -295,7 +311,7 @@ class _CensoredGame:
         link = self.edges.any(axis=1) | (self.enters.T @ self.enters > 0)
         # the strongly connected components of the symmetrised graph,
         # numbered by smallest node
-        comp = _components(s, *np.nonzero(link | link.T))
+        comp = _components(s, *np.nonzero(link | link.T))[0]
         owner = comp[np.concatenate([np.arange(s), self.first])][self.rows]
         return [(np.flatnonzero(comp == h), np.flatnonzero(owner == h))
                 for h in range(int(comp.max()) + 1)]
