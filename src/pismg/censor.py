@@ -42,7 +42,7 @@ def _components(n: int, src: np.ndarray, dst: np.ndarray) -> tuple:
     gives them), by one iterative pass of Tarjan's algorithm (SIAM J.
     Comput. 1, 1972) in O(n + e).
 
-    Returns ``(comp, reach, sinks)``: each state's component, numbered
+    Returns the lists ``(comp, reach, sinks)``: each state's component, numbered
     in the order the pass completes them, so that an edge never leads to
     a component of a larger number (reverse topological order); per
     state, the integer bitmask of the sink components (those no edge
@@ -106,7 +106,7 @@ def _components(n: int, src: np.ndarray, dst: np.ndarray) -> tuple:
             stack.append(w)
             path.append(w)
             pos.append(start[w])
-    return np.array(comp, dtype=np.intp), reach, sinks
+    return comp, reach, sinks
 
 
 def _sinks(rows: np.ndarray, decision: np.ndarray) -> tuple:
@@ -127,17 +127,23 @@ def _sinks(rows: np.ndarray, decision: np.ndarray) -> tuple:
     edges = rows > EPS_EDGE
     edges[decision] = False
     comp, reach, sinks = _components(n, *np.nonzero(edges))
-    closed = np.zeros(n, dtype=bool)
-    closed[sinks] = True
-    heads = comp[decision].tolist()
-    classes = tuple(sorted((np.flatnonzero(comp == h) for h in set(sinks).difference(heads)),
-                           key=lambda idx: idx[0]))
     bit = {h: b for b, h in enumerate(sinks)}
-    order = [bit[h] for h in heads] + [bit[comp[idx[0]]] for idx in classes]
+    heads = [comp[x] for x in decision.tolist()]
+    order, seen = [bit[h] for h in heads], set(heads)
+    classes = []
+    # in ascending order, each closed class shows first at its smallest
+    # member
+    for x, h in enumerate(comp):
+        if h in bit and h not in seen:
+            seen.add(h)
+            classes.append(np.array([y for y in range(x, n) if comp[y] == h]))
+            order.append(bit[h])
     width = (len(sinks) + 7) // 8
     raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in reach), dtype=np.uint8)
     bits = np.unpackbits(raw.reshape(n, width), axis=1, count=len(sinks), bitorder="little")
-    return ~closed[comp], classes, bits[:, order].astype(float)
+    # C order, as a product would give: a column gather leaves F order
+    enters = bits[:, order].astype(float, order="C")
+    return np.array([h not in bit for h in comp]), tuple(classes), enters
 
 
 def censor(rows, decision, values) -> tuple:
@@ -166,12 +172,9 @@ def censor(rows, decision, values) -> tuple:
     method."""
     rows = np.asarray(rows, dtype=float)
     values = np.asarray(values, dtype=float)
-    n, c = len(rows), len(decision)
     open_, classes, enters = _sinks(rows, decision)
-    nodes = np.zeros((n, c + len(classes)))
-    nodes[decision, np.arange(c)] = 1.0
-    for j, idx in enumerate(classes):
-        nodes[idx, c + j] = 1.0
+    # a state that is not open enters its own node only
+    nodes = np.where(open_[:, None], 0.0, enters)
     s = nodes.shape[1]
     exits, accumulated = nodes.copy(), np.zeros(values.shape)
     transient = np.flatnonzero(open_)
@@ -311,7 +314,7 @@ class _CensoredGame:
         link = self.edges.any(axis=1) | (self.enters.T @ self.enters > 0)
         # the strongly connected components of the symmetrised graph,
         # numbered by smallest node
-        comp = _components(s, *np.nonzero(link | link.T))[0]
+        comp = np.array(_components(s, *np.nonzero(link | link.T))[0])
         owner = comp[np.concatenate([np.arange(s), self.first])][self.rows]
         return [(np.flatnonzero(comp == h), np.flatnonzero(owner == h))
                 for h in range(int(comp.max()) + 1)]

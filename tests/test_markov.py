@@ -373,7 +373,7 @@ def _assert_sinks_match(rows, decision):
     want_open, want_classes, want_enters = _closure_sinks(rows, decision)
     assert np.array_equal(got_open, want_open)
     assert [idx.tolist() for idx in got_classes] == [idx.tolist() for idx in want_classes]
-    assert got_enters.dtype == want_enters.dtype
+    assert got_enters.dtype == want_enters.dtype and got_enters.flags.c_contiguous
     assert np.array_equal(got_enters, want_enters)
 
 
