@@ -13,10 +13,9 @@ The structure of the censoring comes from one strongly connected
 components pass (Tarjan, SIAM J. Comput. 1, 1972) over the transitions,
 with the decision states made sinks, in time linear in the transitions:
 no closure of the full chain is squared. The components of the censored
-game's node graph come from the same pass. Besides this pass and its
-LU solves, the one other per-game step of a solve is validation, which
-runs once per spec: a parsed spec keeps its report
-(:func:`pismg.game.validate`).
+game's node graph come from the same pass. The other per-game step of
+a solve that walks every transition, validation, runs once per spec: a
+parsed spec keeps its report (:func:`pismg.game.validate`).
 """
 
 from __future__ import annotations
@@ -42,12 +41,12 @@ def _components(n: int, src: np.ndarray, dst: np.ndarray) -> tuple:
     gives them), by one iterative pass of Tarjan's algorithm (SIAM J.
     Comput. 1, 1972) in O(n + e).
 
-    Returns the lists ``(comp, reach, sinks)``: each state's component, numbered
-    in the order the pass completes them, so that an edge never leads to
-    a component of a larger number (reverse topological order); per
-    state, the integer bitmask of the sink components (those no edge
-    leaves) it reaches, bit b for ``sinks[b]``; and the sink components
-    in the order they complete. A component completes after every
+    Returns the lists ``(comp, reach, sinks)``: each state's component,
+    numbered in the order the pass completes them, so that an edge never
+    leads to a component of a larger number (reverse topological order);
+    per state, the integer bitmask of the sink components (those no edge
+    leaves) its component reaches, bit b for ``sinks[b]``; and the sink
+    components in the order they complete. A component completes after every
     component it reaches, so its mask is the OR of the masks its edges
     lead to, or a new bit of its own when no edge leaves it. The pass
     starts from the states in ascending order, so on a symmetric graph

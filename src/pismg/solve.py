@@ -401,13 +401,12 @@ def solve(spec: GameSpec, *, saddle_eps: float | None = None) -> SolveReport:
     per_state: list[SaddleResult] = []
     violations: list[tuple[int, int, int, int] | None] = []
     # states of one recurrent class share a payoff matrix: search it once,
-    # keyed by its bytes, a row of one contiguous copy of the tensor
+    # keyed by its bytes in one contiguous (N, D1, D2) copy of the tensor
     matrices = np.ascontiguousarray(payoffs.transpose(2, 0, 1))
-    keys = matrices.reshape(spec.n, -1)
     searched: dict[bytes, tuple[tuple[int, int, int, int] | None, SaddleResult]] = {}
     for s in range(1, spec.n + 1):
         entries = matrices[s - 1]
-        key = keys[s - 1].tobytes()
+        key = entries.tobytes()
         if key not in searched:
             eps = saddle_eps if saddle_eps is not None else saddle_tolerance(entries)
             # the saddle search first: it rejects non-finite entries, whose
