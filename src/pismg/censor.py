@@ -235,9 +235,8 @@ class _CensoredGame:
     time the full chain accumulates from leaving node x until it enters
     the next node. A closed-class node has one action, which stays put,
     with its class's per-epoch means. Decision state ``decision[i]`` is
-    node i; a game without one-action states is its own censored game.
-    ``states[x]`` lists the 0-based states node x stands for (None when
-    the nodes are the states), so an error names a class by its states.
+    node i. ``states[x]`` lists the 0-based states node x stands for, so
+    an error names a class by its states.
 
     A state that enters one node only takes that node's payoff; the
     states that may enter several mix the nodes' limits by their exit
@@ -259,12 +258,6 @@ class _CensoredGame:
         self.n = spec.n
         self.decision = np.flatnonzero([len(st.actions) > 1 for st in spec.states])
         table = np.array([r, np.ones(r.shape), tau])
-        if len(self.decision) == spec.n:
-            self.q, self.edges, self.values = q, q > EPS_EDGE, table
-            self.exits, self.enters = np.eye(spec.n), np.zeros((0, spec.n))
-            self.first, self.rows = self.decision[:0], self.decision
-            self.states = None
-            return
         closed, exits, enters, accumulated, means = censor(
             q[:, 0], self.decision, table[:, :, 0].T)
         self.states = [(x,) for x in self.decision.tolist()] + [c.tolist() for c in closed]
@@ -276,15 +269,14 @@ class _CensoredGame:
         with np.errstate(over="ignore"):
             self.values = (table[:, self.decision]
                            + (chosen @ accumulated).transpose(2, 0, 1))
-        if closed:
-            c, m = len(self.decision), len(closed)
-            stay = np.zeros((m, q.shape[1], c + m))
-            stay[np.arange(m), 0, np.arange(c, c + m)] = 1.0
-            tail = np.zeros((3, m, q.shape[1]))
-            tail[:, :, 0] = means.T
-            self.q = np.concatenate([self.q, stay])
-            self.edges = np.concatenate([self.edges, stay > 0])
-            self.values = np.concatenate([self.values, tail], axis=1)
+        c, m = len(self.decision), len(closed)
+        stay = np.zeros((m, q.shape[1], c + m))
+        stay[np.arange(m), 0, np.arange(c, c + m)] = 1.0
+        tail = np.zeros((3, m, q.shape[1]))
+        tail[:, :, 0] = means.T
+        self.q = np.concatenate([self.q, stay])
+        self.edges = np.concatenate([self.edges, stay > 0])
+        self.values = np.concatenate([self.values, tail], axis=1)
         s = len(self.q)
         self.rows = enters.argmax(axis=1)
         mixed = enters.sum(axis=1) > 1

@@ -47,9 +47,8 @@ the nodes it may enter, weighted by its exit distribution (QQ* = Q*).
 The censored chains are gathered from the censored action tables in
 stacks of at most ``_CHUNK_ENTRIES`` entries, and their stationary and
 absorption solves are stacked across chains
-(:func:`pismg.markov.structural_limits`). A game without one-action
-states is its own censored game; one with n = 150 states of which 8
-choose runs chains of about 9 nodes.
+(:func:`pismg.markov.structural_limits`). A game with n = 150 states
+of which 8 choose runs chains of about 9 nodes.
 
 The nodes fall into components that no action and no state links (see
 :meth:`pismg.censor._CensoredGame.components`). Q* is block-diagonal
@@ -63,6 +62,15 @@ states from the representative with the same actions inside. Every
 entry is still phi of that pair's own chain, bit for bit. A game of one
 component evaluates all D1 D2 pairs; two independent sub-games of 100
 strategies each evaluate 200 chains, not 10,000.
+
+Every pair is evaluated this one way, :func:`payoff_vector` too: it is
+the tensor of one pair. A failed check names the first pair, in ordinal
+order, whose own chain fails, with that chain's error text. The stack
+that failed may hold a representative that comes later, so on a failure
+every pair's own chain runs again in ordinal-order stacks on the same
+censored game, and the first failing stack one chain at a time. A chain's
+bits do not depend on the other chains of its stack, so this names the
+pair at the cost of a second pass, not of a censoring per pair.
 """
 
 from __future__ import annotations
@@ -154,12 +162,9 @@ def _check_tolerance(eps: float | None) -> None:
 def payoff_vector(spec: GameSpec, f: PureStationaryStrategy,
                   g: PureStationaryStrategy) -> np.ndarray:
     """phi(s, f, g) for every initial state s, as an array indexed
-    s - 1: the pair's censored chain evaluated as a stack of one."""
-    try:
-        game = _CensoredGame(spec)
-        return game.payoffs(game.actions((f,), (g,)))[0]
-    except NumericalError as e:
-        raise NumericalError(f"pair ({f.label}, {g.label}): {e}") from e
+    s - 1: the payoff tensor of the one pair, each component's chain a
+    stack of one."""
+    return _payoff_tensor(spec, (f,), (g,))[0, 0]
 
 
 def _payoff_tensor(spec: GameSpec, fs, gs) -> np.ndarray:
@@ -172,13 +177,26 @@ def _payoff_tensor(spec: GameSpec, fs, gs) -> np.ndarray:
     copies its entries at the component's states from the representative
     with the same actions inside. A representative's row is written whole,
     so the entries it holds outside the component are those of its own
-    chain; a later component's copies overwrite only their own states."""
+    chain; a later component's copies overwrite only their own states.
+
+    A failed check raises :class:`NumericalError` naming the first pair,
+    in ordinal order, whose own chain fails. The censoring reads no
+    player's choices, so its failure names the first pair. A check in a
+    stack is a maximum or an ``any`` over its chains, and a chain's bits
+    do not depend on the other chains of its stack, so a stack fails
+    exactly when one of its chains fails alone: when a stack fails, every
+    pair's own chain runs again in stacks in ordinal order on the same
+    censored game, and the first failing stack one chain at a time,
+    which gives that chain's own error text."""
     tensor = np.empty((len(fs), len(gs), spec.n))
     flat = tensor.reshape(-1, spec.n)
     try:
         game = _CensoredGame(spec)
-        acts = game.actions(fs, gs)
-        step = max(1, _CHUNK_ENTRIES // acts.shape[1] ** 2)
+    except NumericalError as e:
+        raise NumericalError(f"pair ({fs[0].label}, {gs[0].label}): {e}") from e
+    acts = game.actions(fs, gs)
+    step = max(1, _CHUNK_ENTRIES // acts.shape[1] ** 2)
+    try:
         # the pairs count through the nodes' actions in mixed radix, so a
         # pair's index is the sum of its actions times their place values:
         # at each node, the index of the first pair that plays action 1
@@ -194,10 +212,18 @@ def _payoff_tensor(spec: GameSpec, fs, gs) -> np.ndarray:
             copies = np.flatnonzero(~own)
             flat[copies[:, None], states] = flat[rep[copies, None], states]
     except NumericalError:
-        # a check failed in the stack (or in the censoring): the per-pair
-        # path raises for its first failing pair, naming it
-        for k in range(len(flat)):
-            payoff_vector(spec, fs[k // len(gs)], gs[k % len(gs)])
+        # a failing representative is itself a pair, so some stack below
+        # fails too
+        for lo in range(0, len(acts), step):
+            try:
+                game.payoffs(acts[lo:lo + step])
+            except NumericalError:
+                for k in range(len(acts))[lo:lo + step]:
+                    try:
+                        game.payoffs(acts[k:k + 1])
+                    except NumericalError as e:
+                        f, g = fs[k // len(gs)], gs[k % len(gs)]
+                        raise NumericalError(f"pair ({f.label}, {g.label}): {e}") from e
         raise
     return tensor
 

@@ -100,14 +100,15 @@ def random_game(rng: np.random.Generator, name: str, max_states: int = 6,
     return spec
 
 
-def sparse_game(rng: np.random.Generator, n: int = 150) -> GameSpec:
-    """n states with 1-3 successors per action; four states per player
-    have two actions and the rest one, so D1 = D2 = 16."""
-    two_actions = [int(s) + 1 for s in rng.choice(n, size=8, replace=False)]
+def sparse_game(rng: np.random.Generator, n: int = 150, per_player: int = 4) -> GameSpec:
+    """n states with 1-3 successors per action; ``per_player`` states per
+    player have two actions and the rest one, so D1 = D2 =
+    2^per_player (16 by default)."""
+    two_actions = [int(s) + 1 for s in rng.choice(n, size=2 * per_player, replace=False)]
     states = []
     for sid in range(1, n + 1):
         if sid in two_actions:
-            controller = "I" if two_actions.index(sid) < 4 else "II"
+            controller = "I" if two_actions.index(sid) < per_player else "II"
         else:
             controller = "I" if sid % 2 else "II"
         actions = []

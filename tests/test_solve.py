@@ -33,6 +33,8 @@ from pismg import (
     strategy_from_ordinal,
 )
 from pismg.cli import main
+from pismg.markov import EPS_EDGE
+from pismg.strategies import action_tables
 
 import _corpus
 from _adjacent import adjacent_pairs, adjacent_quadruple_gaps
@@ -924,6 +926,51 @@ class TestBatchedPairs:
             "pair (f1, g1): numerically degenerate chain: absorption rows do not sum to 1"
         )
 
+    def test_last_pair_failure_is_named_from_one_censored_game(self, monkeypatch):
+        # a failure planted at the last of 4,096 pairs: the censored game
+        # is built once, and naming the pair takes one pass of stacks in
+        # ordinal order and one stack of single chains after the failed
+        # pass, not a censoring per pair
+        spec = _corpus.sparse_game(np.random.default_rng(101), per_player=6)
+        game = CENSOR_MODULE._CensoredGame(spec)
+        assert len(game.components()) == 1 and len(game.decision) == 12
+        step = max(1, SOLVE_MODULE._CHUNK_ENTRIES // len(game.q) ** 2)
+        counts = Counter()
+        init, payoffs = CENSOR_MODULE._CensoredGame.__init__, CENSOR_MODULE._CensoredGame.payoffs
+
+        def counted_init(self, *args):
+            counts["init"] += 1
+            init(self, *args)
+
+        def planted(self, acts):
+            counts["payoffs"] += 1
+            # the last pair plays the second action at every decision node
+            if (acts[:, :12] == 1).all(axis=1).any():
+                raise NumericalError("planted")
+            return payoffs(self, acts)
+
+        monkeypatch.setattr(CENSOR_MODULE._CensoredGame, "__init__", counted_init)
+        monkeypatch.setattr(CENSOR_MODULE._CensoredGame, "payoffs", planted)
+        with pytest.raises(NumericalError) as exc:
+            solve(spec)
+        assert str(exc.value) == "pair (f64, g64): planted"
+        stacks = -(-4096 // step)
+        assert counts["init"] == 1
+        assert counts["payoffs"] <= stacks + step + stacks
+
+    def test_game_without_one_action_states_is_its_own_censored_game(self):
+        # every state a node, every node its own state, and the tables
+        # those of the game, bit for bit
+        for spec in _corpus.game_corpus(20, seed=37, min_actions=2):
+            game = CENSOR_MODULE._CensoredGame(spec)
+            q, r, tau = action_tables(spec)
+            assert np.array_equal(game.q, q) and np.array_equal(game.edges, q > EPS_EDGE)
+            assert np.array_equal(game.values, np.array([r, np.ones(r.shape), tau]))
+            assert np.array_equal(game.exits, np.eye(spec.n))
+            assert game.rows.tolist() == list(range(spec.n)) and game.first.size == 0
+            assert game.enters.shape == (0, spec.n)
+            assert game.states == [(x,) for x in range(spec.n)]
+
     @pytest.mark.parametrize("closed, states", [(False, "(1, 3)"), (True, "(4, 5)")])
     def test_censored_failure_names_the_class_by_its_states(
         self, monkeypatch, closed, states
@@ -1062,6 +1109,27 @@ class TestComponents:
         report = solve(spec)
         assert report.diagnostics["d1"] * report.diagnostics["d2"] == 10_000
         assert sum(chains) == 200
+
+    def test_failure_names_the_first_pair_in_ordinal_order(self, monkeypatch):
+        # player I's component is evaluated first, on the pairs (f, g1),
+        # and fails at (f3, g1), ordinal 200; player II's fails at
+        # (f1, g5), ordinal 4, which is the pair to name
+        spec = _corpus.decoupled_game(np.random.default_rng(5))
+        fs, gs = enumerate_pure(spec, "I"), enumerate_pure(spec, "II")
+        game = CENSOR_MODULE._CensoredGame(spec)
+        bad_f = game.actions(fs[2:3], gs[:1])[0, :2]
+        bad_g = game.actions(fs[:1], gs[4:5])[0, 2:]
+        payoffs = CENSOR_MODULE._CensoredGame.payoffs
+
+        def planted(self, acts):
+            if ((acts[:, :2] == bad_f).all(axis=1) | (acts[:, 2:] == bad_g).all(axis=1)).any():
+                raise NumericalError("planted")
+            return payoffs(self, acts)
+
+        monkeypatch.setattr(CENSOR_MODULE._CensoredGame, "payoffs", planted)
+        with pytest.raises(NumericalError) as exc:
+            solve(spec)
+        assert str(exc.value) == "pair (f1, g5): planted"
 
     @pytest.mark.parametrize("link", [False, True], ids=["disjoint", "linked"])
     def test_disjoint_unions_match_payoff_vector_bit_for_bit(self, link):
