@@ -376,9 +376,20 @@ def _absorption(tt: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray:
     The first ``k`` columns of ``rhs`` are the one-step probabilities
     into each of k absorbing sets, so those columns of x are absorption
     probabilities: their rows must sum to 1, and they are clipped to
-    [0, 1]. Any further columns are returned as solved."""
+    [0, 1]. Any further columns are returned as solved.
+
+    Each diagonal entry of I - tt is formed as its row's exit mass plus
+    its off-diagonal mass, never as 1 - tt_ii (Grassmann, Taksar and
+    Heyman, Operations Research 33, 1985): a block that escapes with
+    probability 1e-10 per round keeps its digits."""
+    a = -tt
+    # a view that writes through in any memory order; a reshape of
+    # F-ordered blocks would copy them, and the write would be lost
+    diagonal = np.einsum("...ii->...i", a)
+    diagonal[...] = 0.0
+    diagonal += rhs[..., :k].sum(axis=-1) - a.sum(axis=-1)
     try:
-        x = _solve(np.eye(tt.shape[-1]) - tt, rhs)
+        x = _solve(a, rhs)
     except np.linalg.LinAlgError as e:
         raise NumericalError(
             f"numerically degenerate chain: absorption solve failed: {e}"

@@ -4,15 +4,19 @@ floating-point arithmetic with the solver.
 Every input is read from its decimal text (``Fraction(repr(x))``), each
 transition row is divided by its exact sum, and the stationary and
 absorption systems are solved by Gaussian elimination over fractions.
-Only the chain's structure, its recurrent classes and transient states,
-comes from :func:`pismg.decompose_chain`.
+Only the chain's edges come from the solver's rule, a transition of
+probability above ``EPS_EDGE``; its recurrent classes and transient
+states are found from them by a reachability closure over sets, so the
+oracle still answers where a floating-point decomposition of the chain
+would fail its own checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from pismg import decompose_chain, induce
+from pismg import induce
+from pismg.markov import EPS_EDGE
 
 
 def _exact(x: float) -> Fraction:
@@ -43,6 +47,20 @@ def _solve(a: list, b: list) -> list:
     return [[x / rows[r][r] for x in rows[r][n:]] for r in range(n)]
 
 
+def _structure(q) -> tuple[list, list]:
+    """Recurrent classes and transient states of the float matrix ``q``
+    with its entries above EPS_EDGE as edges: a state is recurrent when
+    every state it reaches reaches it back."""
+    n = len(q)
+    reach = [{y for y in range(n) if q[x][y] > EPS_EDGE} | {x} for x in range(n)]
+    # k rounds cover every path of up to 2^k edges
+    for _ in range(n.bit_length()):
+        reach = [set().union(*(reach[y] for y in r)) for r in reach]
+    recurrent = [x for x in range(n) if all(x in reach[y] for y in reach[x])]
+    classes = sorted({tuple(sorted(reach[x])) for x in recurrent})
+    return classes, [x for x in range(n) if x not in recurrent]
+
+
 def exact_phi(spec, f, g) -> list[Fraction]:
     """phi(s, f, g) for every state s, indexed s - 1, as exact fractions."""
     n = spec.n
@@ -57,9 +75,9 @@ def exact_phi(spec, f, g) -> list[Fraction]:
         r.append(_exact(act.reward))
         tau.append(sum(q[i][tr.to - 1] * _mean(tr.sojourn or act.default_sojourn)
                        for tr in act.transitions))
-    dec = decompose_chain(induce(spec, f, g).q)
+    classes, transient = _structure(induce(spec, f, g).q)
     means = []
-    for cls in dec.recurrent_classes:
+    for cls in classes:
         # pi (Q_KK - I) = 0 with the last balance equation replaced by sum(pi) = 1
         a = [[q[x][y] - (x == y) for x in cls] for y in cls]
         a[-1] = [Fraction(1)] * len(cls)
@@ -67,11 +85,11 @@ def exact_phi(spec, f, g) -> list[Fraction]:
         means.append((sum(p * r[x] for p, x in zip(pi, cls)),
                       sum(p * tau[x] for p, x in zip(pi, cls))))
     weights = {x: [Fraction(k == c) for c in range(len(means))]
-               for k, cls in enumerate(dec.recurrent_classes) for x in cls}
-    if dec.transient:
-        t = dec.transient
+               for k, cls in enumerate(classes) for x in cls}
+    if transient:
+        t = transient
         a = [[(x == y) - q[x][y] for y in t] for x in t]
-        b = [[sum(q[x][y] for y in cls) for cls in dec.recurrent_classes] for x in t]
+        b = [[sum(q[x][y] for y in cls) for cls in classes] for x in t]
         weights.update(zip(t, _solve(a, b)))
     return [sum(w * m[0] for w, m in zip(weights[s], means))
             / sum(w * m[1] for w, m in zip(weights[s], means)) for s in range(n)]

@@ -355,6 +355,9 @@ GOLDEN = [
     # one-action cycles around and away from a decision state, and a
     # closed class entered only through transient states
     ("solve_cycles.txt", "cycles", ["solve", "{game}", "--no-banner", "--emit-matrices"]),
+    # a loop that escapes with probability 1e-10 per round: the
+    # absorption solve keeps its digits, and every value is 2
+    ("solve_thin_loop.txt", "thin_loop", ["solve", "{game}", "--no-banner", "--emit-matrices"]),
     ("validate_example_s5.json", "example", ["validate", "{game}", "--format", "json"]),
     ("simulate_example_s5.json", "example",
      ["simulate", "{game}", "--max", "2", "--min", "0", "--start", "1",

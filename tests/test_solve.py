@@ -1149,6 +1149,72 @@ class TestComponents:
             assert np.array_equal(tensor, reference), spec.name
 
 
+class TestThinEscapes:
+    """Transient blocks that leave with a tiny probability per round. The
+    absorption solve forms each diagonal entry of I - Q_TT as its row's
+    exit mass plus its off-diagonal mass (Grassmann, Taksar and Heyman),
+    never as 1 - q_ii, so these games keep their digits."""
+
+    @staticmethod
+    def _action(label, reward, row):
+        return ActionSpec(label, reward, tuple(Transition(d, p) for d, p in row.items()),
+                          SojournModel("mean", (1.0,)))
+
+    @classmethod
+    def thin_loop(cls, eps):
+        # "leak" escapes from state 1 through state 2 with probability
+        # eps^2 per round; "stay" holds state 1 at reward 1
+        act = cls._action
+        return GameSpec("thin-loop", (
+            StateSpec(1, "I", (act("leak", 1.0, {1: 1 - eps, 2: eps}),
+                               act("stay", 1.0, {1: 1.0}))),
+            StateSpec(2, "II", (act("back", 1.0, {3: eps, 1: 1 - eps}),)),
+            StateSpec(3, "II", (act("sink", 2.0, {3: 1.0}),)),
+        ))
+
+    @classmethod
+    def two_loops(cls, eps):
+        # a transient block of two decision states under (leak, leak)
+        act = cls._action
+        return GameSpec("two-loops", tuple(
+            StateSpec(sid, "I", (act("leak", 1.0, {sid: 1 - eps - eps * eps, 3 - sid: eps,
+                                                  3: eps * eps}),
+                                 act("stay", 1.0, {sid: 1.0})))
+            for sid in (1, 2)) + (StateSpec(3, "II", (act("sink", 2.0, {3: 1.0}),)),))
+
+    @staticmethod
+    def _assert_exact(spec):
+        report = solve(spec)
+        for f in enumerate_pure(spec, "I"):
+            for g in enumerate_pure(spec, "II"):
+                for s, x in enumerate(exact_phi(spec, f, g)):
+                    got = Fraction(float(report.payoffs[f.ordinal, g.ordinal, s]))
+                    assert abs(got - x) <= Fraction(1, 10**13) * max(1, abs(x)), (f.label, s + 1)
+        return report
+
+    @pytest.mark.parametrize("eps", [10.0**-k for k in range(3, 12)])
+    def test_thin_loop_matches_exact(self, eps):
+        report = self._assert_exact(self.thin_loop(eps))
+        assert report.value == (2.0, 2.0, 2.0)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 2e-6])
+    def test_two_decision_states_match_exact(self, eps):
+        assert eps * eps > EPS_EDGE
+        report = self._assert_exact(self.two_loops(eps))
+        assert report.value == (2.0, 2.0, 2.0)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-11])
+    def test_escape_at_or_below_edge_threshold_is_no_edge(self, eps):
+        # the standing fact: {1, 2} is then a closed class of reward 1
+        assert eps * eps <= EPS_EDGE
+        assert solve(self.two_loops(eps)).value == (1.0, 1.0, 2.0)
+
+    def test_thin_loop_golden_is_this_game(self):
+        # tests/data/thin_loop.json pins the CLI output at eps = 1e-5
+        data = Path(__file__).parent / "data" / "thin_loop.json"
+        assert parse_game(data.read_text()) == self.thin_loop(1e-5)
+
+
 class TestScaling:
     def test_reward_scaling(self):
         for spec in _corpus.game_corpus(5, seed=71):
