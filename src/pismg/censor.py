@@ -262,22 +262,20 @@ class _CensoredGame:
             q[:, 0], self.decision, table[:, :, 0].T)
         self.states = [(x,) for x in self.decision.tolist()] + [c.tolist() for c in closed]
         chosen = q[self.decision]
-        self.q = chosen @ exits
-        self.edges = (chosen > EPS_EDGE).astype(float) @ enters > 0
+        c, s = len(self.decision), len(self.states)
+        # the decision nodes' censored rows, then the closed classes' one
+        # action each, which stays put
+        self.q = np.zeros((s, q.shape[1], s))
+        self.q[:c] = chosen @ exits
+        self.q[np.arange(c, s), 0, np.arange(c, s)] = 1.0
+        self.edges = self.q > 0
+        self.edges[:c] = (chosen > EPS_EDGE).astype(float) @ enters > 0
+        self.values = np.zeros((3, s, q.shape[1]))
         # a node's value may overflow to inf as phi may (see payoffs),
         # which names the first state whose payoff it leaves infinite
         with np.errstate(over="ignore"):
-            self.values = (table[:, self.decision]
-                           + (chosen @ accumulated).transpose(2, 0, 1))
-        c, m = len(self.decision), len(closed)
-        stay = np.zeros((m, q.shape[1], c + m))
-        stay[np.arange(m), 0, np.arange(c, c + m)] = 1.0
-        tail = np.zeros((3, m, q.shape[1]))
-        tail[:, :, 0] = means.T
-        self.q = np.concatenate([self.q, stay])
-        self.edges = np.concatenate([self.edges, stay > 0])
-        self.values = np.concatenate([self.values, tail], axis=1)
-        s = len(self.q)
+            self.values[:, :c] = table[:, self.decision] + (chosen @ accumulated).transpose(2, 0, 1)
+        self.values[:, c:, 0] = means.T
         self.rows = enters.argmax(axis=1)
         mixed = enters.sum(axis=1) > 1
         self.first = self.rows[mixed]

@@ -387,7 +387,7 @@ def _absorption(tt: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray:
     # F-ordered blocks would copy them, and the write would be lost
     diagonal = np.einsum("...ii->...i", a)
     diagonal[...] = 0.0
-    diagonal += rhs[..., :k].sum(axis=-1) - a.sum(axis=-1)
+    np.subtract(rhs[..., :k].sum(axis=-1), a.sum(axis=-1), out=diagonal)
     try:
         x = _solve(a, rhs)
     except np.linalg.LinAlgError as e:

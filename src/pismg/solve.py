@@ -63,14 +63,11 @@ entry is still phi of that pair's own chain, bit for bit. A game of one
 component evaluates all D1 D2 pairs; two independent sub-games of 100
 strategies each evaluate 200 chains, not 10,000.
 
-Every pair is evaluated this one way, :func:`payoff_vector` too: it is
-the tensor of one pair. A failed check names the first pair, in ordinal
-order, whose own chain fails, with that chain's error text. The stack
-that failed may hold a representative that comes later, so on a failure
-every pair's own chain runs again in ordinal-order stacks on the same
-censored game, and the first failing stack one chain at a time. A chain's
-bits do not depend on the other chains of its stack, so this names the
-pair at the cost of a second pass, not of a censoring per pair.
+Every pair is evaluated this one way: :func:`payoff_vector` is the
+tensor of one pair. A failed check names the first pair, in ordinal
+order, whose own chain fails, with that chain's own error text, from a
+second pass of stacks over the censored game already built (see
+:func:`_payoff_tensor`).
 """
 
 from __future__ import annotations
@@ -180,14 +177,14 @@ def _payoff_tensor(spec: GameSpec, fs, gs) -> np.ndarray:
     chain; a later component's copies overwrite only their own states.
 
     A failed check raises :class:`NumericalError` naming the first pair,
-    in ordinal order, whose own chain fails. The censoring reads no
-    player's choices, so its failure names the first pair. A check in a
-    stack is a maximum or an ``any`` over its chains, and a chain's bits
-    do not depend on the other chains of its stack, so a stack fails
-    exactly when one of its chains fails alone: when a stack fails, every
-    pair's own chain runs again in stacks in ordinal order on the same
-    censored game, and the first failing stack one chain at a time,
-    which gives that chain's own error text."""
+    in ordinal order, whose own chain fails; the censoring reads no
+    player's choices, so its failure names the first pair. A check is a
+    maximum or an ``any`` over its stack's chains, and a chain's bits do
+    not depend on the other chains of its stack, so a stack fails exactly
+    when one of its chains fails alone. So on a failure every pair's own
+    chain runs again in ordinal-order stacks on the same censored game,
+    and the first failing stack one chain at a time, which gives that
+    chain's own error text."""
     tensor = np.empty((len(fs), len(gs), spec.n))
     flat = tensor.reshape(-1, spec.n)
     try:
