@@ -181,10 +181,10 @@ def _payoff_tensor(spec: GameSpec, fs, gs) -> np.ndarray:
     player's choices, so its failure names the first pair. A check is a
     maximum or an ``any`` over its stack's chains, and a chain's bits do
     not depend on the other chains of its stack, so a stack fails exactly
-    when one of its chains fails alone. So on a failure every pair's own
-    chain runs again in ordinal-order stacks on the same censored game,
-    and the first failing stack one chain at a time, which gives that
-    chain's own error text."""
+    when one of its chains fails alone. On a failure, every pair's own
+    chain therefore runs again in ordinal-order stacks on the same
+    censored game, and the first failing stack one chain at a time,
+    which gives that chain's own error text."""
     tensor = np.empty((len(fs), len(gs), spec.n))
     flat = tensor.reshape(-1, spec.n)
     try:

@@ -1156,31 +1156,26 @@ class TestThinEscapes:
     never as 1 - q_ii, so these games keep their digits."""
 
     @staticmethod
-    def _action(label, reward, row):
-        return ActionSpec(label, reward, tuple(Transition(d, p) for d, p in row.items()),
-                          SojournModel("mean", (1.0,)))
-
-    @classmethod
-    def thin_loop(cls, eps):
+    def thin_loop(eps):
         # "leak" escapes from state 1 through state 2 with probability
         # eps^2 per round; "stay" holds state 1 at reward 1
-        act = cls._action
+        act = TestComponents._action
         return GameSpec("thin-loop", (
-            StateSpec(1, "I", (act("leak", 1.0, {1: 1 - eps, 2: eps}),
-                               act("stay", 1.0, {1: 1.0}))),
-            StateSpec(2, "II", (act("back", 1.0, {3: eps, 1: 1 - eps}),)),
-            StateSpec(3, "II", (act("sink", 2.0, {3: 1.0}),)),
+            StateSpec(1, "I", (act("leak", 1.0, 1.0, {1: 1 - eps, 2: eps}),
+                               act("stay", 1.0, 1.0, {1: 1.0}))),
+            StateSpec(2, "II", (act("back", 1.0, 1.0, {3: eps, 1: 1 - eps}),)),
+            StateSpec(3, "II", (act("sink", 2.0, 1.0, {3: 1.0}),)),
         ))
 
-    @classmethod
-    def two_loops(cls, eps):
+    @staticmethod
+    def two_loops(eps):
         # a transient block of two decision states under (leak, leak)
-        act = cls._action
+        act = TestComponents._action
         return GameSpec("two-loops", tuple(
-            StateSpec(sid, "I", (act("leak", 1.0, {sid: 1 - eps - eps * eps, 3 - sid: eps,
-                                                  3: eps * eps}),
-                                 act("stay", 1.0, {sid: 1.0})))
-            for sid in (1, 2)) + (StateSpec(3, "II", (act("sink", 2.0, {3: 1.0}),)),))
+            StateSpec(sid, "I", (act("leak", 1.0, 1.0, {sid: 1 - eps - eps * eps, 3 - sid: eps,
+                                                       3: eps * eps}),
+                                 act("stay", 1.0, 1.0, {sid: 1.0})))
+            for sid in (1, 2)) + (StateSpec(3, "II", (act("sink", 2.0, 1.0, {3: 1.0}),)),))
 
     @staticmethod
     def _assert_exact(spec):
