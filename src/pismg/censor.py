@@ -239,12 +239,15 @@ class _CensoredGame:
     an error names a class by its states.
 
     A state that enters one node only takes that node's payoff; the
-    states that may enter several mix the nodes' limits by their exit
-    distributions. The rows of ``exits`` are the s nodes' own (the
-    identity) and then those of the mixed states, and ``enters`` and
-    ``first`` are the supports of the mixed states' rows and their first
-    nodes. State s reads its payoff from column ``rows[s]`` of the
-    payoffs of the ``exits`` rows.
+    states that may enter several, ``mixed``, mix the nodes' limits by
+    their exit distributions. ``rows[x]`` is the first node state x may
+    enter, and state x reads its payoff there unless it is mixed and
+    reaches more than one class. The rows of ``exits`` are the s nodes'
+    own (the identity) and then those of the mixed states, in the order
+    of ``mixed``, and ``enters`` holds the mixed states' 0/1 supports.
+    The identity rows stay at the top: a row's product rounds by where
+    it sits in the matrix, so the mixed states' rows keep their bits
+    only in the whole ``exits``.
 
     The nodes fall into components (see :meth:`components`) that no
     action and no state links, and Q* is block-diagonal over them, so
@@ -277,21 +280,23 @@ class _CensoredGame:
             self.values[:, :c] = table[:, self.decision] + (chosen @ accumulated).transpose(2, 0, 1)
         self.values[:, c:, 0] = means.T
         self.rows = enters.argmax(axis=1)
-        mixed = enters.sum(axis=1) > 1
-        self.first = self.rows[mixed]
-        self.rows[mixed] = s + np.arange(len(self.first))
-        self.exits = np.concatenate([np.eye(s), exits[mixed]])
-        self.enters = enters[mixed]
+        self.mixed = np.flatnonzero(enters.sum(axis=1) > 1)
+        self.exits = np.concatenate([np.eye(s), exits[self.mixed]])
+        self.enters = enters[self.mixed]
 
     def actions(self, fs, gs) -> np.ndarray:
         """Every pair's action at each node, pairs in ordinal order: the
-        chosen action at a decision state, 0 at a closed class."""
-        profile = np.empty((len(fs), len(gs), self.n), dtype=np.intp)
-        profile[..., np.array(fs[0].states, dtype=np.intp) - 1] = [[f.actions] for f in fs]
-        profile[..., np.array(gs[0].states, dtype=np.intp) - 1] = [g.actions for g in gs]
-        acts = np.zeros((len(fs) * len(gs), len(self.q)), dtype=np.intp)
-        acts[:, :len(self.decision)] = profile.reshape(-1, self.n)[:, self.decision]
-        return acts
+        chosen action at a decision state, 0 at a closed class. A decision
+        state belongs to one player, whose profile holds its action there;
+        the other player's holds 0."""
+        d1, c = len(fs), len(self.decision)
+        acts = np.zeros((d1, len(gs), len(self.q)), dtype=np.intp)
+        profile = np.zeros((d1 + len(gs), self.n), dtype=np.intp)
+        profile[:d1, np.array(fs[0].states, dtype=np.intp) - 1] = [f.actions for f in fs]
+        profile[d1:, np.array(gs[0].states, dtype=np.intp) - 1] = [g.actions for g in gs]
+        profile = profile[:, self.decision]
+        np.add(profile[:d1, None], profile[d1:], out=acts[..., :c])
+        return acts.reshape(-1, len(self.q))
 
     def components(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """The weakly connected pieces of the node graph, as ``(nodes,
@@ -304,7 +309,7 @@ class _CensoredGame:
         # the strongly connected components of the symmetrised graph,
         # numbered by smallest node
         comp = np.array(_components(s, *np.nonzero(link | link.T))[0])
-        owner = comp[np.concatenate([np.arange(s), self.first])][self.rows]
+        owner = comp[self.rows]
         return [(np.flatnonzero(comp == h), np.flatnonzero(owner == h))
                 for h in range(int(comp.max()) + 1)]
 
@@ -334,11 +339,12 @@ class _CensoredGame:
         with np.errstate(over="ignore", invalid="ignore"):
             phi = _ratio(self.exits, (rates @ reward[..., None])[..., 0],
                          (rates @ time[..., None])[..., 0])
-        if len(self.first):
+        # every state from its first node, then a mixed state that reaches
+        # more than one class from its own exits row
+        split, phi = phi[:, len(nodes):], phi[:, self.rows]
+        if self.mixed.size:
             whole = ((self.enters @ reaches) > 0).sum(axis=2) == 1
-            mixed = phi[:, len(nodes):]
-            mixed[whole] = phi[:, self.first][whole]
-        phi = phi[:, self.rows]
+            phi[:, self.mixed] = np.where(whole, phi[:, self.mixed], split)
         if not np.isfinite(phi).all():
             chain, x = np.argwhere(~np.isfinite(phi))[0]
             raise NumericalError(f"payoff of state {x + 1} is not finite: {float(phi[chain, x])!r}")

@@ -31,9 +31,12 @@ A solve evaluates each pure pair at most once, into the (D1, D2, N)
 payoff tensor ``SolveReport.payoffs``: ``payoffs[i, j, s - 1]`` is
 phi(s, f, g) for the maximiser's strategy of ordinal i and the
 minimiser's of ordinal j, so the slice ``payoffs[:, :, s - 1]`` is the
-payoff matrix of initial state s. Q* comes from the structural method only; the other
-limiting-matrix methods of :mod:`pismg.markov` are cross-checks and do
-not run in a solve.
+payoff matrix of initial state s. The tensor is a view of one
+state-major (N, D1, D2) array, the only array of its size a solve
+holds: each state's matrix is contiguous there, and the saddle search
+and the 2x2 sweep read it in place. Q* comes from the structural method
+only; the other limiting-matrix methods of :mod:`pismg.markov` are
+cross-checks and do not run in a solve.
 
 A pair's actions differ only at the c decision states (states with more
 than one action), so the one-action rows are censored once per solve
@@ -134,7 +137,9 @@ class SolveReport:
     ``payoffs`` is the (D1, D2, N) array with phi(s, f, g) at
     ``[i, j, s - 1]`` for the maximiser's strategy of ordinal i and the
     minimiser's of ordinal j; ``payoffs[:, :, s - 1]`` is the payoff
-    matrix of initial state s."""
+    matrix of initial state s. It is a view of a state-major (N, D1, D2)
+    array, so ``payoffs.transpose(2, 0, 1)`` is contiguous and each
+    matrix ``payoffs[:, :, s - 1]`` is a strided view."""
 
     value: tuple[float, ...]
     maximiser: SemiStationaryStrategy
@@ -165,7 +170,10 @@ def payoff_vector(spec: GameSpec, f: PureStationaryStrategy,
 
 
 def _payoff_tensor(spec: GameSpec, fs, gs) -> np.ndarray:
-    """phi(s, f, g) at [f.ordinal, g.ordinal, s - 1] for every pure pair.
+    """phi(s, f, g) at [f.ordinal, g.ordinal, s - 1] for every pure pair,
+    a (D1, D2, N) view of a state-major (N, D1, D2) array, whose
+    ``[s - 1]`` is the contiguous payoff matrix of state s. A stack's
+    payoffs and a component's copies are written into the pairs' columns.
 
     Per component of the censored game (see
     :meth:`pismg.censor._CensoredGame.components`), only its
@@ -185,8 +193,8 @@ def _payoff_tensor(spec: GameSpec, fs, gs) -> np.ndarray:
     chain therefore runs again in ordinal-order stacks on the same
     censored game, and the first failing stack one chain at a time,
     which gives that chain's own error text."""
-    tensor = np.empty((len(fs), len(gs), spec.n))
-    flat = tensor.reshape(-1, spec.n)
+    tensor = np.empty((spec.n, len(fs), len(gs)))
+    flat = tensor.reshape(spec.n, -1)
     try:
         game = _CensoredGame(spec)
     except NumericalError as e:
@@ -205,9 +213,9 @@ def _payoff_tensor(spec: GameSpec, fs, gs) -> np.ndarray:
             reps = np.flatnonzero(own)
             for lo in range(0, len(reps), step):
                 chunk = reps[lo:lo + step]
-                flat[chunk] = game.payoffs(acts[chunk])
+                flat[:, chunk] = game.payoffs(acts[chunk]).T
             copies = np.flatnonzero(~own)
-            flat[copies[:, None], states] = flat[rep[copies, None], states]
+            flat[states[:, None], copies] = flat[states[:, None], rep[copies]]
     except NumericalError:
         # a failing representative is itself a pair, so some stack below
         # fails too
@@ -222,7 +230,7 @@ def _payoff_tensor(spec: GameSpec, fs, gs) -> np.ndarray:
                         f, g = fs[k // len(gs)], gs[k % len(gs)]
                         raise NumericalError(f"pair ({f.label}, {g.label}): {e}") from e
         raise
-    return tensor
+    return tensor.transpose(1, 2, 0)
 
 
 def build_payoff_matrix(spec: GameSpec, initial_state: int) -> np.ndarray:
@@ -424,8 +432,8 @@ def solve(spec: GameSpec, *, saddle_eps: float | None = None) -> SolveReport:
     per_state: list[SaddleResult] = []
     violations: list[tuple[int, int, int, int] | None] = []
     # states of one recurrent class share a payoff matrix: search it once,
-    # keyed by its bytes in one contiguous (N, D1, D2) copy of the tensor
-    matrices = np.ascontiguousarray(payoffs.transpose(2, 0, 1))
+    # keyed by its bytes, a contiguous slice of the state-major tensor
+    matrices = payoffs.transpose(2, 0, 1)
     searched: dict[bytes, tuple[tuple[int, int, int, int] | None, SaddleResult]] = {}
     for s in range(1, spec.n + 1):
         entries = matrices[s - 1]

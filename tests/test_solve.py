@@ -967,7 +967,7 @@ class TestBatchedPairs:
             assert np.array_equal(game.q, q) and np.array_equal(game.edges, q > EPS_EDGE)
             assert np.array_equal(game.values, np.array([r, np.ones(r.shape), tau]))
             assert np.array_equal(game.exits, np.eye(spec.n))
-            assert game.rows.tolist() == list(range(spec.n)) and game.first.size == 0
+            assert game.rows.tolist() == list(range(spec.n)) and game.mixed.size == 0
             assert game.enters.shape == (0, spec.n)
             assert game.states == [(x,) for x in range(spec.n)]
 
