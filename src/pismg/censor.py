@@ -210,14 +210,24 @@ def censor(rows, decision, values) -> tuple:
     return classes, exits, enters, accumulated, means
 
 
-def _ratio(weights: np.ndarray, r: np.ndarray, tau: np.ndarray) -> np.ndarray:
+def _product(weights: np.ndarray, v: np.ndarray, masked: bool) -> np.ndarray:
+    """weights @ v per chain, one matrix-vector product each: a stacked
+    matmul with a column operand runs the same product per chain as
+    ``weights[i] @ v[i]``, without a Python loop over the chains. With
+    ``masked``, the sum runs over the positive weights alone, so a value
+    that overflowed to inf adds nothing where its weight is 0, where the
+    matmul's 0 * inf would add nan."""
+    if masked:
+        return np.where(weights > 0, weights * v[..., None, :], 0.0).sum(-1)
+    return (weights @ v[..., None])[..., 0]
+
+
+def _ratio(weights: np.ndarray, r: np.ndarray, tau: np.ndarray,
+           masked: bool = False) -> np.ndarray:
     """(weights @ r) / (weights @ tau) for a stack of chains' weight
     matrices (or one matrix shared by the stack), rewards and sojourns,
-    one matrix-vector product per chain: a stacked matmul with a column
-    operand runs the same product per chain as ``weights[i] @ r[i]``,
-    without a Python loop over the chains."""
-    num = (weights @ r[..., None])[..., 0]
-    den = (weights @ tau[..., None])[..., 0]
+    each product by :func:`_product`."""
+    num, den = _product(weights, r, masked), _product(weights, tau, masked)
     if float(den.min()) <= 0.0:
         raise NumericalError(
             "nonpositive expected time in the limit; sojourn validation "
@@ -274,11 +284,13 @@ class _CensoredGame:
         self.edges = self.q > 0
         self.edges[:c] = (chosen > EPS_EDGE).astype(float) @ enters > 0
         self.values = np.zeros((3, s, q.shape[1]))
-        # a node's value may overflow to inf as phi may (see payoffs),
-        # which names the first state whose payoff it leaves infinite
+        # a node's value may overflow to inf as phi may; payoffs then
+        # weighs it only where its weight is positive, and names the first
+        # state whose payoff it leaves infinite
         with np.errstate(over="ignore"):
             self.values[:, :c] = table[:, self.decision] + (chosen @ accumulated).transpose(2, 0, 1)
         self.values[:, c:, 0] = means.T
+        self.overflowed = not np.isfinite(self.values).all()
         self.rows = enters.argmax(axis=1)
         self.mixed = np.flatnonzero(enters.sum(axis=1) > 1)
         self.exits = np.concatenate([np.eye(s), exits[self.mixed]])
@@ -334,11 +346,12 @@ class _CensoredGame:
         # a padded class has no stationary row and no span
         rates = lower @ (upper / np.maximum(span, np.finfo(float).tiny))
         # a valid game's values may overflow phi to inf, or to nan where
-        # an inf meets a zero weight or an inf of the other sign; the
-        # check below names the first such state, without a warning
+        # infs of both signs meet; a node value that overflowed counts
+        # only where its weight is positive. The check below names the
+        # first such state, without a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            phi = _ratio(self.exits, (rates @ reward[..., None])[..., 0],
-                         (rates @ time[..., None])[..., 0])
+            phi = _ratio(self.exits, _product(rates, reward, self.overflowed),
+                         _product(rates, time, self.overflowed), self.overflowed)
         # every state from its first node, then a mixed state that reaches
         # more than one class from its own exits row
         split, phi = phi[:, len(nodes):], phi[:, self.rows]

@@ -358,6 +358,10 @@ GOLDEN = [
     # a loop that escapes with probability 1e-10 per round: the
     # absorption solve keeps its digits, and every value is 2
     ("solve_thin_loop.txt", "thin_loop", ["solve", "{game}", "--no-banner", "--emit-matrices"]),
+    # a node value that overflows where its state is transient: every
+    # value is 1 and every matrix entry 1 or 2
+    ("solve_transient_overflow.txt", "transient_overflow",
+     ["solve", "{game}", "--no-banner", "--emit-matrices"]),
     ("validate_example_s5.json", "example", ["validate", "{game}", "--format", "json"]),
     ("simulate_example_s5.json", "example",
      ["simulate", "{game}", "--max", "2", "--min", "0", "--start", "1",

@@ -576,6 +576,36 @@ class TestSolve:
             solve(spec)
         assert str(exc.value) == "pair (f1, g1): payoff of state 1 is not finite: nan"
 
+    def test_overflowing_transient_node_takes_no_part(self):
+        # tests/data/transient_overflow.json: under "go", node 1's value
+        # (1e308 at state 1 and 1e308 at state 3) overflows, but state 1 is
+        # transient there, so its weight 0 must not turn the payoffs nan;
+        # every payoff is 1 or 2
+        spec = parse_game((Path(__file__).parent / "data" / "transient_overflow.json").read_text())
+        report = solve(spec)
+        assert report.value == (1.0, 1.0, 1.0)
+        fs, gs = enumerate_pure(spec, "I"), enumerate_pure(spec, "II")
+        for f in fs:
+            for g in gs:
+                assert report.payoffs[f.ordinal, g.ordinal].tolist() == exact_phi(spec, f, g)
+
+    def test_overflowing_recurrent_node_names_its_own_state(self):
+        # state 1 loops on its own, with payoff exactly 1 under (f1, g1);
+        # the cycle 2 -> 3 -> 2 earns two values of 1e308, so state 2's
+        # payoff overflows and it is the state named, not state 1
+        def state(sid, player, options):
+            return StateSpec(sid, player, tuple(
+                ActionSpec(label, reward, (Transition(to, 1.0),), SojournModel("mean", (1.0,)))
+                for label, reward, to in options))
+        spec = GameSpec("recurrent-overflow", (
+            state(1, "I", (("a", 1.0, 1), ("b", 2.0, 1))),
+            state(2, "II", (("go", 1e308, 3), ("stay", 1.0, 2))),
+            state(3, "I", (("on", 1e308, 2),)),
+        ))
+        with pytest.raises(NumericalError) as exc:
+            solve(spec)
+        assert str(exc.value) == "pair (f1, g1): payoff of state 2 is not finite: inf"
+
     def test_zero_saddle_eps_allowed(self, example_spec):
         assert solve(example_spec, saddle_eps=0.0).value == solve(example_spec).value
 
@@ -1060,6 +1090,21 @@ class TestBatchedPairs:
         assert len(fs) == len(gs) == 16
         assert np.all(np.isfinite(tensor))
         assert peak < 8 * 2**20
+
+    def test_solve_holds_one_tensor_sized_array(self):
+        # 150 states and 128 x 128 pairs: the payoff tensor is the only
+        # array of its size a solve holds, with no (D1, D2, n) action
+        # profile and no transposed copy for the saddle search
+        spec = _corpus.sparse_game(np.random.default_rng(101), per_player=7)
+        solve(spec)
+        tracemalloc.start()
+        try:
+            report = solve(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.payoffs.shape == (128, 128, 150)
+        assert peak <= 1.6 * report.payoffs.nbytes
 
 
 class TestComponents:
