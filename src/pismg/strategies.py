@@ -16,6 +16,7 @@ f1..fD1 and g1..gD2 are the 1-based positions.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,7 +44,12 @@ class PureStationaryStrategy:
     ordinal: int
 
     def action_at(self, state: int) -> int:
-        return self.actions[self.states.index(state)]
+        # a bisection over the ascending states: a chain's compile asks
+        # once per state
+        i = bisect.bisect_left(self.states, state)
+        if i == len(self.states) or self.states[i] != state:
+            raise ValueError(f"player {self.player} does not control state {state}")
+        return self.actions[i]
 
     @property
     def label(self) -> str:

@@ -97,6 +97,20 @@ class TestEnumeration:
         assert gs[0].actions == ()
         assert controlled_states(spec, "II") == ()
 
+    def test_action_at_matches_the_choice_tuple(self):
+        # the bisection finds each controlled state's own action, and a
+        # state the player does not control raises
+        for spec in _corpus.game_corpus(200, seed=424242):
+            for player in ("I", "II"):
+                for strat in enumerate_pure(spec, player):
+                    for st in spec.states:
+                        if st.id in strat.states:
+                            want = strat.actions[strat.states.index(st.id)]
+                            assert strat.action_at(st.id) == want
+                        else:
+                            with pytest.raises(ValueError, match="does not control"):
+                                strat.action_at(st.id)
+
 
 class TestOrdinalCodec:
     def test_decode_matches_enumeration(self):
