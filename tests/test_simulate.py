@@ -281,6 +281,21 @@ class TestScalarOracle:
             assert simulate(spec, f, g, 2, horizon, seed) == \
                 _scalar_sim.trajectory(spec, f, g, 2, horizon, seed)
 
+    @pytest.mark.parametrize("n", [150, 300])
+    def test_tabled_games_with_one_epoch_blocks(self, n):
+        # both pairs have a table but too many buckets for blocks of two
+        # epochs; a block's map has n * stride entries, 10,200 at n = 150
+        # and 32,400, above _BLOCK_ENTRIES, at n = 300
+        spec = _corpus.sparse_game(np.random.default_rng(7), n=n)
+        f, g = _pair(spec, 0, 0)
+        chain = SIMULATE_MODULE._Chain(spec, f, g)
+        assert chain.table is not None and chain.span == 1
+        assert (n * chain.stride > SIMULATE_MODULE._BLOCK_ENTRIES) == (n == 300)
+        for horizon in (*range(1, 10), 1001, 4099):
+            for seed in SEEDS:
+                assert simulate(spec, f, g, 2, horizon, seed) == \
+                    _scalar_sim.trajectory(spec, f, g, 2, horizon, seed)
+
     def test_binary_search_equals_the_table(self, monkeypatch):
         # games whose tables fit, simulated without one
         monkeypatch.setattr(SIMULATE_MODULE, "_TABLE_ENTRIES", 0)
