@@ -378,6 +378,11 @@ GOLDEN = [
     ("simulate_uniform_sojourns_1001.json", "uniform_sojourns",
      ["simulate", "{game}", "--max", "1", "--min", "0", "--start", "2",
       "--horizon", "1001", "--reps", "10", "--seed", "9", "--format", "json"]),
+    # 40 distinct grid points on 20 states: the pair has a table, but a
+    # map of two-epoch blocks would not fit, so its blocks are one epoch
+    ("simulate_one_epoch_blocks.json", "one_epoch_blocks",
+     ["simulate", "{game}", "--max", "0", "--min", "0", "--start", "1",
+      "--horizon", "1001", "--reps", "10", "--seed", "11", "--format", "json"]),
 ]
 
 
