@@ -14,8 +14,8 @@ order. ``deterministic`` sojourns consume no randomness; the
 analytic-only ``mean`` kind declares no shape, so it is simulated as a
 constant at its mean, which preserves the ratio-of-expectations target.
 
-A trajectory is computed in array passes, with no Python step per epoch,
-and equals the epoch-by-epoch loop bit for bit:
+A trajectory is computed in array passes and one Python step per block
+of epochs, and equals the epoch-by-epoch loop bit for bit:
 
 - Every state's cumulative row is a subset of one sorted grid, so the
   grid puts each epoch's uniform in a bucket, and within a bucket every
@@ -30,18 +30,14 @@ and equals the epoch-by-epoch loop bit for bit:
 - With s buckets there are only s one-epoch maps of the states, so
   where there is a table the map of every block of K epochs is
   tabulated, K the largest power of two whose n * s^K entries fit in
-  ``_BLOCK_ENTRIES``, and the path is walked K epochs a step: the block
-  tabulation of the "four Russians" (Arlazarov, Dinic, Kronrod &
-  Faradzev, Soviet Math. Dokl. 11, 1970).
-- The path follows in chunks of about sqrt(blocks * n / 48) blocks:
-  each chunk's map of every state is composed (all chunks at once), the
-  chunk heads are walked, and the chunks are filled in; the inner epochs
-  of all blocks then follow one epoch at a time, and every epoch's
-  transition is one gather. Composition follows only the distinct states
-  a chunk's starting states have reached, so where paths from different
-  states meet it costs far less than ``blocks * n`` steps; it costs that
-  much only where they never meet, as on a ring where every state moves
-  on by the same step.
+  ``_BLOCK_ENTRIES``: the block tabulation of the "four Russians"
+  (Arlazarov, Dinic, Kronrod & Faradzev, Soviet Math. Dokl. 11, 1970).
+- The state at the head of each block follows from the last in one
+  Python step: a read of the block map, or where there is no table a
+  ``bisect`` of the transition keys. The map is a list, which reads
+  fastest, or above ``_BLOCK_ENTRIES`` entries a memoryview, which holds
+  no Python int per entry. The inner epochs of all blocks then follow
+  one epoch at a time, and every epoch's transition is one gather.
 - The transitions fix which epochs draw a sojourn before any sojourn is
   drawn, so one block of exactly that many uniforms follows the
   transition block; on Philox a block equals the same draws taken one
@@ -61,6 +57,7 @@ indices save memory but cost time.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +124,13 @@ def _terms(model) -> tuple[int, float, float]:
     return 0, model.params[0], 0.0
 
 
+def _readable(a: np.ndarray):
+    """``a`` for reads of one entry at a time: a list up to
+    ``_BLOCK_ENTRIES`` entries, since a list reads fastest, and above that
+    a memoryview, which makes one Python int per read."""
+    return a.tolist() if len(a) <= _BLOCK_ENTRIES else memoryview(a)
+
+
 class _Cells:
     """The bucket of a uniform u, ``searchsorted(grid, u, "right")``,
     found by cells: the unit interval is cut into ``size`` = 2^m cells,
@@ -191,13 +195,15 @@ class _Chain:
 
     Where the answers for every s * stride + b fit in ``_TABLE_ENTRIES``,
     ``table`` holds them and ``cells`` finds buckets (see
-    :class:`_Cells`; None where it would not pay). Where even two epochs
-    fit in ``_BLOCK_ENTRIES``, ``next`` holds the state each s * stride +
-    b moves to, and ``block`` the state after K = ``span`` epochs of
-    buckets b_1 .. b_K at s * stride^K + (the number b_1 .. b_K write in
-    base stride), for the largest power of two K that fits: the map of
-    2K epochs is that of K composed with itself. Otherwise a block is
-    one epoch, and ``next`` and ``block`` are None."""
+    :class:`_Cells`; None where it would not pay), and ``next`` holds the
+    state each s * stride + b moves to, times stride. A block is K =
+    ``span`` epochs, for the largest power of two K whose n * stride^K
+    map entries fit in ``_BLOCK_ENTRIES`` (1 where even two epochs do
+    not), and ``jump`` maps s * stride^K + (the number buckets b_1 .. b_K
+    write in base stride) to the state after the block, times stride^K:
+    the map of 2K epochs is that of K composed with itself. At K = 1 it
+    is ``next``. Without a table, ``walk_keys`` are the ``keys`` and
+    ``jump`` the ``dest`` the walk reads, and ``next`` is None."""
 
     def __init__(self, spec: GameSpec, f: PureStationaryStrategy,
                  g: PureStationaryStrategy):
@@ -223,23 +229,25 @@ class _Chain:
         grid = np.sort(cum[inner])
         # np.unique would import numpy.ma, about 1 MB
         self.grid = grid[np.diff(grid, prepend=-1.0) > 0]
-        self.stride = len(self.grid) + 1
-        first = np.where(inner, np.searchsorted(self.grid, cum) + 1, self.stride)
-        self.keys = np.repeat(np.arange(n), lengths) * self.stride + first
+        stride = self.stride = len(self.grid) + 1
+        first = np.where(inner, np.searchsorted(self.grid, cum) + 1, stride)
+        self.keys = np.repeat(np.arange(n), lengths) * stride + first
         self.dest = np.array(dests, dtype=np.intp)
-        self.n = n
-        self.table = self.cells = self.next = self.block = None
+        self.table = self.cells = self.next = self.walk_keys = None
         self.span = 1
-        if n * self.stride <= _TABLE_ENTRIES:
-            self.table = np.searchsorted(self.keys, np.arange(n * self.stride), side="right")
+        if n * stride <= _TABLE_ENTRIES:
+            self.table = np.searchsorted(self.keys, np.arange(n * stride), side="right")
             self.cells = _Cells.of(self.grid)
-        if self.table is not None and self.stride > 1 and n * self.stride**2 <= _BLOCK_ENTRIES:
-            self.next = self.block = self.dest[self.table]
-            width = self.stride
-            while n * width * width <= _BLOCK_ENTRIES:
-                self.block = self.block.reshape(n, width)[self.block].ravel()
+            self.next = jump = self.dest[self.table] * stride
+            width = stride
+            while stride > 1 and len(jump) * width <= _BLOCK_ENTRIES:
+                # the map of 2K epochs is that of K composed with itself
+                jump = jump.reshape(n, width)[jump // width].ravel() * width
                 width *= width
                 self.span *= 2
+            self.jump = _readable(jump)
+        else:
+            self.walk_keys, self.jump = _readable(self.keys), _readable(self.dest)
         # every transition's state: its reward, and the index of the
         # state's first transition
         self.reward = np.repeat(np.array(rewards, dtype=float), lengths)
@@ -248,71 +256,21 @@ class _Chain:
                             count=len(terms))
         self.kind, self.base, self.scale = terms["kind"], terms["base"], terms["scale"]
 
-    def _step(self, states: np.ndarray, buckets: np.ndarray) -> np.ndarray:
-        """The transitions that 0-based ``states`` take in ``buckets``."""
-        at = states * self.stride + buckets
+    def _step(self, keys: np.ndarray) -> np.ndarray:
+        """The transitions taken at ``keys``, each a 0-based state times
+        stride plus a bucket."""
         if self.table is None:
-            return np.searchsorted(self.keys, at, side="right")
-        return self.table[at]
-
-    def _advance(self, states: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """The states that 0-based ``states`` reach after the blocks of
-        ``span`` epochs whose buckets the ``codes`` write in base stride."""
-        if self.block is None:
-            return self.dest[self._step(states, codes)]
-        return self.block[states * self.stride ** self.span + codes]
-
-    def _heads(self, by_chunk: np.ndarray, start: int) -> list[int]:
-        """The 0-based state at the start of every chunk whose blocks are
-        a column of ``by_chunk``, and after the last, from ``start``.
-
-        Every chunk's map of the n states is composed one block at a
-        time, all chunks at once. A lane carries one chunk and a state
-        that one or more of the chunk's starting states reach. After 1,
-        2, 4, ... blocks, the lanes of a chunk at one state merge into one
-        if that drops at least a quarter of all lanes (``relabels`` keeps
-        where each lane went), so the lanes thin out as paths meet, and
-        the kept relabels hold at most four times the first lanes."""
-        n = self.n
-        width, chunks = by_chunk.shape
-        if chunks == 0:
-            return [start]
-        lanes = chunks * n
-        chunk = np.repeat(np.arange(chunks), n)
-        state = np.tile(np.arange(n), chunks)
-        slot = np.empty(lanes, dtype=np.intp)
-        relabels = []
-        for i in range(width):
-            state = self._advance(state, by_chunk[i, chunk])
-            if i & (i + 1) == 0:
-                lane = np.arange(len(state))
-                key = chunk * n + state
-                slot[key] = lane
-                first = slot[key]
-                kept = first == lane
-                if 4 * np.count_nonzero(kept) <= 3 * len(state):
-                    relabels.append((np.cumsum(kept) - 1)[first])
-                    state, chunk = state[kept], chunk[kept]
-        for relabel in reversed(relabels):
-            state = state[relabel]
-        heads = [start]
-        for k in range(chunks):
-            heads.append(state.item(k * n + heads[-1]))
-        return heads
+            return np.searchsorted(self.keys, keys, side="right")
+        return self.table[keys]
 
     def run(self, start: int, horizon: int, seed: int) -> TrajectoryStats:
         """One trajectory of ``horizon`` epochs from 1-based ``start`` on
         the Philox stream keyed ``seed``."""
         rng = np.random.Generator(np.random.Philox(key=seed))
-        n, span = self.n, self.span
+        stride, span = self.stride, self.span
         u = rng.random(horizon)
-        # wider chunks on larger games: fewer lanes to compose, more
-        # numpy calls per block column
-        blocks = -(-horizon // span)
-        width = math.isqrt(blocks * n // 48) + 1
-        chunks = -(-blocks // width)
-        # bucket 0 pads the last chunk to full width
-        buckets = np.zeros(chunks * width * span, dtype=np.intp)
+        # bucket 0 pads the last block to full length
+        buckets = np.zeros(-(-horizon // span) * span, dtype=np.intp)
         if self.cells is None:
             buckets[:horizon] = np.searchsorted(self.grid, u, side="right")
         else:
@@ -321,31 +279,26 @@ class _Chain:
         by_block = buckets.reshape(-1, span)
         codes = by_block[:, 0]
         for j in range(1, span):
-            codes = codes * self.stride + by_block[:, j]
-        # row i of a (width, chunks) view holds block i of every chunk
-        by_chunk = codes.reshape(chunks, width).T
-        state = np.array(self._heads(by_chunk[:, :-1], start - 1), dtype=np.intp)
-        if self.block is None:
-            # a block is one epoch: the fill takes its transitions
-            moves = np.empty((chunks, width), dtype=np.intp)
-            for i in range(width):
-                moves[:, i] = self._step(state, by_chunk[i])
-                state = self.dest[moves[:, i]]
-            moves = moves.ravel()[:horizon]
+            codes = codes * stride + by_block[:, j]
+        # the block heads, one block a step, each a state times stride^span
+        state = (start - 1) * stride**span
+        jump, keys = self.jump, self.walk_keys
+        heads = [state]
+        if keys is None:
+            heads += [state := jump[state + code] for code in codes[:-1].tolist()]
         else:
-            heads = np.empty((chunks, width), dtype=np.intp)
-            for i in range(width):
-                heads[:, i] = state
-                state = self._advance(state, by_chunk[i])
-            # the inner epochs of all blocks follow one at a time, and
-            # each bucket becomes its epoch's index into the table
-            state = heads.ravel()
-            for j in range(span):
-                by_block[:, j] += state * self.stride
-                if j < span - 1:
-                    state = self.next[by_block[:, j]]
-            moves = self.table[buckets[:horizon]]
-        del buckets, by_block, codes, by_chunk, state
+            heads += [state := jump[bisect_right(keys, state + code)] * stride
+                      for code in codes[:-1].tolist()]
+        # the epochs of all blocks follow one at a time, and each bucket
+        # becomes its epoch's key, a state times stride plus the bucket
+        state = np.array(heads, dtype=np.intp) // stride ** (span - 1)
+        del heads
+        for j in range(span):
+            by_block[:, j] += state
+            if j < span - 1:
+                state = self.next[by_block[:, j]]
+        moves = self._step(buckets[:horizon])
+        del buckets, by_block, codes, state
         final_state = int(self.dest[moves[-1]]) + 1
         cum_reward = _total(self.reward[moves])
         visits = tuple(np.add.reduceat(np.bincount(moves, minlength=len(self.dest)),

@@ -337,20 +337,23 @@ class TestScalarOracle:
     def test_blocks_of_four_on_the_benchmark_game(self):
         chain = SIMULATE_MODULE._Chain(MIXED, *_pair(MIXED, 0, 0))
         assert (chain.stride, chain.span) == (4, 4)
-        assert chain.block.shape == (MIXED.n * 4**4,)
+        assert len(chain.jump) == MIXED.n * 4**4
 
     def test_every_integer_array_is_intp(self):
         # numpy casts any other index type to intp on every fancy index;
         # the cells are an object of their own, so a scan of the chain
-        # alone would miss them
+        # alone would miss them. DENSE's walk reads memoryviews.
         for spec in (MIXED, DENSE):
             chain = SIMULATE_MODULE._Chain(spec, *_pair(spec, 0, 0))
-            arrays = {name: a for name, a in vars(chain).items() if isinstance(a, np.ndarray)}
+            arrays = {name: np.asarray(a) for name, a in vars(chain).items()
+                      if isinstance(a, (np.ndarray, memoryview))}
             if chain.cells is not None:
                 arrays.update((f"cells.{name}", a) for name, a in vars(chain.cells).items())
             want = {"keys", "dest", "kind"}
             if spec is MIXED:
-                want |= {"table", "next", "block", "cells.bucket", "cells.edges"}
+                want |= {"table", "next", "cells.bucket", "cells.edges"}
+            else:
+                want |= {"jump", "walk_keys"}
             assert want <= set(arrays)
             for name, a in arrays.items():
                 assert a.dtype.kind == "f" or a.dtype == np.intp, name
