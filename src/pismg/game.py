@@ -128,6 +128,8 @@ class GameSpec:
         return len(self.states)
 
     def state(self, sid: int) -> StateSpec:
+        if not 1 <= sid <= self.n:
+            raise ValueError(f"state {sid} out of range 1..{self.n}")
         return self.states[sid - 1]
 
 
@@ -169,12 +171,17 @@ def expected_sojourn(action: ActionSpec) -> float:
 
 
 def _check_sojourn(model: SojournModel, where: str) -> None:
-    if model.kind == "mean" and not model.params[0] > 0.0:
-        raise GameValidationError(f"{where}: nonpositive sojourn mean {model.params[0]}")
-    if model.kind == "deterministic" and not model.params[0] > 0.0:
-        raise GameValidationError(f"{where}: nonpositive sojourn time {model.params[0]}")
-    if model.kind == "exponential" and not model.params[0] > 0.0:
-        raise GameValidationError(f"{where}: nonpositive sojourn rate {model.params[0]}")
+    # a model built in code, not parsed, may have any kind and arity
+    if model.kind not in _SOJOURN_PARAMS:
+        raise GameValidationError(f"{where}: unknown sojourn kind {model.kind!r}")
+    arity = len(_SOJOURN_PARAMS[model.kind])
+    if len(model.params) != arity:
+        raise GameValidationError(
+            f"{where}: {model.kind} sojourn takes {arity} parameter(s), got {len(model.params)}"
+        )
+    what = {"mean": "mean", "deterministic": "time", "exponential": "rate"}.get(model.kind)
+    if what is not None and not model.params[0] > 0.0:
+        raise GameValidationError(f"{where}: nonpositive sojourn {what} {model.params[0]}")
     if model.kind == "uniform":
         a, b = model.params
         if a < 0.0 or b <= a:

@@ -75,6 +75,9 @@ class SemiStationaryStrategy:
     per_initial_state: tuple[PureStationaryStrategy, ...]
 
     def for_state(self, state: int) -> PureStationaryStrategy:
+        n = len(self.per_initial_state)
+        if not 1 <= state <= n:
+            raise ValueError(f"state {state} out of range 1..{n}")
         return self.per_initial_state[state - 1]
 
 

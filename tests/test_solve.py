@@ -498,6 +498,14 @@ class TestSolve:
         assert report.diagnostics["saddle_multiplicity"] == (4, 4, 8, 2)
         assert report.diagnostics["certificate_2x2"] == (True, True, True, True)
 
+    @pytest.mark.parametrize("state", [0, -1, 5])
+    def test_strategy_for_a_state_outside_one_to_n_is_rejected(self, example_spec, state):
+        report = solve(example_spec)
+        for strategy in (report.maximiser, report.minimiser):
+            with pytest.raises(ValueError) as exc:
+                strategy.for_state(state)
+            assert str(exc.value) == f"state {state} out of range 1..4"
+
     def test_example_reference_deltas(self, example_spec):
         report = solve(example_spec)
         deltas = report.diagnostics["reference_deltas"]
