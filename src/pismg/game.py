@@ -172,13 +172,12 @@ def expected_sojourn(action: ActionSpec) -> float:
 
 def _check_sojourn(model: SojournModel, where: str) -> None:
     # a model built in code, not parsed, may have any kind and arity
-    if model.kind not in _SOJOURN_PARAMS:
+    arity = len(_SOJOURN_PARAMS.get(model.kind, ()))
+    if not arity:
         raise GameValidationError(f"{where}: unknown sojourn kind {model.kind!r}")
-    arity = len(_SOJOURN_PARAMS[model.kind])
     if len(model.params) != arity:
-        raise GameValidationError(
-            f"{where}: {model.kind} sojourn takes {arity} parameter(s), got {len(model.params)}"
-        )
+        raise GameValidationError(f"{where}: {model.kind} sojourn takes {arity} parameter(s), "
+                                  f"got {len(model.params)}")
     what = {"mean": "mean", "deterministic": "time", "exponential": "rate"}.get(model.kind)
     if what is not None and not model.params[0] > 0.0:
         raise GameValidationError(f"{where}: nonpositive sojourn {what} {model.params[0]}")

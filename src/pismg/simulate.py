@@ -280,18 +280,22 @@ class _Chain:
         codes = by_block[:, 0]
         for j in range(1, span):
             codes = codes * stride + by_block[:, j]
-        # the block heads, one block a step, each a state times stride^span
-        state = (start - 1) * stride**span
+        # the state at the head of every block, times stride^span, one
+        # block a step; fromiter keeps no Python int per block
+        heads = np.empty(len(codes), dtype=np.intp)
+        heads[0] = state = (start - 1) * stride**span
         jump, keys = self.jump, self.walk_keys
-        heads = [state]
         if keys is None:
-            heads += [state := jump[state + code] for code in codes[:-1].tolist()]
+            walk = (state := jump[state + code] for code in memoryview(codes[:-1]))
         else:
-            heads += [state := jump[bisect_right(keys, state + code)] * stride
-                      for code in codes[:-1].tolist()]
+            walk = (state := jump[bisect_right(keys, state + code)] * stride
+                    for code in memoryview(codes[:-1]))
+        heads[1:] = np.fromiter(walk, dtype=np.intp, count=len(heads) - 1)
+        # fromiter stops at count, so the walk still holds the buckets
+        del walk
         # the epochs of all blocks follow one at a time, and each bucket
         # becomes its epoch's key, a state times stride plus the bucket
-        state = np.array(heads, dtype=np.intp) // stride ** (span - 1)
+        state = heads // stride ** (span - 1)
         del heads
         for j in range(span):
             by_block[:, j] += state

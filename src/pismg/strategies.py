@@ -75,9 +75,8 @@ class SemiStationaryStrategy:
     per_initial_state: tuple[PureStationaryStrategy, ...]
 
     def for_state(self, state: int) -> PureStationaryStrategy:
-        n = len(self.per_initial_state)
-        if not 1 <= state <= n:
-            raise ValueError(f"state {state} out of range 1..{n}")
+        if not 1 <= state <= len(self.per_initial_state):
+            raise ValueError(f"state {state} out of range 1..{len(self.per_initial_state)}")
         return self.per_initial_state[state - 1]
 
 

@@ -218,14 +218,14 @@ def _stochastic(spec) -> bool:
 MIXED = _corpus.mixed_sojourn_game(np.random.default_rng(424242))
 # the games with stochastic sojourns among 40 corpus games at seed 83
 CORPUS = [spec for spec in _corpus.game_corpus(40, seed=83) if _stochastic(spec)]
-# on six states, 1, 2 and 3 run in chunks of one epoch; 1008 fills 84
-# chunks of 12 epochs, and 1001 and 1024 (a square) pad their last chunk
+# in blocks of four epochs, 1, 2 and 3 end inside the first block, 1008
+# and 1024 fill their last block, and 1001 ends inside it
 HORIZONS = (1, 2, 3, 1001, 1008, 1024)
 SEEDS = (0, 2**128 - 1)
 # every row of DENSE reaches up to 200 states, so its grid has about as
 # many buckets as the game has transitions and no table fits. On RING
 # every state moves one or two steps on at the same uniform, so paths
-# from different states never meet and no lanes merge.
+# from different states never meet.
 DENSE = _corpus.dense_game(np.random.default_rng(61), n=200)
 RING = GameSpec("ring-200", tuple(
     StateSpec(sid, "I", (ActionSpec(
