@@ -178,8 +178,8 @@ def _check_sojourn(model: SojournModel, where: str) -> None:
     if len(model.params) != arity:
         raise GameValidationError(f"{where}: {model.kind} sojourn takes {arity} parameter(s), "
                                   f"got {len(model.params)}")
-    what = {"mean": "mean", "deterministic": "time", "exponential": "rate"}.get(model.kind)
-    if what is not None and not model.params[0] > 0.0:
+    if model.kind != "uniform" and not model.params[0] > 0.0:
+        what = {"mean": "mean", "deterministic": "time", "exponential": "rate"}[model.kind]
         raise GameValidationError(f"{where}: nonpositive sojourn {what} {model.params[0]}")
     if model.kind == "uniform":
         a, b = model.params

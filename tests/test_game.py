@@ -94,9 +94,6 @@ class TestStateLookup:
             example_spec.state(sid)
         assert str(exc.value) == f"state {sid} out of range 1..4"
 
-    def test_every_state_by_its_id(self, example_spec):
-        assert [example_spec.state(sid).id for sid in range(1, 5)] == [1, 2, 3, 4]
-
 
 class TestValidation:
     def test_row_sum_violation_names_state(self, example_path):
