@@ -1,5 +1,6 @@
-"""Exact rational phi(s, f, g) for small games, an oracle that shares no
-floating-point arithmetic with the solver.
+"""Exact rational phi(s, f, g) for small games, and the exact limiting
+matrix Q* of a small chain: an oracle that shares no floating-point
+arithmetic with the solver.
 
 Every input is read from its decimal text (``Fraction(repr(x))``), each
 transition row is divided by its exact sum, and the stationary and
@@ -61,6 +62,37 @@ def _structure(q) -> tuple[list, list]:
     return classes, [x for x in range(n) if x not in recurrent]
 
 
+def _limit(q: list, classes: list, transient: list) -> list:
+    """Q* of the exact stochastic matrix ``q`` (lists of fractions) whose
+    recurrent classes and transient states are given."""
+    n = len(q)
+    q_star = [[Fraction(0)] * n for _ in range(n)]
+    stationary = []
+    for cls in classes:
+        # pi (Q_KK - I) = 0 with the last balance equation replaced by sum(pi) = 1
+        a = [[q[x][y] - (x == y) for x in cls] for y in cls]
+        a[-1] = [Fraction(1)] * len(cls)
+        stationary.append([row[0] for row in _solve(a, [[0]] * (len(cls) - 1) + [[1]])])
+        for x in cls:
+            for y, p in zip(cls, stationary[-1]):
+                q_star[x][y] = p
+    if transient:
+        a = [[(x == y) - q[x][y] for y in transient] for x in transient]
+        b = [[sum(q[x][y] for y in cls) for cls in classes] for x in transient]
+        for x, weights in zip(transient, _solve(a, b)):
+            for w, cls, pi in zip(weights, classes, stationary):
+                for y, p in zip(cls, pi):
+                    q_star[x][y] = w * p
+    return q_star
+
+
+def exact_limit(q) -> list[list[Fraction]]:
+    """Q* of the float stochastic matrix ``q`` as exact fractions, each
+    row read from its decimal text and divided by its exact sum."""
+    rows = [[_exact(float(x)) for x in row] for row in q]
+    return _limit([[x / sum(row) for x in row] for row in rows], *_structure(q))
+
+
 def exact_phi(spec, f, g) -> list[Fraction]:
     """phi(s, f, g) for every state s, indexed s - 1, as exact fractions."""
     n = spec.n
@@ -75,21 +107,6 @@ def exact_phi(spec, f, g) -> list[Fraction]:
         r.append(_exact(act.reward))
         tau.append(sum(q[i][tr.to - 1] * _mean(tr.sojourn or act.default_sojourn)
                        for tr in act.transitions))
-    classes, transient = _structure(induce(spec, f, g).q)
-    means = []
-    for cls in classes:
-        # pi (Q_KK - I) = 0 with the last balance equation replaced by sum(pi) = 1
-        a = [[q[x][y] - (x == y) for x in cls] for y in cls]
-        a[-1] = [Fraction(1)] * len(cls)
-        pi = [row[0] for row in _solve(a, [[0]] * (len(cls) - 1) + [[1]])]
-        means.append((sum(p * r[x] for p, x in zip(pi, cls)),
-                      sum(p * tau[x] for p, x in zip(pi, cls))))
-    weights = {x: [Fraction(k == c) for c in range(len(means))]
-               for k, cls in enumerate(classes) for x in cls}
-    if transient:
-        t = transient
-        a = [[(x == y) - q[x][y] for y in t] for x in t]
-        b = [[sum(q[x][y] for y in cls) for cls in classes] for x in t]
-        weights.update(zip(t, _solve(a, b)))
-    return [sum(w * m[0] for w, m in zip(weights[s], means))
-            / sum(w * m[1] for w, m in zip(weights[s], means)) for s in range(n)]
+    q_star = _limit(q, *_structure(induce(spec, f, g).q))
+    return [sum(w * x for w, x in zip(row, r)) / sum(w * x for w, x in zip(row, tau))
+            for row in q_star]

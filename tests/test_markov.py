@@ -2,8 +2,10 @@ import importlib
 import importlib.util
 import itertools
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,7 @@ from pismg.markov import EPS_EDGE, EPS_PROJ, _closure, structural_limits
 from pismg.strategies import action_tables
 
 import _corpus
+from _exact import exact_limit
 
 MARKOV_MODULE = importlib.import_module("pismg.markov")
 
@@ -571,6 +574,73 @@ class TestStructural:
             cesaro_lazari(q)
         assert "lazari: projection identity" in str(lazari.value)
         assert str(lazari.value).endswith("; fall back to the structural method")
+
+
+def _ulps(got, want) -> float:
+    """The largest distance of a float matrix from an exact one, in units
+    of the last place of each exact entry (an exact 0 must be met)."""
+    return max(float(abs(Fraction(float(x)) - w) / Fraction(float(np.spacing(float(w)))))
+               if w else (math.inf if x else 0.0)
+               for row_x, row_w in zip(got, want) for x, w in zip(row_x, row_w))
+
+
+def _multichain(rng, n: int) -> np.ndarray:
+    """A random n-state chain with one to three closed classes and up to
+    n - 1 transient states, under a random labelling, its transition
+    probabilities spread over nine decades (all above EPS_EDGE). A cycle
+    through each class keeps it irreducible, and each transient state
+    enters a class directly."""
+    k = int(rng.integers(1, min(3, n) + 1))
+    t = int(rng.integers(0, n - k + 1))
+    cuts = np.sort(rng.choice(np.arange(t + 1, n), size=k - 1, replace=False))
+    classes = np.split(np.arange(t, n), cuts)
+    weight = 10.0 ** rng.uniform(-9, 0, (n, n))
+    support = np.zeros((n, n), dtype=bool)
+    for cls in classes:
+        support[cls, np.roll(cls, 1)] = True
+        support[np.ix_(cls, cls)] |= rng.random((len(cls), len(cls))) < 0.4
+    support[:t] = rng.random((t, n)) < 0.4
+    support[np.arange(t), rng.integers(t, n, t)] = True
+    q = np.where(support, weight, 0.0)
+    q /= q.sum(axis=1, keepdims=True)
+    order = rng.permutation(n)
+    return q[np.ix_(order, order)]
+
+
+class TestExactLimits:
+    """The structural method against exact rational Q* (tests/_exact.py):
+    GTH state reduction subtracts nothing, so each entry keeps its
+    relative accuracy, however weakly the states are coupled."""
+
+    @pytest.mark.parametrize("delta", [10.0**-k for k in range(3, 12)])
+    def test_weakly_coupled_class(self, delta):
+        q = np.array([[1 - delta, delta], [2 * delta, 1 - 2 * delta]])
+        assert _ulps(cesaro_structural(q).q_star, exact_limit(q)) <= 2
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-10, 1e-11])
+    def test_thin_loop_chain_under_leak(self, eps):
+        # the full chain of the thin-loop game (tests/test_solve.py) under
+        # "leak": the transient block [[1 - eps, eps], [1 - eps, 0]] leaves
+        # with probability eps^2 per round
+        q = np.array([[1 - eps, eps, 0.0], [1 - eps, 0.0, eps], [0.0, 0.0, 1.0]])
+        result = cesaro_structural(q)
+        assert result.decomposition.transient == (0, 1)
+        assert _ulps(result.q_star, exact_limit(q)) <= 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 7), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_structural_stack_matches_exact_property(n, m, seed):
+    # a chain-last stack of random multichain chains: every chain's Q* is
+    # within a few units of the last place of the exact one, entry by
+    # entry, and has the bits it has in a stack of its own
+    rng = np.random.default_rng(seed)
+    qs = np.stack([_multichain(rng, n) for _ in range(m)], axis=2)
+    lower, upper, _ = structural_limits(qs)
+    q_star = lower.transpose(2, 0, 1) @ upper.transpose(2, 0, 1)
+    for c in range(m):
+        assert _ulps(q_star[c], exact_limit(qs[..., c])) <= 16
+        assert np.array_equal(q_star[c], cesaro_structural(qs[..., c]).q_star)
 
 
 class TestDispatch:
