@@ -205,29 +205,33 @@ def censor(rows, decision, values) -> tuple:
         exits[transient], accumulated[transient] = x[:, :s], x[:, s:]
     means = np.zeros((len(classes), values.shape[1]))
     for j, idx in enumerate(classes):
-        pi = _stationary(rows[idx][:, idx][None], idx[None])
-        means[j] = pi[0] @ values[idx]
+        means[j] = _stationary(rows[idx][:, idx], idx) @ values[idx]
     return classes, exits, enters, accumulated, means
 
 
 def _product(weights: np.ndarray, v: np.ndarray, masked: bool) -> np.ndarray:
-    """weights @ v per chain, one matrix-vector product each: a stacked
-    matmul with a column operand runs the same product per chain as
-    ``weights[i] @ v[i]``, without a Python loop over the chains. With
-    ``masked``, the sum runs over the positive weights alone, so a value
-    that overflowed to inf adds nothing where its weight is 0, where the
-    matmul's 0 * inf would add nan."""
+    """weights @ v per chain of a C-ordered chain-last stack: ``weights``
+    is (a, b, m), or (a, b) shared by the stack, and ``v`` is (b, m).
+
+    A stack's own weights are summed along a leading axis, so on a stack
+    of two or more chains each chain's terms add in index order. Shared
+    weights take one matrix-vector product per chain, as a stacked
+    matmul with a column operand runs it, the same product whatever the
+    stack. With ``masked``, the sum runs over the positive weights alone,
+    so a value that overflowed to inf adds nothing where its weight is 0,
+    where 0 * inf would add nan."""
+    if weights.ndim == 2 and not masked:
+        return (weights @ v.T[..., None])[..., 0].T
+    if weights.ndim == 2:
+        weights = weights[..., None]
+    terms = weights * v
     if masked:
-        return np.where(weights > 0, weights * v[..., None, :], 0.0).sum(-1)
-    return (weights @ v[..., None])[..., 0]
+        terms = np.where(weights > 0, terms, 0.0)
+    return terms.sum(axis=1)
 
 
-def _ratio(weights: np.ndarray, r: np.ndarray, tau: np.ndarray,
-           masked: bool = False) -> np.ndarray:
-    """(weights @ r) / (weights @ tau) for a stack of chains' weight
-    matrices (or one matrix shared by the stack), rewards and sojourns,
-    each product by :func:`_product`."""
-    num, den = _product(weights, r, masked), _product(weights, tau, masked)
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, the expected time ``den`` checked positive."""
     if float(den.min()) <= 0.0:
         raise NumericalError(
             "nonpositive expected time in the limit; sojourn validation "
@@ -252,12 +256,9 @@ class _CensoredGame:
     states that may enter several, ``mixed``, mix the nodes' limits by
     their exit distributions. ``rows[x]`` is the first node state x may
     enter, and state x reads its payoff there unless it is mixed and
-    reaches more than one class. The rows of ``exits`` are the s nodes'
-    own (the identity) and then those of the mixed states, in the order
-    of ``mixed``, and ``enters`` holds the mixed states' 0/1 supports.
-    The identity rows stay at the top: a row's product rounds by where
-    it sits in the matrix, so the mixed states' rows keep their bits
-    only in the whole ``exits``.
+    reaches more than one class. ``exits`` and ``enters`` hold the mixed
+    states' exit distributions and 0/1 supports, in the order of
+    ``mixed``.
 
     The nodes fall into components (see :meth:`components`) that no
     action and no state links, and Q* is block-diagonal over them, so
@@ -293,7 +294,7 @@ class _CensoredGame:
         self.overflowed = not np.isfinite(self.values).all()
         self.rows = enters.argmax(axis=1)
         self.mixed = np.flatnonzero(enters.sum(axis=1) > 1)
-        self.exits = np.concatenate([np.eye(s), exits[self.mixed]])
+        self.exits = exits[self.mixed]
         self.enters = enters[self.mixed]
 
     def actions(self, fs, gs) -> np.ndarray:
@@ -326,39 +327,53 @@ class _CensoredGame:
                 for h in range(int(comp.max()) + 1)]
 
     def payoffs(self, acts: np.ndarray) -> np.ndarray:
-        """phi(s, f, g) for every state s of the pairs whose node actions
-        are the rows of ``acts``, from one stack of censored chains.
+        """phi(s, f, g) for every state s (rows) of the pairs (columns)
+        whose node actions are the rows of ``acts``, from one chain-last
+        stack of censored chains.
 
         Per class K of a censored chain, the full chain's per-epoch means
         are mu_K.R / mu_K.N and mu_K.T / mu_K.N (renewal-reward), so the
         rows of ``rates`` = lower @ (upper / mu.N) weight R and T as the
-        full chain's Q* weights r and tau, and a state's exit
-        distribution carries that to every state (QQ* = Q*). A node or
-        state that reaches a single class takes that class's value
-        exactly: the weight 1 comes from the 0/1 reachability, so all
-        states of a class share bits."""
-        nodes = np.arange(acts.shape[1])
-        lower, upper, reaches = structural_limits(self.q[nodes, acts],
-                                                  self.edges[nodes, acts], self.states)
-        reward, epochs, time = self.values[:, nodes, acts]
-        lower = np.where(reaches.sum(axis=2, keepdims=True) == 1, reaches, lower)
-        span = (upper * epochs[:, None]).sum(axis=2, keepdims=True)
+        full chain's Q* weights r and tau, and a mixed state's exit
+        distribution carries that to it (QQ* = Q*). A node or state that
+        reaches a single class takes that class's value exactly: the
+        weight 1 comes from the 0/1 reachability, so all states of a
+        class share bits. Every product runs along a leading axis or per
+        chain (see :func:`_product`); a single chain runs as a stack of
+        two, as in :func:`pismg.markov._structural_stack`, so a chain's
+        bits never depend on its stack."""
+        chains = len(acts)
+        acts = acts.T if chains > 1 else acts.T.repeat(2, axis=1)
+        s, width, _ = self.q.shape
+        # each node's row under its action in every chain, as flat
+        # indices into the action tables
+        cell = np.arange(s)[:, None] * width + acts
+        at = cell[:, None] * s + np.arange(s)[:, None]
+        lower, upper, reaches = structural_limits(
+            self.q.reshape(-1).take(at), self.edges.reshape(-1).take(at), self.states)
+        reward, epochs, time = self.values.reshape(3, -1)[:, cell]
+        lower = np.where(reaches.sum(axis=1, keepdims=True) == 1, reaches, lower)
         # a padded class has no stationary row and no span
-        rates = lower @ (upper / np.maximum(span, np.finfo(float).tiny))
+        span = np.maximum(_product(upper, epochs, False), np.finfo(float).tiny)
+        rates = _product(lower[:, :, None], upper / span[:, None], False)
         # a valid game's values may overflow phi to inf, or to nan where
         # infs of both signs meet; a node value that overflowed counts
         # only where its weight is positive. The check below names the
         # first such state, without a warning
+        masked = self.overflowed
         with np.errstate(over="ignore", invalid="ignore"):
-            phi = _ratio(self.exits, _product(rates, reward, self.overflowed),
-                         _product(rates, time, self.overflowed), self.overflowed)
-        # every state from its first node, then a mixed state that reaches
-        # more than one class from its own exits row
-        split, phi = phi[:, len(nodes):], phi[:, self.rows]
-        if self.mixed.size:
-            whole = ((self.enters @ reaches) > 0).sum(axis=2) == 1
-            phi[:, self.mixed] = np.where(whole, phi[:, self.mixed], split)
+            num, den = _product(rates, reward, masked), _product(rates, time, masked)
+            # every state from its first node, then a mixed state that
+            # reaches more than one class from its own exits row
+            phi = _ratio(num, den)[self.rows]
+            if self.mixed.size:
+                split = _ratio(_product(self.exits, num, masked),
+                               _product(self.exits, den, masked))
+                hits = self.enters @ reaches.reshape(s, -1) > 0
+                whole = hits.reshape(len(split), -1, len(split[0])).sum(axis=1) == 1
+                phi[self.mixed] = np.where(whole, phi[self.mixed], split)
         if not np.isfinite(phi).all():
-            chain, x = np.argwhere(~np.isfinite(phi))[0]
-            raise NumericalError(f"payoff of state {x + 1} is not finite: {float(phi[chain, x])!r}")
-        return phi
+            chain, state = np.argwhere(~np.isfinite(phi.T))[0]
+            raise NumericalError(
+                f"payoff of state {state + 1} is not finite: {float(phi[state, chain])!r}")
+        return phi[:, :chains]

@@ -27,6 +27,17 @@ it:
     absorption probabilities, and assemble Q* from them. The robust
     default; :func:`structural_limits` runs it on a stack of chains.
 
+The structural method stores a stack of m chains chain-last, as (n, n,
+m) with the chain axis contiguous, so each per-chain reduction runs
+along a leading axis over all chains at once, and solves the whole
+stack in one masked pass of GTH state reduction (Grassmann, Taksar and
+Heyman, 1985), which subtracts nothing and keeps each entry's relative
+accuracy however weakly the states are coupled; a single chain is a
+stack of one. Dense LU (:func:`_stationary`, :func:`_absorption`) is
+kept for the censoring's one large chain per game
+(:func:`pismg.censor.censor`), where a Python loop of n elimination
+steps over one chain would lose to LAPACK.
+
 Polynomials are coefficient arrays in ascending order: p[k] is the
 coefficient of z^k.
 """
@@ -108,22 +119,22 @@ def validate_stochastic(q) -> np.ndarray:
 
 
 def _check_stochastic(a: np.ndarray, states=None) -> None:
-    # also on a stack of matrices, naming the first offending chain's row;
+    # also on a chain-last stack of matrices, naming an offending row;
     # node x stands for the states ``states[x]`` (None: node x is state x)
     if not np.isfinite(a).all():
         raise NumericalError("not a stochastic matrix: non-finite entries")
     if a.min() < -EPS_STOCH:
         at = tuple(np.argwhere(a < -EPS_STOCH)[0])
-        i, j = (_node_name(x, states) for x in at[-2:])
+        i, j = (_node_name(x, states) for x in at[:2])
         raise NumericalError(
             f"not a stochastic matrix: negative entry {float(a[at])!r} at ({i}, {j})"
         )
-    sums = a.sum(axis=-1)
+    sums = a.sum(axis=1)
     bad = abs(sums - 1.0) > EPS_STOCH
     if bad.any():
         at = tuple(np.argwhere(bad)[0])
         raise NumericalError(
-            f"not a stochastic matrix: row {_node_name(at[-1], states)} "
+            f"not a stochastic matrix: row {_node_name(at[0], states)} "
             f"sums to {float(sums[at])!r}"
         )
 
@@ -215,7 +226,8 @@ def _check_limit(q_star: np.ndarray, q: np.ndarray, method: str,
     """Rows of Q* (or of a stack of them) sum to 1 and its entries lie
     in [0, 1]; with ``projection``, also the three projection identities
     Q*Q = QQ* = Q*Q* = Q*."""
-    if _max_abs(q_star.sum(axis=-1) - 1.0) > EPS_PROJ:
+    # written so that a NaN fails
+    if not _max_abs(q_star.sum(axis=-1) - 1.0) <= EPS_PROJ:
         raise NumericalError(f"{method}: limiting matrix rows do not sum to 1")
     if float(q_star.min()) < -EPS_PROJ or float(q_star.max()) > 1.0 + EPS_PROJ:
         raise NumericalError(f"{method}: limiting matrix entries leave [0, 1]")
@@ -223,7 +235,7 @@ def _check_limit(q_star: np.ndarray, q: np.ndarray, method: str,
         for label, left, right in (("Q*Q", q_star, q), ("QQ*", q, q_star),
                                    ("Q*Q*", q_star, q_star)):
             gap = _max_abs(left @ right - q_star)
-            if gap > EPS_PROJ:
+            if not gap <= EPS_PROJ:
                 advice = "" if method == "structural" else "; fall back to the structural method"
                 raise NumericalError(
                     f"{method}: projection identity {label} = Q* violated "
@@ -303,27 +315,15 @@ def cesaro_averaging(q, tol: float = AVERAGING_TOL,
     return result
 
 
-def _closure(reach: np.ndarray) -> np.ndarray:
-    """Transitive closure of a reflexive 0/1 float matrix, or a stack of
-    them, by squaring. Squared as floats, where BLAS runs the product
-    (numpy's boolean matmul is far slower); the sign of a path count
-    marks reachability. k squarings cover every path of up to 2^k edges,
-    and a simple path has at most n - 1, so the loop stops once
-    2^k >= n - 1."""
-    span = 1
-    while span < reach.shape[-1] - 1:
-        reach, span = np.sign(reach @ reach), 2 * span
+def _closure(edges: np.ndarray) -> np.ndarray:
+    """Reflexive transitive closure of a chain-last (n, n, m) stack of
+    0/1 graphs by Warshall's algorithm (J. ACM 9, 1962): after step k,
+    entry (i, j) holds when a path from i to j passes through no node
+    above k on its way."""
+    reach = edges | np.eye(len(edges), dtype=bool)[..., None]
+    for k in range(len(reach)):
+        reach |= reach[:, k, None] & reach[k]
     return reach
-
-
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve`` on a stack of systems; 1 x 1 systems are the
-    one division LAPACK would make, without its call overhead."""
-    if a.shape[-1] == 1:
-        if not a.all():
-            raise np.linalg.LinAlgError("Singular matrix")
-        return b / a
-    return np.linalg.solve(a, b)
 
 
 def _class_name(members: np.ndarray, states=None) -> tuple:
@@ -334,54 +334,57 @@ def _class_name(members: np.ndarray, states=None) -> tuple:
     return tuple(sorted(s for x in members.tolist() for s in states[x]))
 
 
-def _stationary(sub: np.ndarray, members: np.ndarray, states=None) -> np.ndarray:
-    """Stationary rows of a stack of (g, c, c) class blocks, block j over
-    the nodes ``members[j]``: one balance equation replaced with
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve``; a 1 x 1 system is the one division LAPACK
+    would make, without its call overhead."""
+    if a.shape[-1] == 1:
+        if not a.all():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return b / a
+    return np.linalg.solve(a, b)
+
+
+def _stationary(sub: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Stationary row of the (c, c) block ``sub`` of the closed class of
+    the states ``members``, for the censoring's classes (see
+    :func:`_absorption`): one balance equation replaced with
     normalization, dense LU, residual checked, clipped at 0 and
-    renormalised. A failure names the first failing block's states (see
-    :func:`_class_name`)."""
-    g, c, _ = sub.shape
-    a = sub.transpose(0, 2, 1).copy()
-    a.reshape(g, c * c)[:, ::c + 1] -= 1.0
-    a[:, -1] = 1.0
-    b = np.zeros((g, c, 1))
-    b[:, -1] = 1.0
+    renormalised."""
+    c = len(sub)
+    a = sub.T.copy()
+    a.reshape(-1)[::c + 1] -= 1.0
+    a[-1] = 1.0
+    b = np.zeros((c, 1))
+    b[-1] = 1.0
+    name = tuple(members.tolist())
     try:
-        pi = _solve(a, b)[..., 0]
-    except np.linalg.LinAlgError:
-        # name the first singular block
-        for j in range(g):
-            try:
-                _solve(a[j:j + 1], b[j:j + 1])
-            except np.linalg.LinAlgError as e:
-                raise NumericalError(
-                    f"numerically degenerate chain: stationary solve failed for "
-                    f"class {_class_name(members[j], states)}: {e}"
-                ) from e
-        raise
-    residual = abs((pi[:, None, :] @ sub)[:, 0] - pi).max(axis=1)
-    if residual.max() > EPS_PROJ or pi.min() < -EPS_PROJ:
-        j = ((residual > EPS_PROJ) | (pi.min(axis=1) < -EPS_PROJ)).argmax()
+        pi = _solve(a, b)[:, 0]
+    except np.linalg.LinAlgError as e:
         raise NumericalError(
-            f"numerically degenerate chain: stationary residual "
-            f"{float(residual[j])!r} for class {_class_name(members[j], states)}"
+            f"numerically degenerate chain: stationary solve failed for class {name}: {e}"
+        ) from e
+    residual = float(abs(pi @ sub - pi).max())
+    if residual > EPS_PROJ or pi.min() < -EPS_PROJ:
+        raise NumericalError(
+            f"numerically degenerate chain: stationary residual {residual!r} for class {name}"
         )
     np.maximum(pi, 0.0, out=pi)
-    pi /= pi.sum(axis=1, keepdims=True)
-    return pi
+    return pi / pi.sum()
 
 
 def _absorption(tt: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray:
-    """x solving (I - tt) x = rhs for a (stack of) transient block(s).
-    The first ``k`` columns of ``rhs`` are the one-step probabilities
-    into each of k absorbing sets, so those columns of x are absorption
-    probabilities: their rows must sum to 1, and they are clipped to
-    [0, 1]. Any further columns are returned as solved.
+    """x solving (I - tt) x = rhs for the transient block ``tt`` of one
+    chain. The first ``k`` columns of ``rhs`` are the one-step
+    probabilities into each of k absorbing sets, so those columns of x
+    are absorption probabilities: their rows must sum to 1, and they are
+    clipped to [0, 1]. Any further columns are returned as solved.
 
     Each diagonal entry of I - tt is formed as its row's exit mass plus
     its off-diagonal mass, never as 1 - tt_ii (Grassmann, Taksar and
     Heyman, Operations Research 33, 1985): a block that escapes with
-    probability 1e-10 per round keeps its digits."""
+    probability 1e-10 per round keeps its digits. The censoring solves
+    one such block per game, with up to n states, where one dense LU
+    beats the elimination of :func:`_structural_stack`."""
     a = -tt
     # a view that writes through in any memory order; a reshape of
     # F-ordered blocks would copy them, and the write would be lost
@@ -405,84 +408,131 @@ def _absorption(tt: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray:
 
 def _structural_stack(qs: np.ndarray, edges: np.ndarray | None = None, states=None
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Factors ``lower`` (m, n, k) and ``upper`` (m, k, n) of the
-    (unchecked) Q* = lower @ upper of every chain of a validated (m, n, n)
-    stack, the 0/1 ``reaches`` (m, n, k) and the class ``signatures``
-    (m, n): each state's smallest class member, or -1 if it is
-    transient.
+    """Factors ``lower`` (n, k, m) and ``upper`` (k, n, m) of Q* of every
+    chain of a validated chain-last (n, n, m) stack, ``qs[i, j, c]`` the
+    transition i -> j of chain c, with Q*[i, j] = sum over k of
+    lower[i, k] upper[k, j]; the 0/1 ``reaches`` (n, k, m); and whether
+    each state is ``recurrent`` (n, m).
 
     ``edges`` is the stack's 0/1 transition graph; None takes the
     transitions with probability > EPS_EDGE. ``states`` names a failing
     class by the states its nodes stand for (see :func:`_class_name`).
     A state is recurrent when every state it reaches (reflexive closure)
     reaches it back, and then its closure row is its class. Each chain's
-    classes are numbered by smallest member and k is padded to the
-    stack's largest class count.
-    ``upper[i, k]`` is class k's stationary row in chain i, ``lower[i,
-    :, k]`` is 1 on class k and the absorption probabilities into it on
-    the transient states, and ``reaches[i, :, k]`` is 1 on the states
-    that reach class k. The classes are disjoint, so each entry of
-    lower @ upper has at most one nonzero term.
+    classes are numbered by their heads, their smallest members, and k
+    is padded to the stack's largest class count.
+    ``upper[k, :, i]`` is class k's stationary row in chain i, ``lower[:,
+    k, i]`` is 1 on class k and the absorption probabilities into it on
+    the transient states, and ``reaches[:, k, i]`` is 1 on the states
+    that reach class k. The classes are disjoint, so each entry of Q* has
+    at most one nonzero term.
 
-    The solves are stacked across chains: one stationary solve per class
-    size (one balance equation replaced with normalization, dense LU)
-    and one absorption solve, (I - Q_TT) x = Q_T,C 1, per number of
-    transient states."""
-    m, n, _ = qs.shape
+    The solves are one masked pass of GTH state reduction (Grassmann,
+    Taksar and Heyman, Operations Research 33, 1985) over the whole
+    stack: every state but the heads is eliminated, in descending index,
+    each step dividing by the eliminated row's remaining off-diagonal
+    mass, so nothing is subtracted and every entry keeps its relative
+    accuracy (O'Cinneide, Numer. Math. 65, 1993). A recurrent state
+    enters only its own class, so each class reduces to its head while
+    the transient states fold into the classes they enter. One ascending
+    pass of back-substitution then gives each transient state's
+    absorption row from the rows of the states it could still enter, and
+    each other recurrent state's stationary weight relative to its head.
+
+    The chain axis is last and contiguous, so every reduction runs along
+    a leading axis and adds in index order. On a stack of one numpy would
+    add pairwise instead, so a single chain runs twice, and a chain's
+    bits never depend on the other chains of its stack."""
+    n, _, m = qs.shape
     if edges is None:
         edges = qs > EPS_EDGE
-    reach = _closure((edges | np.eye(n, dtype=bool)).astype(float))
-    recurrent = ~(reach > reach.transpose(0, 2, 1)).any(axis=2)
-    # a recurrent state reaches exactly its own class, so the first state
-    # it reaches is the class's smallest member, its head
-    first = reach.argmax(axis=2)
-    heads = recurrent & (first == np.arange(n))
-    width = int(heads.sum(axis=1).max())
-    rank = heads.cumsum(axis=1) - 1
+    if m == 1:
+        factors = _structural_stack(qs.repeat(2, axis=2), edges.repeat(2, axis=2), states)
+        return tuple(x[..., :1] for x in factors)
+    reach = _closure(edges)
+    recurrent = ~(reach > reach.transpose(1, 0, 2)).any(axis=1)
+    # a recurrent state reaches exactly its own class, so it is the head
+    # when it reaches no smaller state
+    heads = recurrent & ~(reach & np.tri(n, k=-1, dtype=bool)[..., None]).any(axis=1)
+    width = int(heads.sum(axis=0).max())
+    hot = heads[:, None] & (heads.cumsum(axis=0)[:, None] == np.arange(1, width + 1)[:, None])
     # a state's row of reaches counts the heads it reaches, which for a
     # recurrent state is its own class's only
-    reaches = reach @ ((rank[:, :, None] == np.arange(width)) & heads[:, :, None])
-    lower = reaches * recurrent[:, :, None]
-    upper = np.zeros((m, width, n))
-    sizes = lower.sum(axis=1).astype(np.intp)
-    # states in class order, ascending within a class, transient last
-    order = np.argsort(np.where(recurrent, first, n), axis=1, kind="stable")
-    starts = sizes.cumsum(axis=1) - sizes
-    for c in sorted(set(sizes[sizes > 0].tolist())):
-        ci, ck = np.nonzero(sizes == c)
-        idx = order[ci[:, None], starts[ci, ck][:, None] + np.arange(c)]
-        sub = qs[ci[:, None, None], idx[:, :, None], idx[:, None, :]]
-        upper[ci[:, None], ck[:, None], idx] = _stationary(sub, idx, states)
-    transient = n - sizes.sum(axis=1)
-    for t in sorted(set(transient[transient > 0].tolist())):
-        ci = np.flatnonzero(transient == t)
-        idx = order[ci, n - t:]
-        tt = qs[ci[:, None, None], idx[:, :, None], idx[:, None, :]]
-        # each row's mass on each class, as n right-hand sides whatever
-        # the stack's class count: BLAS and LAPACK may round a column
-        # differently with another number of columns
-        member = np.zeros((len(ci), n, n))
-        member[..., :width] = lower[ci]
-        lower[ci[:, None], idx] = _absorption(tt, qs[ci[:, None], idx] @ member, n)[..., :width]
-    return lower, upper, reaches, np.where(recurrent, first, -1)
+    reaches = (reach[:, :, None] & hot).any(axis=1)
+    member = reaches & recurrent[:, None]
+    transient, inner = ~recurrent, recurrent & ~heads
+    a = qs.copy()
+    alive, mass = np.ones((n, m)), np.ones((n, m))
+    for k in range(n - 1, -1, -1):
+        out = ~heads[k]
+        if not out.any():
+            continue
+        alive[k] = heads[k]
+        row = a[k] * alive
+        # the chains that keep state k divide by 1 and add nothing
+        mass[k] = np.where(out, row.sum(axis=0), 1.0)
+        a += (a[:, k] * alive * out)[:, None] * (row / mass[k])
+        # a transient row keeps only the states it could still enter
+        a[k] = np.where(transient[k], row, a[k])
+    # a[k] is transient k's row and a[:, k] inner state k's column as
+    # they were when k was eliminated; in ascending order, the states
+    # eliminated before k have no absorption row or weight yet when k's
+    # is found
+    lower, weight = member.astype(float), heads.astype(float)
+    for k in range(n):
+        if transient[k].any():
+            lower[k] += (a[k][:, None] * lower).sum(axis=0) / mass[k] * transient[k]
+        if inner[k].any():
+            weight[k] += (a[:, k] * weight).sum(axis=0) / mass[k] * inner[k]
+    # a head's weight is 1, so a class's total is at least 1, and a padded
+    # class, with no members, divides 0 by 1
+    total = (member * weight[:, None]).sum(axis=0)
+    upper = np.ascontiguousarray((member * (weight[:, None] / np.maximum(total, 1.0)))
+                                 .transpose(1, 0, 2))
+    # the checks multiply chain-first copies, where matmul runs fastest
+    ups = _chain_first(upper)
+    gap = abs(ups @ _chain_first(qs) - ups)
+    if not gap.max() <= EPS_PROJ or ups.min() < -EPS_PROJ:
+        residual = gap.max(axis=2)
+        c, k = np.argwhere(~(residual <= EPS_PROJ) | (ups.min(axis=2) < -EPS_PROJ))[0]
+        raise NumericalError(
+            f"numerically degenerate chain: stationary residual "
+            f"{float(residual[c, k])!r} for class "
+            f"{_class_name(np.flatnonzero(member[:, k, c]), states)}"
+        )
+    if not (abs(lower.sum(axis=1) - 1.0) <= EPS_PROJ).all():
+        raise NumericalError(
+            "numerically degenerate chain: absorption rows do not sum to 1"
+        )
+    return lower, upper, reaches, recurrent
+
+
+def _chain_first(a: np.ndarray) -> np.ndarray:
+    """A C-ordered (m, p, q) copy of the chain-last (p, q, m) stack ``a``."""
+    return np.ascontiguousarray(a.transpose(2, 0, 1))
+
+
+def _limit(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Q* = lower @ upper of each chain of a chain-last stack of factors,
+    as an (m, n, n) stack."""
+    return _chain_first(lower) @ _chain_first(upper)
 
 
 def structural_limits(qs, edges=None, states=None
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Q* of every chain of an (m, n, n) stack by the structural method,
-    as its factors ``(lower, upper)`` (Q* = lower @ upper) and the 0/1
-    ``reaches``, each state's reachable classes (see
-    :func:`_structural_stack`). ``edges`` is the stack's 0/1 transition
-    graph (None: the transitions above EPS_EDGE), and ``states[x]`` the
-    states node x stands for, which name a failing row or class (None:
-    node x is state x). The rows are checked stochastic, and Q* sums to
-    1 by row, lies in [0, 1] and satisfies the projection identities; a
-    check failing anywhere raises, and on a stack of one the message is
-    exact."""
+    """Q* of every chain of a chain-last (n, n, m) stack by the structural
+    method, as its factors ``(lower, upper)`` and the 0/1 ``reaches``,
+    each state's reachable classes (see :func:`_structural_stack`).
+    ``edges`` is the stack's 0/1 transition graph (None: the transitions
+    above EPS_EDGE), and ``states[x]`` the states node x stands for,
+    which name a failing row or class (None: node x is state x). The
+    rows are checked stochastic, and Q* sums to 1 by row, lies in [0, 1]
+    and satisfies the projection identities; a check failing anywhere
+    raises, and on a stack of one the message is exact."""
     qs = np.asarray(qs, dtype=float)
     _check_stochastic(qs, states)
     lower, upper, reaches, _ = _structural_stack(qs, edges, states)
-    _check_limit(lower @ upper, qs, "structural")
+    _check_limit(_limit(lower, upper), _chain_first(qs), "structural")
     return lower, upper, reaches
 
 
@@ -495,19 +545,17 @@ def decompose_chain(q) -> ChainDecomposition:
 
 def cesaro_structural(q) -> CesaroResult:
     """Limiting matrix assembled from the chain structure (a stack of one)."""
-    qs = validate_stochastic(q)[None]
-    lower, upper, _, signatures = _structural_stack(qs)
-    q_star = lower @ upper
-    _check_limit(q_star, qs, "structural")
-    lower, upper, signature = lower[0], upper[0], signatures[0]
-    heads = sorted(set(signature.tolist()) - {-1})
-    classes = [np.flatnonzero(signature == h) for h in heads]
-    transient = np.flatnonzero(signature < 0)
+    q = validate_stochastic(q)
+    lower, upper, reaches, recurrent = (x[..., 0] for x in _structural_stack(q[..., None]))
+    q_star = _limit(lower[..., None], upper[..., None])
+    _check_limit(q_star, q[None], "structural")
+    classes = [np.flatnonzero(reaches[:, k] & recurrent) for k in range(upper.shape[0])]
+    transient = np.flatnonzero(~recurrent)
     return CesaroResult(q_star=q_star[0], method="structural", decomposition=ChainDecomposition(
         recurrent_classes=tuple(tuple(idx.tolist()) for idx in classes),
         transient=tuple(transient.tolist()),
         stationary=tuple(upper[k, idx] for k, idx in enumerate(classes)),
-        absorption=lower[transient, :len(classes)],
+        absorption=lower[transient],
     ))
 
 

@@ -213,7 +213,7 @@ def _payoff_tensor(spec: GameSpec, fs, gs) -> np.ndarray:
             reps = np.flatnonzero(own)
             for lo in range(0, len(reps), step):
                 chunk = reps[lo:lo + step]
-                flat[:, chunk] = game.payoffs(acts[chunk]).T
+                flat[:, chunk] = game.payoffs(acts[chunk])
             copies = np.flatnonzero(~own)
             flat[states[:, None], copies] = flat[states[:, None], rep[copies]]
     except NumericalError:

@@ -98,7 +98,7 @@ class TestValidateStochastic:
     def test_censored_stack_names_rows_by_their_states(self, q, message):
         # node 0 stands for state 3, node 1 for the closed class {4, 5}
         with pytest.raises(NumericalError) as exc:
-            structural_limits(np.array([q]), states=[(3,), (4, 5)])
+            structural_limits(np.array(q)[..., None], states=[(3,), (4, 5)])
         assert str(exc.value) == f"not a stochastic matrix: {message}"
 
 
@@ -291,12 +291,17 @@ class TestDecompose:
     def test_checks_the_limit(self, monkeypatch):
         # every stationary row the first state of its class: rows sum to 1
         # and lie in [0, 1], so only the projection identities see it
-        def first_state(sub, members, states=None):
-            pi = np.zeros(sub.shape[:2])
-            pi[:, 0] = 1.0
-            return pi
+        kernel = MARKOV_MODULE._structural_stack
 
-        monkeypatch.setattr(MARKOV_MODULE, "_stationary", first_state)
+        def first_state(qs, *args):
+            lower, upper, reaches, recurrent = kernel(qs, *args)
+            members = reaches & recurrent[:, None]
+            planted = np.zeros(upper.shape)
+            for k, c in zip(*np.nonzero(members.any(axis=0))):
+                planted[k, members[:, k, c].argmax(), c] = 1.0
+            return lower, planted, reaches, recurrent
+
+        monkeypatch.setattr(MARKOV_MODULE, "_structural_stack", first_state)
         with pytest.raises(NumericalError) as exc:
             decompose_chain([[0.5, 0.5], [0.5, 0.5]])
         assert str(exc.value) == "structural: projection identity Q*Q = Q* violated by 0.5"
@@ -318,24 +323,30 @@ def _fixpoint_closure(reach):
 
 
 class TestClosure:
+    """Warshall's closure of a chain-last stack against squaring to a
+    fixpoint, one graph at a time."""
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 17, 40])
     def test_matches_fixpoint_on_random_graphs(self, n):
         rng = np.random.default_rng(n)
         for density in (0.02, 0.1, 0.3):
-            # a stack of graphs, squared together
+            # a stack of graphs, closed together
             edges = rng.random((6, n, n)) < density
             reach = (edges | np.eye(n, dtype=bool)).astype(float)
-            assert np.array_equal(_closure(reach), _fixpoint_closure(reach))
+            closed = _closure(edges.transpose(1, 2, 0)).transpose(2, 0, 1)
+            assert np.array_equal(closed, [_fixpoint_closure(r) > 0 for r in reach])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 17, 33, 150])
     def test_path_graph_needs_every_squaring(self, n):
         # 0 -> 1 -> ... -> n-1 has diameter n - 1: the closure is the upper
-        # triangle, which no fewer than ceil(log2(n - 1)) squarings reach
+        # triangle, which no fewer than ceil(log2(n - 1)) squarings reach,
+        # and which Warshall's steps reach from either end
         reach = np.eye(n) + np.eye(n, k=1)
         expected = np.triu(np.ones((n, n)))
         assert np.array_equal(_fixpoint_closure(reach), expected)
-        assert np.array_equal(_closure(reach), expected)
-        assert np.array_equal(_closure(reach[::-1, ::-1]), expected[::-1, ::-1])
+        path = np.eye(n, k=1, dtype=bool)
+        assert np.array_equal(_closure(path[..., None])[..., 0], expected)
+        assert np.array_equal(_closure(path[::-1, ::-1, None])[..., 0], expected[::-1, ::-1])
 
 
 def _sink_reach(rows: np.ndarray, decision: np.ndarray) -> np.ndarray:
@@ -345,7 +356,7 @@ def _sink_reach(rows: np.ndarray, decision: np.ndarray) -> np.ndarray:
     before its end. A dense reference for the censoring's SCC pass."""
     edges = rows > EPS_EDGE
     edges[decision] = False
-    return _closure((edges | np.eye(len(rows), dtype=bool)).astype(float))
+    return _fixpoint_closure((edges | np.eye(len(rows), dtype=bool)).astype(float))
 
 
 def _closure_sinks(rows: np.ndarray, decision: np.ndarray) -> tuple:
@@ -455,13 +466,13 @@ class TestDecisionReach:
                 nodes, edges = np.eye(s), np.eye(s, dtype=bool)
                 nodes[:c] = q[decision] @ exits
                 edges[:c] = (q[decision] > EPS_EDGE).astype(float) @ enters > 0
-                lower, upper, reaches = structural_limits(nodes[None], edges[None])
+                lower, upper, reaches = (x[..., 0] for x in structural_limits(
+                    nodes[..., None], edges[..., None]))
                 full = cesaro_structural(q)
                 if c == n:
                     assert np.array_equal(nodes, q)
-                    assert np.array_equal((lower @ upper)[0], full.q_star)
-                self._agree(q, decision, closed, exits, enters, lower[0], upper[0],
-                            reaches[0], full)
+                    assert np.array_equal(lower @ upper, full.q_star)
+                self._agree(q, decision, closed, exits, enters, lower, upper, reaches, full)
 
     @staticmethod
     def _agree(q, decision, closed, exits, enters, lower, upper, reaches, full):
@@ -472,7 +483,7 @@ class TestDecisionReach:
         cls_of = {x: k for k, members in enumerate(dec.recurrent_classes) for x in members}
         heads = [np.flatnonzero(upper[k])[0] for k in range(upper.shape[0]) if upper[k].any()]
         assert len(set(heads)) == len(heads)
-        full_reach = _closure(((q > EPS_EDGE) | np.eye(n, dtype=bool)).astype(float))
+        full_reach = _fixpoint_closure(((q > EPS_EDGE) | np.eye(n, dtype=bool)).astype(float))
         for k, head in enumerate(heads):
             members = dec.recurrent_classes[cls_of[state_of[head]]]
             mass = full.q_star[:, list(members)].sum(axis=1)

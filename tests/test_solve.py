@@ -1,6 +1,8 @@
+import functools
 import importlib
 import inspect
 import json
+import operator
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -631,7 +633,7 @@ class TestSolve:
         per_pair = SOLVE_MODULE.payoff_vector
 
         def counted_limits(qs, *args):
-            counts["chains"] += len(qs)
+            counts["chains"] += qs.shape[-1]
             return limits(qs, *args)
 
         def counted_per_chain(*args, **kwargs):
@@ -654,14 +656,14 @@ class TestSolve:
     def test_no_closure_wider_than_the_censored_chains(self, monkeypatch):
         # the censoring finds a 150-state game's open states, closed
         # classes and entry supports in one SCC pass: the only transitive
-        # closures a solve squares are those of its censored chains
+        # closures a solve takes are those of its censored chains
         spec = _corpus.sparse_game(np.random.default_rng(8), n=150)
         original = MARKOV_MODULE._closure
         widths = []
 
-        def recording(reach):
-            widths.append(reach.shape[-1])
-            return original(reach)
+        def recording(edges):
+            widths.append(len(edges))
+            return original(edges)
 
         # every module that holds the function by name
         for module in (MARKOV_MODULE, CENSOR_MODULE, SOLVE_MODULE):
@@ -921,17 +923,26 @@ class TestBatchedPairs:
         assert parse_game(data.read_text()) == _unreachable_from_choices()
 
     def test_ratio_takes_each_chains_own_product(self):
-        # the stacked product must round as q_star[i] @ r[i] does, so a
-        # tensor keeps the bits of a pair evaluated on its own
+        # the stacked product must add each chain's terms in index order,
+        # as a chain alone does, so a tensor keeps the bits of a pair
+        # evaluated on its own
         rng = np.random.default_rng(3)
         for n in (2, 4, 7, 150):
             m = 2 if n == 150 else 300
             q_star = np.array([_corpus.random_stochastic(rng, n) for _ in range(m)])
             r = rng.uniform(-5.0, 5.0, (m, n))
             tau = rng.uniform(0.5, 3.0, (m, n))
-            expected = (np.array([a @ v for a, v in zip(q_star, r)])
-                        / np.array([a @ v for a, v in zip(q_star, tau)]))
-            assert np.array_equal(CENSOR_MODULE._ratio(q_star, r, tau), expected)
+
+            def in_order(v):
+                # every row's sum of products, added left to right
+                return np.array([[functools.reduce(operator.add, map(operator.mul, row, vc))
+                                  for row in a.tolist()] for a, vc in zip(q_star, v.tolist())])
+
+            expected = in_order(r) / in_order(tau)
+            weights, r, tau = (np.ascontiguousarray(x.T) for x in (q_star.transpose(0, 2, 1), r, tau))
+            got = CENSOR_MODULE._ratio(CENSOR_MODULE._product(weights, r, False),
+                                       CENSOR_MODULE._product(weights, tau, False))
+            assert np.array_equal(got, expected.T)
 
     @pytest.mark.parametrize("eps_proj", [-1.0, 1e-16])
     def test_failed_check_names_the_first_failing_pair(
@@ -1004,7 +1015,7 @@ class TestBatchedPairs:
             q, r, tau = action_tables(spec)
             assert np.array_equal(game.q, q) and np.array_equal(game.edges, q > EPS_EDGE)
             assert np.array_equal(game.values, np.array([r, np.ones(r.shape), tau]))
-            assert np.array_equal(game.exits, np.eye(spec.n))
+            assert game.exits.shape == (0, spec.n)
             assert game.rows.tolist() == list(range(spec.n)) and game.mixed.size == 0
             assert game.enters.shape == (0, spec.n)
             assert game.states == [(x,) for x in range(spec.n)]
@@ -1015,9 +1026,10 @@ class TestBatchedPairs:
     ):
         # decision states 2 and 4 are censored nodes 0 and 1, and under
         # (f1, g1) they form one class. With ``closed``, the one-action
-        # class {5, 6} is node 2, a class of one node, whose stationary
-        # row comes first. Censored with the real tolerance, then every
-        # check of the stack fails at its first stationary row.
+        # class {5, 6} is node 2, a class of one node, and under (f1, g2)
+        # state 4 enters it, so it is the only class. Censored with the
+        # real tolerance, then every check of the stack fails at its
+        # first stationary row.
         def action(label, row):
             return ActionSpec(label, 1.0, tuple(Transition(d, p) for d, p in row.items()),
                               SojournModel("mean", (1.0,)))
@@ -1031,7 +1043,8 @@ class TestBatchedPairs:
                StateSpec(6, "II", (action("h", {5: 1.0}),))) if closed else ()),
         ))
         game = CENSOR_MODULE._CensoredGame(spec)
-        acts = game.actions(enumerate_pure(spec, "I")[:1], enumerate_pure(spec, "II")[:1])
+        g = enumerate_pure(spec, "II")[1 if closed else 0]
+        acts = game.actions(enumerate_pure(spec, "I")[:1], [g])
         monkeypatch.setattr(MARKOV_MODULE, "EPS_PROJ", -1.0)
         with pytest.raises(NumericalError) as exc:
             game.payoffs(acts)
@@ -1155,7 +1168,7 @@ class TestComponents:
         limits = CENSOR_MODULE.structural_limits
 
         def counted_limits(qs, *args):
-            chains.append(len(qs))
+            chains.append(qs.shape[-1])
             return limits(qs, *args)
 
         monkeypatch.setattr(CENSOR_MODULE, "structural_limits", counted_limits)
