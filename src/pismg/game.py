@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import GameFormatError, GameValidationError
@@ -170,14 +171,24 @@ def expected_sojourn(action: ActionSpec) -> float:
     return total
 
 
+def _real(x) -> bool:
+    """Whether x is a real number other than a bool, as the JSON parser
+    reads one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _check_sojourn(model: SojournModel, where: str) -> None:
-    # a model built in code, not parsed, may have any kind and arity
+    # a model built in code, not parsed, may have any kind, arity and
+    # parameter type
     arity = len(_SOJOURN_PARAMS.get(model.kind, ()))
     if not arity:
         raise GameValidationError(f"{where}: unknown sojourn kind {model.kind!r}")
     if len(model.params) != arity:
         raise GameValidationError(f"{where}: {model.kind} sojourn takes {arity} parameter(s), "
                                   f"got {len(model.params)}")
+    for p in model.params:
+        if not _real(p):
+            raise GameValidationError(f"{where}: sojourn parameter {p!r} is not a number")
     if model.kind != "uniform" and not model.params[0] > 0.0:
         what = {"mean": "mean", "deterministic": "time", "exponential": "rate"}[model.kind]
         raise GameValidationError(f"{where}: nonpositive sojourn {what} {model.params[0]}")
@@ -221,13 +232,23 @@ def validate(spec: GameSpec) -> ValidationReport:
             warnings.append(f"state {st.id}: duplicate action labels")
         for ai, act in enumerate(st.actions, start=1):
             where = f"state {st.id} action {ai}"
+            if not _real(act.reward):
+                raise GameValidationError(f"{where}: reward {act.reward!r} is not a number")
             if not math.isfinite(act.reward):
                 raise GameValidationError(f"{where}: non-finite reward")
             if not act.transitions:
                 raise GameValidationError(f"{where}: must list at least one transition")
             seen: set[int] = set()
             total = 0.0
-            for tr in act.transitions:
+            for ti, tr in enumerate(act.transitions, start=1):
+                if not isinstance(tr.to, numbers.Integral) or isinstance(tr.to, bool):
+                    raise GameValidationError(
+                        f"{where} transition {ti}: destination {tr.to!r} is not a state id"
+                    )
+                if not _real(tr.prob):
+                    raise GameValidationError(
+                        f"{where} transition {ti}: probability {tr.prob!r} is not a number"
+                    )
                 if not 1 <= tr.to <= spec.n:
                     raise GameValidationError(
                         f"{where}: transition to unknown state {tr.to}"
@@ -267,6 +288,8 @@ def validate(spec: GameSpec) -> ValidationReport:
             f"reference_values has {len(spec.reference_values)} entries, expected {spec.n}"
         )
     for i, ref in enumerate(spec.reference_values or ()):
+        if not _real(ref):
+            raise GameValidationError(f"reference_values[{i}]: {ref!r} is not a number")
         if not math.isfinite(ref):
             raise GameValidationError(f"reference_values[{i}]: non-finite value {ref!r}")
     s1 = tuple(st.id for st in spec.states if st.controller == PLAYER_I)

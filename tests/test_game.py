@@ -165,7 +165,10 @@ class TestValidation:
         (SojournModel("gamma", (1.0, 2.0)), "unknown sojourn kind 'gamma'"),
         (SojournModel("uniform", (1.0,)), "uniform sojourn takes 2 parameter(s), got 1"),
         (SojournModel("mean", ()), "mean sojourn takes 1 parameter(s), got 0"),
-    ], ids=["unknown-kind", "uniform-one-parameter", "mean-no-parameter"])
+        (SojournModel("mean", ("1.5",)), "sojourn parameter '1.5' is not a number"),
+        (SojournModel("uniform", (0.5, None)), "sojourn parameter None is not a number"),
+    ], ids=["unknown-kind", "uniform-one-parameter", "mean-no-parameter", "mean-string",
+            "uniform-none"])
     @pytest.mark.parametrize("override", [False, True], ids=["default", "override"])
     def test_malformed_sojourn_built_in_code(self, model, message, override):
         # the parser rejects such models with its own texts; a spec built
@@ -182,6 +185,27 @@ class TestValidation:
             validate(spec)
         where = "state 2 action 2 transition 2" if override else "state 2 action 2"
         assert str(exc.value) == f"{where}: {message}"
+
+    @pytest.mark.parametrize("first, reward, message", [
+        (Transition("1", 0.5), 1.0, " transition 1: destination '1' is not a state id"),
+        (Transition(True, 0.5), 1.0, " transition 1: destination True is not a state id"),
+        (Transition(1.0, 0.5), 1.0, " transition 1: destination 1.0 is not a state id"),
+        (Transition(1, "0.5"), 1.0, " transition 1: probability '0.5' is not a number"),
+        (Transition(1, 0.5), "1", ": reward '1' is not a number"),
+    ], ids=["string-destination", "bool-destination", "float-destination",
+            "string-probability", "string-reward"])
+    def test_non_numeric_field_built_in_code(self, first, reward, message):
+        # the parser rejects these with its own texts; validate names the
+        # state, action and transition instead of leaking a TypeError
+        soj = SojournModel("mean", (1.0,))
+        spec = GameSpec("bad", (
+            StateSpec(1, "I", (ActionSpec("a", 1.0, (Transition(2, 1.0),), soj),)),
+            StateSpec(2, "II", (ActionSpec("a", 1.0, (Transition(1, 1.0),), soj),
+                                ActionSpec("b", reward, (first, Transition(2, 0.5)), soj))),
+        ))
+        with pytest.raises(GameValidationError) as exc:
+            validate(spec)
+        assert str(exc.value) == f"state 2 action 2{message}"
 
     def test_report_partition(self, example_spec):
         report = validate(example_spec)
