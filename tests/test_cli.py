@@ -1,10 +1,14 @@
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from pismg import enumerate_pure, parse_game
 from pismg.cli import build_parser, main
+
+from _exact import exact_phi
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -358,6 +362,11 @@ GOLDEN = [
     # a loop that escapes with probability 1e-10 per round: the
     # absorption solve keeps its digits, and every value is 2
     ("solve_thin_loop.txt", "thin_loop", ["solve", "{game}", "--no-banner", "--emit-matrices"]),
+    # the decision pair (couple, couple) closes a class of two states
+    # coupled at 1e-10 per round: GTH state reduction keeps every digit
+    # of its stationary row (see test_weak_coupling_golden_is_exact)
+    ("solve_weak_coupling.json", "weak_coupling",
+     ["solve", "{game}", "--no-banner", "--emit-matrices", "--format", "json"]),
     # a node value that overflows where its state is transient: every
     # value is 1 and every matrix entry 1 or 2
     ("solve_transient_overflow.txt", "transient_overflow",
@@ -414,6 +423,20 @@ class TestGoldenOutput:
             _assert_same_json(json.loads(out), json.loads(want))
         else:
             assert out == want
+
+    def test_weak_coupling_golden_is_exact(self):
+        # every matrix entry and value of the golden lies within one unit
+        # in the last place of the exact rational payoff
+        spec = parse_game((DATA / "weak_coupling.json").read_text())
+        out = json.loads((DATA / "solve_weak_coupling.json").read_text())
+        fs, gs = enumerate_pure(spec, "I"), enumerate_pure(spec, "II")
+        for matrix, saddle, value in zip(out["matrices"], out["saddles"], out["value"]):
+            s = matrix["initial_state"]
+            for f, row in zip(fs, matrix["entries"]):
+                for g, x in zip(gs, row):
+                    want = exact_phi(spec, f, g)[s - 1]
+                    assert abs(Fraction(x) - want) <= Fraction(math.ulp(float(want))), (s, f, g)
+            assert value == saddle["value"] == matrix["entries"][saddle["row"]][saddle["col"]]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_cesaro_matches_expected(self, capsys, fmt):
