@@ -173,8 +173,14 @@ def expected_sojourn(action: ActionSpec) -> float:
 
 def _real(x) -> bool:
     """Whether x is a real number other than a bool, as the JSON parser
-    reads one."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    reads one (the type test first: an abstract-class check costs more
+    than the rest of a transition's checks)."""
+    return type(x) in (float, int) or isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _state_id(x) -> bool:
+    """Whether x is an integer other than a bool (see :func:`_real`)."""
+    return type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _check_sojourn(model: SojournModel, where: str) -> None:
@@ -241,7 +247,7 @@ def validate(spec: GameSpec) -> ValidationReport:
             seen: set[int] = set()
             total = 0.0
             for ti, tr in enumerate(act.transitions, start=1):
-                if not isinstance(tr.to, numbers.Integral) or isinstance(tr.to, bool):
+                if not _state_id(tr.to):
                     raise GameValidationError(
                         f"{where} transition {ti}: destination {tr.to!r} is not a state id"
                     )
