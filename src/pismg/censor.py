@@ -12,10 +12,18 @@ every pure pair of a game can be evaluated on its censored chain.
 The structure of the censoring comes from one strongly connected
 components pass (Tarjan, SIAM J. Comput. 1, 1972) over the transitions,
 with the decision states made sinks, in time linear in the transitions:
-no closure of the full chain is squared. The components of the censored
+no closure of the full chain is taken. The components of the censored
 game's node graph come from the same pass. The other per-game step of
 a solve that walks every transition, validation, runs once per spec: a
 parsed spec keeps its report (:func:`pismg.game.validate`).
+
+The censoring solves one chain of up to n states per game, by dense LU
+(:func:`pismg.markov._absorption`, :func:`pismg.markov._stationary`),
+where a Python loop of elimination steps would lose to LAPACK. The
+censored chains of a game's pairs are small and many, so they run as
+chain-last stacks through the masked GTH pass of
+:func:`pismg.markov.structural_limits`, and every product of
+:meth:`_CensoredGame.payoffs` runs along the stack's leading axes.
 """
 
 from __future__ import annotations
@@ -370,7 +378,7 @@ class _CensoredGame:
                 split = _ratio(_product(self.exits, num, masked),
                                _product(self.exits, den, masked))
                 hits = self.enters @ reaches.reshape(s, -1) > 0
-                whole = hits.reshape(len(split), -1, len(split[0])).sum(axis=1) == 1
+                whole = hits.reshape(len(split), -1, reaches.shape[2]).sum(axis=1) == 1
                 phi[self.mixed] = np.where(whole, phi[self.mixed], split)
         if not np.isfinite(phi).all():
             chain, state = np.argwhere(~np.isfinite(phi.T))[0]

@@ -48,9 +48,12 @@ class K of a censored chain has the full chain's per-epoch means
 mu_K.R / mu_K.N and mu_K.T / mu_K.N, and every state takes the payoff of
 the nodes it may enter, weighted by its exit distribution (QQ* = Q*).
 The censored chains are gathered from the censored action tables in
-stacks of at most ``_CHUNK_ENTRIES`` entries, and their stationary and
-absorption solves are stacked across chains
-(:func:`pismg.markov.structural_limits`). A game with n = 150 states
+stacks of at most ``_CHUNK_ENTRIES`` entries, stored chain-last, (n, n,
+m) with the chain axis contiguous, and each stack's stationary and
+absorption solves are one masked pass of GTH state reduction over all
+its chains (:func:`pismg.markov.structural_limits`), which subtracts
+nothing, so a weakly coupled class keeps its digits. A stack's payoffs
+are the columns of the state-major tensor. A game with n = 150 states
 of which 8 choose runs chains of about 9 nodes.
 
 The nodes fall into components that no action and no state links (see
