@@ -455,9 +455,10 @@ def _structural_stack(qs: np.ndarray, edges: np.ndarray | None = None, states=No
     # when it reaches no smaller state
     heads = recurrent & ~(reach & np.tri(n, k=-1, dtype=bool)[..., None]).any(axis=1)
     width = int(heads.sum(axis=0).max())
+    # hot[j, k]: state j is the head of class k, the k-th head by index
     hot = heads[:, None] & (heads.cumsum(axis=0)[:, None] == np.arange(1, width + 1)[:, None])
-    # a state's row of reaches counts the heads it reaches, which for a
-    # recurrent state is its own class's only
+    # a state reaches a class when it reaches its head, and a recurrent
+    # state reaches its own class's head only
     reaches = (reach[:, :, None] & hot).any(axis=1)
     member = reaches & recurrent[:, None]
     transient, inner = ~recurrent, recurrent & ~heads

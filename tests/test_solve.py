@@ -939,7 +939,8 @@ class TestBatchedPairs:
                                   for row in a.tolist()] for a, vc in zip(q_star, v.tolist())])
 
             expected = in_order(r) / in_order(tau)
-            weights, r, tau = (np.ascontiguousarray(x.T) for x in (q_star.transpose(0, 2, 1), r, tau))
+            weights, r, tau = (np.ascontiguousarray(x.T)
+                               for x in (q_star.transpose(0, 2, 1), r, tau))
             got = CENSOR_MODULE._ratio(CENSOR_MODULE._product(weights, r, False),
                                        CENSOR_MODULE._product(weights, tau, False))
             assert np.array_equal(got, expected.T)
