@@ -306,6 +306,20 @@ class TestDecompose:
             decompose_chain([[0.5, 0.5], [0.5, 0.5]])
         assert str(exc.value) == "structural: projection identity Q*Q = Q* violated by 0.5"
 
+    def test_checks_the_limit_range(self, monkeypatch):
+        # two absorbing states whose absorption rows are (1.5, -0.5) and
+        # (-0.5, 1.5): they sum to 1, but Q* = L leaves [0, 1]
+        kernel = MARKOV_MODULE._structural_stack
+
+        def outside(qs, *args):
+            lower, upper, reaches, recurrent = kernel(qs, *args)
+            return lower * 2.0 - 0.5, upper, reaches, recurrent
+
+        monkeypatch.setattr(MARKOV_MODULE, "_structural_stack", outside)
+        with pytest.raises(NumericalError) as exc:
+            decompose_chain(IDENTITY2)
+        assert str(exc.value) == "structural: limiting matrix entries leave [0, 1]"
+
     def test_entry_at_edge_threshold_is_no_edge(self):
         # 1e-13 <= EPS_EDGE, so 0 -> 1 is no edge and 0 is absorbing
         dec = decompose_chain([[1.0 - 1e-13, 1e-13], [0.0, 1.0]])
@@ -652,6 +666,32 @@ def test_structural_stack_matches_exact_property(n, m, seed):
     for c in range(m):
         assert _ulps(q_star[c], exact_limit(qs[..., c])) <= 16
         assert np.array_equal(q_star[c], cesaro_structural(qs[..., c]).q_star)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 7), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_factor_residuals_bound_the_projection_gaps_property(n, m, seed):
+    # Q*Q - Q* = L(UQ - U), QQ* - Q* = (QL - L)U and Q*Q* - Q* = L(UL - I)U
+    # (Kemeny and Snell). L's rows are probability vectors and each column
+    # of U holds at most one nonzero entry, in [0, 1], so each gap of the
+    # formed Q* is at most the largest entry of its middle factor, up to
+    # the rounding of forming the products
+    rng = np.random.default_rng(seed)
+    qs = np.stack([_multichain(rng, n) for _ in range(m)], axis=2)
+    lower, upper, _ = structural_limits(qs)
+    slack = 4 * n * np.finfo(float).eps
+    for c in range(m):
+        q, u = qs[..., c], upper[..., c]
+        # a padded class has an empty stationary row
+        real = u.sum(axis=1) > 0
+        low, u = lower[:, real, c], u[real]
+        assert low.min() >= 0.0 and np.allclose(low.sum(axis=1), 1.0, rtol=0.0, atol=slack)
+        assert u.min() >= 0.0 and u.max() <= 1.0 and ((u > 0).sum(axis=0) <= 1).all()
+        q_star = low @ u
+        for gap, middle in ((q_star @ q - q_star, u @ q - u),
+                            (q @ q_star - q_star, q @ low - low),
+                            (q_star @ q_star - q_star, u @ low - np.eye(len(u)))):
+            assert abs(gap).max() <= abs(middle).max() + slack
 
 
 class TestDispatch:

@@ -1277,6 +1277,97 @@ class TestThinEscapes:
         assert parse_game(data.read_text()) == self.thin_loop(1e-5)
 
 
+def _weak_closed_class(d):
+    """Decision state 1 enters the one-action states 2 and 3, which form
+    the closed class [[1 - d, d], [2d, 1 - 2d]] with rewards 2 and 3: its
+    stationary row is (2/3, 1/3), so every value is 7/3."""
+    act = TestComponents._action
+    return GameSpec("weak-closed-class", (
+        StateSpec(1, "I", (act("in", 1.0, 1.0, {2: 1.0}), act("across", 1.0, 1.0, {3: 1.0}))),
+        StateSpec(2, "II", (act("stay", 2.0, 1.0, {2: 1 - d, 3: d}),)),
+        StateSpec(3, "II", (act("stay", 3.0, 1.0, {3: 1 - 2 * d, 2: 2 * d}),)),
+    ))
+
+
+class TestPlantedFaults:
+    """Each check a solve runs catches a fault planted where it looks, and
+    its message names the check. No valid game reaches the checks of a
+    linear solve or of the expected time, so a wrapper plants the fault."""
+
+    def test_absorption_residual(self, monkeypatch):
+        # the accumulated values of the first transient state, state 3,
+        # are off by one, while the exit rows still sum to 1; no
+        # transient state enters state 3, so its residual is exactly 1
+        absorption = CENSOR_MODULE._absorption
+
+        def planted(tt, rhs, k):
+            x = absorption(tt, rhs, k)
+            x[0, k:] += 1.0
+            return x
+
+        monkeypatch.setattr(CENSOR_MODULE, "_absorption", planted)
+        with pytest.raises(NumericalError) as exc:
+            solve(_unreachable_from_choices())
+        assert str(exc.value) == (
+            "pair (f1, g1): numerically degenerate chain: absorption residual 1.0 at state 3")
+
+    def test_absorption_solve_failed(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(MARKOV_MODULE, "_solve", singular)
+        with pytest.raises(NumericalError) as exc:
+            solve(_unreachable_from_choices())
+        assert str(exc.value) == (
+            "pair (f1, g1): numerically degenerate chain: absorption solve failed: "
+            "Singular matrix")
+
+    def test_stationary_solve_failed(self, monkeypatch):
+        # no one-action state is transient, so the only linear solve is
+        # the closed class {2, 3}'s stationary row
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(MARKOV_MODULE, "_solve", singular)
+        with pytest.raises(NumericalError) as exc:
+            solve(_weak_closed_class(1e-10))
+        assert str(exc.value) == (
+            "pair (f1, g1): numerically degenerate chain: stationary solve failed for "
+            "class (1, 2): Singular matrix")
+
+    def test_nonpositive_expected_time(self, monkeypatch):
+        tables = CENSOR_MODULE.action_tables
+
+        def timeless(spec):
+            q, r, tau = tables(spec)
+            return q, r, np.zeros(tau.shape)
+
+        monkeypatch.setattr(CENSOR_MODULE, "action_tables", timeless)
+        with pytest.raises(NumericalError) as exc:
+            solve(_unreachable_from_choices())
+        assert str(exc.value) == (
+            "pair (f1, g1): nonpositive expected time in the limit; sojourn validation "
+            "should have prevented this")
+
+    def test_saddle_cells_disagree(self):
+        # at 2^53 the doubles are 2 apart, so with eps = 1 the tolerance's
+        # own roundings, B + 2 + 1 up to B + 4 and B + 2 - 1 down to B, let
+        # cells B and B + 4 both pass as saddles of state 1's matrix
+        # [[B, B, B, B], [B + 2, B + 4, B + 2, B + 4]]
+        act, big = TestComponents._action, 2.0**53
+        spec = GameSpec("rounded-saddles", (
+            StateSpec(1, "I", (act("low", 0.0, 1.0, {2: 1.0}), act("high", 0.0, 1.0, {3: 1.0}))),
+            StateSpec(2, "II", (act("x", big, 1.0, {2: 1.0}), act("y", big, 1.0, {2: 1.0}))),
+            StateSpec(3, "II", (act("x", big + 2, 1.0, {3: 1.0}),
+                                act("y", big + 4, 1.0, {3: 1.0}))),
+        ))
+        with pytest.raises(NumericalError) as exc:
+            solve(spec, saddle_eps=1.0)
+        assert str(exc.value) == (
+            "saddle cells disagree beyond tolerance: values span "
+            "[9007199254740992.0, 9007199254740996.0] with eps 1.0")
+
+
 class TestScaling:
     def test_reward_scaling(self):
         for spec in _corpus.game_corpus(5, seed=71):
