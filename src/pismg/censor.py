@@ -17,12 +17,17 @@ game's node graph come from the same pass. The other per-game step of
 a solve that walks every transition, validation, runs once per spec: a
 parsed spec keeps its report (:func:`pismg.game.validate`).
 
-The censoring solves one chain of up to n states per game, by dense LU
-(:func:`pismg.markov._absorption`, :func:`pismg.markov._stationary`),
-where a Python loop of elimination steps would lose to LAPACK. The
-censored chains of a game's pairs are small and many, so they run as
-chain-last stacks through the masked GTH pass of
-:func:`pismg.markov.structural_limits`, and every product of
+The censoring solves its transient block, of up to n states, once per
+game by dense LU (:func:`pismg.markov._absorption`), where a Python loop
+of elimination steps would lose to LAPACK. Every stationary row comes
+from the one structural kernel, the masked GTH pass of
+:func:`pismg.markov._structural_stack`: each decision-free closed class
+runs as a stack of one, and the censored chains of a game's pairs,
+small and many, as chain-last stacks through
+:func:`pismg.markov.structural_limits`. The kernel checks the factors L
+and U of Q* as they come out (UQ = U, QL = L, UL = I, and L's rows and
+U's real rows probability vectors), which bounds the gap of each
+projection identity, so Q* is never formed. Every product of
 :meth:`_CensoredGame.payoffs` runs along the stack's leading axes.
 """
 
@@ -37,7 +42,7 @@ from .markov import (
     EPS_PROJ,
     _absorption,
     _max_abs,
-    _stationary,
+    _structural_stack,
     structural_limits,
 )
 from .strategies import action_tables
@@ -174,9 +179,9 @@ def censor(rows, decision, values) -> tuple:
     decision-free states U drain into the decision states and the
     closed classes, and one LU of
     I - Q_UU gives both their exit distribution and their accumulated
-    values. The solve's residual and the exit rows' sums are checked,
-    and each closed class's stationary row as in the structural
-    method."""
+    values. The solve's residual and the exit rows' sums are checked.
+    Each closed class's stationary row comes from the structural kernel
+    as a stack of one, and is checked as its factors are there."""
     rows = np.asarray(rows, dtype=float)
     values = np.asarray(values, dtype=float)
     open_, classes, enters = _sinks(rows, decision)
@@ -213,7 +218,10 @@ def censor(rows, decision, values) -> tuple:
         exits[transient], accumulated[transient] = x[:, :s], x[:, s:]
     means = np.zeros((len(classes), values.shape[1]))
     for j, idx in enumerate(classes):
-        means[j] = _stationary(rows[idx][:, idx], idx) @ values[idx]
+        # the class's rows lose the mass at or below EPS_EDGE that leaves
+        # it, so they are not checked stochastic again
+        upper = _structural_stack(rows[idx][:, idx, None], states=[(x,) for x in idx.tolist()])[1]
+        means[j] = upper[0, :, 0] @ values[idx]
     return classes, exits, enters, accumulated, means
 
 

@@ -33,9 +33,16 @@ along a leading axis over all chains at once, and solves the whole
 stack in one masked pass of GTH state reduction (Grassmann, Taksar and
 Heyman, 1985), which subtracts nothing and keeps each entry's relative
 accuracy however weakly the states are coupled; a single chain is a
-stack of one. Dense LU (:func:`_stationary`, :func:`_absorption`) is
-kept for the censoring's one large chain per game
-(:func:`pismg.censor.censor`), where a Python loop of n elimination
+stack of one. Q* comes out as factors L (absorption columns) and U
+(stationary rows), and the factors are checked, not their product
+(:func:`_check_factors`): with L's rows probability vectors and each
+column of U holding at most one nonzero entry, in [0, 1], each gap of
+Q*Q - Q* = L(UQ - U), QQ* - Q* = (QL - L)U and Q*Q* - Q* = L(UL - I)U
+is at most the largest entry of its middle factor. Only
+:func:`cesaro_structural`, which returns Q*, forms it. Every stationary
+row comes from this kernel, the censoring's closed classes' too; only
+the censoring's transient block, one per game with up to n states, keeps
+dense LU (:func:`_absorption`), where a Python loop of n elimination
 steps over one chain would lose to LAPACK.
 
 Polynomials are coefficient arrays in ascending order: p[k] is the
@@ -344,34 +351,6 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
-def _stationary(sub: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Stationary row of the (c, c) block ``sub`` of the closed class of
-    the states ``members``, for the censoring's classes (see
-    :func:`_absorption`): one balance equation replaced with
-    normalization, dense LU, residual checked, clipped at 0 and
-    renormalised."""
-    c = len(sub)
-    a = sub.T.copy()
-    a.reshape(-1)[::c + 1] -= 1.0
-    a[-1] = 1.0
-    b = np.zeros((c, 1))
-    b[-1] = 1.0
-    name = tuple(members.tolist())
-    try:
-        pi = _solve(a, b)[:, 0]
-    except np.linalg.LinAlgError as e:
-        raise NumericalError(
-            f"numerically degenerate chain: stationary solve failed for class {name}: {e}"
-        ) from e
-    residual = float(abs(pi @ sub - pi).max())
-    if residual > EPS_PROJ or pi.min() < -EPS_PROJ:
-        raise NumericalError(
-            f"numerically degenerate chain: stationary residual {residual!r} for class {name}"
-        )
-    np.maximum(pi, 0.0, out=pi)
-    return pi / pi.sum()
-
-
 def _absorption(tt: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray:
     """x solving (I - tt) x = rhs for the transient block ``tt`` of one
     chain. The first ``k`` columns of ``rhs`` are the one-step
@@ -442,7 +421,8 @@ def _structural_stack(qs: np.ndarray, edges: np.ndarray | None = None, states=No
     The chain axis is last and contiguous, so every reduction runs along
     a leading axis and adds in index order. On a stack of one numpy would
     add pairwise instead, so a single chain runs twice, and a chain's
-    bits never depend on the other chains of its stack."""
+    bits never depend on the other chains of its stack. The factors are
+    checked before they are returned (see :func:`_check_factors`)."""
     n, _, m = qs.shape
     if edges is None:
         edges = qs > EPS_EDGE
@@ -490,33 +470,67 @@ def _structural_stack(qs: np.ndarray, edges: np.ndarray | None = None, states=No
     total = (member * weight[:, None]).sum(axis=0)
     upper = np.ascontiguousarray((member * (weight[:, None] / np.maximum(total, 1.0)))
                                  .transpose(1, 0, 2))
-    # the checks multiply chain-first copies, where matmul runs fastest
-    ups = _chain_first(upper)
-    gap = abs(ups @ _chain_first(qs) - ups)
-    if not gap.max() <= EPS_PROJ or ups.min() < -EPS_PROJ:
-        residual = gap.max(axis=2)
-        c, k = np.argwhere(~(residual <= EPS_PROJ) | (ups.min(axis=2) < -EPS_PROJ))[0]
-        raise NumericalError(
-            f"numerically degenerate chain: stationary residual "
-            f"{float(residual[c, k])!r} for class "
-            f"{_class_name(np.flatnonzero(member[:, k, c]), states)}"
-        )
+    _check_factors(qs, lower, upper, member, states)
+    return lower, upper, reaches, recurrent
+
+
+def _check_factors(qs: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                   member: np.ndarray, states=None) -> None:
+    """Check the factors of Q* = lower @ upper of every chain of a
+    chain-last stack (see :func:`_structural_stack`), where
+    ``member[:, k, c]`` marks the states of class k of chain c; a failing
+    class is named by its states (see :func:`_class_name`).
+
+    In order: each class's stationary row U_k meets U_k Q = U_k
+    (stationary residual); its absorption column L_k meets Q L_k = L_k
+    (absorption residual); U L = I (projection residual, per row of U);
+    L_k is nonnegative and U_k lies in [0, 1] and sums to 1 (range
+    residual); and each state's row of L sums to 1. A padded class has an
+    empty row and column, so it meets every check. Once these hold, L's
+    rows are probability vectors and each column of U has at most one
+    nonzero entry, in [0, 1], since the classes are disjoint; so each gap
+    of the projection identities is at most the largest entry of its
+    middle factor (Kemeny and Snell, Finite Markov Chains, 1960):
+
+        Q*Q - Q* = L(UQ - U),  QQ* - Q* = (QL - L)U,  Q*Q* - Q* = L(UL - I)U.
+
+    The products take O(n^2 k) per chain, where forming Q* and checking
+    its identities take O(n^3), and multiply chain-first copies, where
+    matmul runs fastest. Each check reduces over the whole stack, and only
+    a failing one per class: a reduction along a short trailing axis costs
+    more than the products."""
+    qf, low, up = _chain_first(qs), _chain_first(lower), _chain_first(upper)
+    real = member.any(axis=0)
+    product = up @ low
+    product -= np.eye(len(upper)) * real.T[..., None]
+    # each gap, and the axis its per-class residual takes the largest
+    # entry along; the range residual is per class and chain already
+    checks = (
+        ("stationary residual", abs(up @ qf - up), 2),
+        ("absorption residual", abs(qf @ low - low), 1),
+        ("projection residual", abs(product), 2),
+        ("range residual", np.maximum.reduce([
+            -lower.min(axis=0), -upper.min(axis=1), upper.max(axis=1) - 1.0,
+            abs(upper.sum(axis=1) - real)]).T, None),
+    )
+    for label, gap, axis in checks:
+        # written so that a NaN fails
+        if not gap.max() <= EPS_PROJ:
+            residual = gap if axis is None else gap.max(axis=axis)
+            c, k = np.argwhere(~(residual <= EPS_PROJ))[0]
+            raise NumericalError(
+                f"numerically degenerate chain: {label} {float(residual[c, k])!r} for class "
+                f"{_class_name(np.flatnonzero(member[:, k, c]), states)}"
+            )
     if not (abs(lower.sum(axis=1) - 1.0) <= EPS_PROJ).all():
         raise NumericalError(
             "numerically degenerate chain: absorption rows do not sum to 1"
         )
-    return lower, upper, reaches, recurrent
 
 
 def _chain_first(a: np.ndarray) -> np.ndarray:
     """A C-ordered (m, p, q) copy of the chain-last (p, q, m) stack ``a``."""
     return np.ascontiguousarray(a.transpose(2, 0, 1))
-
-
-def _limit(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Q* = lower @ upper of each chain of a chain-last stack of factors,
-    as an (m, n, n) stack."""
-    return _chain_first(lower) @ _chain_first(upper)
 
 
 def structural_limits(qs, edges=None, states=None
@@ -527,14 +541,15 @@ def structural_limits(qs, edges=None, states=None
     ``edges`` is the stack's 0/1 transition graph (None: the transitions
     above EPS_EDGE), and ``states[x]`` the states node x stands for,
     which name a failing row or class (None: node x is state x). The
-    rows are checked stochastic, and Q* sums to 1 by row, lies in [0, 1]
-    and satisfies the projection identities; a check failing anywhere
-    raises, and on a stack of one the message is exact."""
+    rows are checked stochastic, and Q* is checked through its factors,
+    never formed (see :func:`_check_factors`): each gap of the projection
+    identities Q*Q = QQ* = Q*Q* = Q* is at most the largest entry of the
+    factor residual UQ - U, QL - L or UL - I, and Q*'s rows are
+    probability vectors. A check failing anywhere raises, and on a stack
+    of one the message is exact."""
     qs = np.asarray(qs, dtype=float)
     _check_stochastic(qs, states)
-    lower, upper, reaches, _ = _structural_stack(qs, edges, states)
-    _check_limit(_limit(lower, upper), _chain_first(qs), "structural")
-    return lower, upper, reaches
+    return _structural_stack(qs, edges, states)[:3]
 
 
 def decompose_chain(q) -> ChainDecomposition:
@@ -548,11 +563,11 @@ def cesaro_structural(q) -> CesaroResult:
     """Limiting matrix assembled from the chain structure (a stack of one)."""
     q = validate_stochastic(q)
     lower, upper, reaches, recurrent = (x[..., 0] for x in _structural_stack(q[..., None]))
-    q_star = _limit(lower[..., None], upper[..., None])
-    _check_limit(q_star, q[None], "structural")
+    q_star = lower @ upper
+    _check_limit(q_star, q, "structural")
     classes = [np.flatnonzero(reaches[:, k] & recurrent) for k in range(upper.shape[0])]
     transient = np.flatnonzero(~recurrent)
-    return CesaroResult(q_star=q_star[0], method="structural", decomposition=ChainDecomposition(
+    return CesaroResult(q_star=q_star, method="structural", decomposition=ChainDecomposition(
         recurrent_classes=tuple(tuple(idx.tolist()) for idx in classes),
         transient=tuple(transient.tolist()),
         stationary=tuple(upper[k, idx] for k, idx in enumerate(classes)),

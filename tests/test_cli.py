@@ -367,6 +367,11 @@ GOLDEN = [
     # of its stationary row (see test_weak_coupling_golden_is_exact)
     ("solve_weak_coupling.json", "weak_coupling",
      ["solve", "{game}", "--no-banner", "--emit-matrices", "--format", "json"]),
+    # decision state 1 enters a one-action class of two states coupled at
+    # 1e-10 per round: its stationary row keeps every digit, and every
+    # value is 7/3 within an ulp
+    ("solve_weak_closed_class.json", "weak_closed_class",
+     ["solve", "{game}", "--no-banner", "--emit-matrices", "--format", "json"]),
     # a node value that overflows where its state is transient: every
     # value is 1 and every matrix entry 1 or 2
     ("solve_transient_overflow.txt", "transient_overflow",

@@ -26,7 +26,6 @@ from pismg import (
     game_from_jsonable,
     induce,
     parse_game,
-    solve,
     validate_stochastic,
 )
 from pismg.censor import _sinks, censor
@@ -327,6 +326,62 @@ class TestDecompose:
         assert dec.transient == ()
 
 
+class TestCheckFactors:
+    """Each check of the structural factors, called directly on the
+    factors of one chain, catches a fault planted in L or U."""
+
+    # state 0 holds with probability 0.9 and enters the absorbing state 1;
+    # state 2 is absorbing too. A fault of 2^-25 (about 3e-8) at state 0
+    # moves UQ - U, QL - L and UL - I by at most a tenth of it, below
+    # EPS_PROJ; 2^-25 and 1 + 2^-25 are exact
+    LEAKY = [[0.9, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    FAULT = 2.0**-25
+
+    @staticmethod
+    def _message(q, plant):
+        qs = np.array(q, dtype=float)[..., None]
+        lower, upper, reaches, recurrent = MARKOV_MODULE._structural_stack(qs)
+        lower, upper = lower.copy(), upper.copy()
+        plant(lower[..., 0], upper[..., 0])
+        with pytest.raises(NumericalError) as exc:
+            MARKOV_MODULE._check_factors(qs, lower, upper, reaches & recurrent[:, None])
+        return str(exc.value).removeprefix("numerically degenerate chain: ")
+
+    def test_first_state_stationary_row(self):
+        # the fault TestDecompose.test_checks_the_limit plants
+        def plant(lower, upper):
+            upper[0] = [1.0, 0.0]
+        assert self._message([[0.5, 0.5], [0.5, 0.5]], plant) == (
+            "stationary residual 0.5 for class (0, 1)")
+
+    def test_wrong_absorption_column(self):
+        # transient state 3 enters each class with probability 1/2
+        def plant(lower, upper):
+            lower[3] = [0.75, 0.25]
+        assert self._message(FOUR_STATE, plant) == "absorption residual 0.25 for class (0, 1)"
+
+    def test_swapped_classes(self):
+        # Q*Q = QQ* = Q* still hold for Q = I; only Q*Q* = Q* fails
+        def plant(lower, upper):
+            lower[:] = lower[:, ::-1]
+        assert self._message(IDENTITY2, plant) == "projection residual 1.0 for class (0,)"
+
+    def test_negative_absorption_probability(self):
+        def plant(lower, upper):
+            lower[0] = [1 + self.FAULT, -self.FAULT]
+        assert self._message(self.LEAKY, plant) == f"range residual {self.FAULT!r} for class (2,)"
+
+    def test_negative_stationary_weight(self):
+        def plant(lower, upper):
+            upper[0, :2] = [-self.FAULT, 1 + self.FAULT]
+        assert self._message(self.LEAKY, plant) == f"range residual {self.FAULT!r} for class (1,)"
+
+    def test_absorption_row_sum(self):
+        def plant(lower, upper):
+            lower[0, 0] += 2 * self.FAULT
+        assert self._message(self.LEAKY, plant) == "absorption rows do not sum to 1"
+
+
 def _fixpoint_closure(reach):
     # square until a product changes nothing
     while True:
@@ -573,8 +628,10 @@ class TestStructural:
 
     def test_projection_failure_advises_fallback_for_other_methods_only(
             self, monkeypatch):
-        # state 3 has one action; with no slack, pair (f1, g1)'s Q*Q* = Q*
-        # misses by one rounding in both the structural solve and lazari
+        # state 3 has one action; with no slack, the formed Q*Q* = Q* of
+        # pair (f1, g1)'s chain misses by one rounding in both the
+        # structural method and lazari. A solve forms no Q*, and the
+        # factors of this chain meet their checks exactly
         def action(label, reward, *row):
             return {"label": label, "reward": reward,
                     "sojourn": {"kind": "mean", "value": 1.0},
@@ -590,11 +647,11 @@ class TestStructural:
             {"id": 3, "player": "II", "actions": [action("a", 2.0, (3, 1.0))]},
         ]}))
         monkeypatch.setattr(MARKOV_MODULE, "EPS_PROJ", 0.0)
+        q = induce(spec, *(enumerate_pure(spec, p)[0] for p in ("I", "II"))).q
         with pytest.raises(NumericalError) as structural:
-            solve(spec)
+            cesaro_structural(q)
         assert "structural: projection identity" in str(structural.value)
         assert "fall back" not in str(structural.value)
-        q = induce(spec, *(enumerate_pure(spec, p)[0] for p in ("I", "II"))).q
         with pytest.raises(NumericalError) as lazari:
             cesaro_lazari(q)
         assert "lazari: projection identity" in str(lazari.value)

@@ -1289,6 +1289,28 @@ def _weak_closed_class(d):
     ))
 
 
+class TestWeakClosedClass:
+    """The censoring's decision-free closed classes run through the GTH
+    kernel, so a class coupled at d per round keeps every digit of its
+    stationary row."""
+
+    @pytest.mark.parametrize("d", [10.0**-k for k in range(6, 12)])
+    def test_matches_exact(self, d):
+        spec = _weak_closed_class(d)
+        report = solve(spec)
+        for f in enumerate_pure(spec, "I"):
+            for g in enumerate_pure(spec, "II"):
+                for s, x in enumerate(exact_phi(spec, f, g)):
+                    assert x == Fraction(7, 3)
+                    got = Fraction(float(report.payoffs[f.ordinal, g.ordinal, s]))
+                    assert abs(got - x) <= 2 * Fraction(np.spacing(float(x))), (f.label, s + 1)
+
+    def test_golden_is_this_game(self):
+        # tests/data/weak_closed_class.json pins the CLI output at d = 1e-10
+        data = Path(__file__).parent / "data" / "weak_closed_class.json"
+        assert parse_game(data.read_text()) == _weak_closed_class(1e-10)
+
+
 class TestPlantedFaults:
     """Each check a solve runs catches a fault planted where it looks, and
     its message names the check. No valid game reaches the checks of a
@@ -1321,19 +1343,6 @@ class TestPlantedFaults:
         assert str(exc.value) == (
             "pair (f1, g1): numerically degenerate chain: absorption solve failed: "
             "Singular matrix")
-
-    def test_stationary_solve_failed(self, monkeypatch):
-        # no one-action state is transient, so the only linear solve is
-        # the closed class {2, 3}'s stationary row
-        def singular(a, b):
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(MARKOV_MODULE, "_solve", singular)
-        with pytest.raises(NumericalError) as exc:
-            solve(_weak_closed_class(1e-10))
-        assert str(exc.value) == (
-            "pair (f1, g1): numerically degenerate chain: stationary solve failed for "
-            "class (1, 2): Singular matrix")
 
     def test_nonpositive_expected_time(self, monkeypatch):
         tables = CENSOR_MODULE.action_tables
