@@ -501,14 +501,12 @@ def _check_factors(qs: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     more than the products."""
     qf, low, up = _chain_first(qs), _chain_first(lower), _chain_first(upper)
     real = member.any(axis=0)
-    product = up @ low
-    product -= np.eye(len(upper)) * real.T[..., None]
     # each gap, and the axis its per-class residual takes the largest
     # entry along; the range residual is per class and chain already
     checks = (
         ("stationary residual", abs(up @ qf - up), 2),
         ("absorption residual", abs(qf @ low - low), 1),
-        ("projection residual", abs(product), 2),
+        ("projection residual", abs(up @ low - np.eye(len(upper)) * real.T[..., None]), 2),
         ("range residual", np.maximum.reduce([
             -lower.min(axis=0), -upper.min(axis=1), upper.max(axis=1) - 1.0,
             abs(upper.sum(axis=1) - real)]).T, None),

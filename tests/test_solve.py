@@ -1313,8 +1313,9 @@ class TestWeakClosedClass:
 
 class TestPlantedFaults:
     """Each check a solve runs catches a fault planted where it looks, and
-    its message names the check. No valid game reaches the checks of a
-    linear solve or of the expected time, so a wrapper plants the fault."""
+    its message names the check. A wrapper plants the fault where no
+    small game trips the check: validated sojourns keep every expected
+    time positive, and the transient block's dense LU rarely fails."""
 
     def test_absorption_residual(self, monkeypatch):
         # the accumulated values of the first transient state, state 3,
