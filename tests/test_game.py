@@ -11,12 +11,18 @@ from pismg import (
     GameFormatError,
     GameSpec,
     GameValidationError,
+    PureStationaryStrategy,
     SojournModel,
     StateSpec,
     Transition,
+    enumerate_pure,
+    estimate_payoff,
     expected_sojourn,
+    induce,
     parse_game,
+    payoff_vector,
     serialize_game,
+    simulate,
     validate,
 )
 
@@ -297,6 +303,52 @@ class TestValidationOnce:
             messages.append(str(exc.value))
         assert messages[0].startswith("state 1 action 1: transition probabilities sum to")
         assert messages == messages[:1] * 3
+
+
+def _unvalidated(transitions) -> GameSpec:
+    """A two-state spec built in code and never validated: state 1
+    (player I) plays ``transitions``, state 2 (player II) stays put."""
+    mean = SojournModel("mean", (1.0,))
+    return GameSpec("unvalidated", (
+        StateSpec(1, "I", (ActionSpec("a", 1.0, tuple(transitions), mean),)),
+        StateSpec(2, "II", (ActionSpec("b", 2.0, (Transition(2, 1.0),), mean),)),
+    ))
+
+
+class TestUnvalidatedSpec:
+    """Every consumer of a spec validates it first, so a spec built in
+    code that breaks the model is refused with validate's own message,
+    not evaluated or failed on deep inside."""
+
+    @staticmethod
+    def _consumers():
+        f = PureStationaryStrategy("I", (1,), (0,), 0)
+        g = PureStationaryStrategy("II", (2,), (0,), 0)
+        return {
+            "payoff_vector": lambda spec: payoff_vector(spec, f, g),
+            "induce": lambda spec: induce(spec, f, g),
+            "simulate": lambda spec: simulate(spec, f, g, 1, 10, 0),
+            "estimate_payoff": lambda spec: estimate_payoff(spec, f, g, 1, 10, 2, 0),
+            "enumerate_pure": lambda spec: enumerate_pure(spec, "I"),
+        }
+
+    def _assert_refused(self, transitions, message):
+        for name, consume in self._consumers().items():
+            with pytest.raises(GameValidationError) as exc:
+                consume(_unvalidated(transitions))
+            assert str(exc.value) == message, name
+
+    def test_negative_probability(self):
+        self._assert_refused((Transition(1, -0.5), Transition(2, 1.5)),
+                             "state 1 action 1: probability -0.5 outside [0, 1]")
+
+    def test_row_summing_to_half(self):
+        self._assert_refused((Transition(1, 0.25), Transition(2, 0.25)),
+                             "state 1 action 1: transition probabilities sum to 0.5, not 1")
+
+    def test_transition_to_unknown_state(self):
+        self._assert_refused((Transition(9, 1.0),),
+                             "state 1 action 1: transition to unknown state 9")
 
 
 class TestExpectedSojourn:
