@@ -376,6 +376,11 @@ GOLDEN = [
     # value is 1 and every matrix entry 1 or 2
     ("solve_transient_overflow.txt", "transient_overflow",
      ["solve", "{game}", "--no-banner", "--emit-matrices"]),
+    # uniform, deterministic and mean sojourns as transition overrides:
+    # the expected sojourns of actions whose transitions override their
+    # default model
+    ("solve_uniform_sojourns.txt", "uniform_sojourns",
+     ["solve", "{game}", "--no-banner", "--emit-matrices"]),
     ("validate_example_s5.json", "example", ["validate", "{game}", "--format", "json"]),
     ("simulate_example_s5.json", "example",
      ["simulate", "{game}", "--max", "2", "--min", "0", "--start", "1",
