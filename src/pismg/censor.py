@@ -15,14 +15,16 @@ with the decision states made sinks, in time linear in the transitions:
 no closure of the full chain is taken. The components of the censored
 game's node graph come from the same pass. The other per-game step of
 a solve that walks every transition, validation, runs once per spec: a
-parsed spec keeps its report (:func:`pismg.game.validate`).
+parsed spec keeps its report and the flat tables the censoring is
+built from (:func:`pismg.game.validate`).
 
 The censoring solves its transient block, of up to n states, once per
 game by dense LU (:func:`pismg.markov._absorption`), where a Python loop
 of elimination steps would lose to LAPACK. Every stationary row comes
 from the one structural kernel, the masked GTH pass of
-:func:`pismg.markov._structural_stack`: each decision-free closed class
-runs as a stack of one, and the censored chains of a game's pairs,
+:func:`pismg.markov._structural_stack`: the decision-free closed
+classes of a game run together as one block-diagonal chain, and the
+censored chains of a game's pairs,
 small and many, as chain-last stacks through
 :func:`pismg.markov.structural_limits`. The kernel checks the factors L
 and U of Q* as they come out (UQ = U, QL = L, UL = I, and L's rows and
@@ -36,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError
-from .game import GameSpec
+from .game import GameSpec, validate
 from .markov import (
     EPS_EDGE,
     EPS_PROJ,
@@ -180,8 +182,9 @@ def censor(rows, decision, values) -> tuple:
     closed classes, and one LU of
     I - Q_UU gives both their exit distribution and their accumulated
     values. The solve's residual and the exit rows' sums are checked.
-    Each closed class's stationary row comes from the structural kernel
-    as a stack of one, and is checked as its factors are there."""
+    The closed classes' stationary rows come from one call of the
+    structural kernel on the block of all of them, a stack of one, and
+    are checked as its factors are there."""
     rows = np.asarray(rows, dtype=float)
     values = np.asarray(values, dtype=float)
     open_, classes, enters = _sinks(rows, decision)
@@ -217,11 +220,17 @@ def censor(rows, decision, values) -> tuple:
             )
         exits[transient], accumulated[transient] = x[:, :s], x[:, s:]
     means = np.zeros((len(classes), values.shape[1]))
-    for j, idx in enumerate(classes):
-        # the class's rows lose the mass at or below EPS_EDGE that leaves
-        # it, so they are not checked stochastic again
-        upper = _structural_stack(rows[idx][:, idx, None], states=[(x,) for x in idx.tolist()])[1]
-        means[j] = upper[0, :, 0] @ values[idx]
+    if classes:
+        # the classes one after another as one block-diagonal chain, so
+        # the kernel numbers them by first member as they are listed; the
+        # rows lose the mass at or below EPS_EDGE that leaves their class,
+        # so they are not checked stochastic again
+        union = np.concatenate(classes)
+        label = np.repeat(np.arange(len(classes)), list(map(len, classes)))
+        block = np.where(label[:, None] == label, rows[union][:, union], 0.0)
+        upper = _structural_stack(block[..., None], states=[(x,) for x in union.tolist()])[1]
+        for j, idx in enumerate(classes):
+            means[j] = upper[j, label == j, 0] @ values[idx]
     return classes, exits, enters, accumulated, means
 
 
@@ -286,7 +295,10 @@ class _CensoredGame:
     def __init__(self, spec: GameSpec):
         q, r, tau = action_tables(spec)
         self.n = spec.n
-        self.decision = np.flatnonzero([len(st.actions) > 1 for st in spec.states])
+        report = validate(spec)
+        states = np.array(report.s1 + report.s2, dtype=np.intp)
+        counts = np.array(report.player1_action_counts + report.player2_action_counts)
+        self.decision = np.sort(states[counts > 1]) - 1
         table = np.array([r, np.ones(r.shape), tau])
         closed, exits, enters, accumulated, means = censor(
             q[:, 0], self.decision, table[:, :, 0].T)

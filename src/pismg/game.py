@@ -48,6 +48,9 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import GameFormatError, GameValidationError
 from .markov import EPS_STOCH
@@ -114,15 +117,17 @@ class StateSpec:
 
 @dataclass(frozen=True)
 class GameSpec:
-    """A parsed game. ``_report`` is the report of the :func:`validate`
-    call it passed, if any; it is neither compared nor hashed, and
-    ``dataclasses.replace`` does not carry it to the new spec."""
+    """A parsed game. ``_report`` and ``_tables`` are the report and the
+    flat tables of the :func:`validate` call it passed, if any; they are
+    neither compared nor hashed, and ``dataclasses.replace`` does not
+    carry them to the new spec."""
 
     name: str
     states: tuple[StateSpec, ...]
     reference_values: tuple[float, ...] | None = None
     _report: ValidationReport | None = field(default=None, init=False, repr=False,
                                              compare=False)
+    _tables: _Tables | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -151,6 +156,27 @@ class ValidationReport:
     d1: int
     d2: int
     warnings: tuple[str, ...] = ()
+
+
+class _Tables(NamedTuple):
+    """The arrays of a validated game, actions in state order and each
+    action's transitions in file order. ``width`` is the largest action
+    count. Per action, ``slot`` is (s - 1) * width + a for action a
+    (0-based) of state s, ``reward`` its reward and ``tau`` its expected
+    sojourn. Per transition, ``owner`` is the index of its action,
+    ``dest`` its 0-based destination, ``prob`` its probability as given,
+    and the row of ``sojourn`` the index in ``SOJOURN_KINDS`` (a float)
+    and the first and last parameter of the model it draws its holding
+    time from: its own, else its action's default."""
+
+    width: int
+    slot: np.ndarray
+    reward: np.ndarray
+    tau: np.ndarray
+    owner: np.ndarray
+    dest: np.ndarray
+    prob: np.ndarray
+    sojourn: np.ndarray
 
 
 def expected_sojourn(action: ActionSpec) -> float:
@@ -183,7 +209,9 @@ def _state_id(x) -> bool:
     return type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-def _check_sojourn(model: SojournModel, where: str) -> None:
+def _check_sojourn(model: SojournModel, where: str) -> tuple[int, float, float]:
+    """Checks a model and returns its row of the tables: the index of
+    its kind in ``SOJOURN_KINDS``, its first and its last parameter."""
     # a model built in code, not parsed, may have any kind, arity and
     # parameter type
     arity = len(_SOJOURN_PARAMS.get(model.kind, ()))
@@ -206,6 +234,7 @@ def _check_sojourn(model: SojournModel, where: str) -> None:
             )
     if not all(math.isfinite(p) for p in model.params):
         raise GameValidationError(f"{where}: non-finite sojourn parameter")
+    return SOJOURN_KINDS.index(model.kind), model.params[0], model.params[-1]
 
 
 def validate(spec: GameSpec) -> ValidationReport:
@@ -213,16 +242,22 @@ def validate(spec: GameSpec) -> ValidationReport:
 
     Raises :class:`GameValidationError` naming the offending state and
     action on the first violation; otherwise returns the partition and
-    strategy-count report. A spec that passes keeps its report, and a
-    later call returns it without walking the transitions again: the
-    spec is frozen, so the report stays true of it. A spec that fails
-    raises on every call.
+    strategy-count report. The walk also records the game's flat tables
+    (see :class:`_Tables`), the only arrays the solver and the simulator
+    read. A spec that passes keeps its report and its tables, and a
+    later call returns the report without walking the transitions
+    again: the spec is frozen, so both stay true of it. A spec that
+    fails keeps neither and raises on every call.
     """
     if spec._report is not None:
         return spec._report
     if spec.n < 1:
         raise GameValidationError("game must have at least one state")
     warnings: list[str] = []
+    # the tables (see _Tables) as the checks pass them: (state, action,
+    # reward, tau) per action, and (action, destination, probability,
+    # sojourn row) per transition
+    actions, moves = [], []
     for pos, st in enumerate(spec.states, start=1):
         if st.id != pos:
             raise GameValidationError(
@@ -279,16 +314,17 @@ def validate(spec: GameSpec) -> ValidationReport:
                 raise GameValidationError(
                     f"{where}: no sojourn model (give a default or one per transition)"
                 )
-            if act.default_sojourn is not None:
-                _check_sojourn(act.default_sojourn, where)
+            default = act.default_sojourn and _check_sojourn(act.default_sojourn, where)
             for ti, tr in enumerate(act.transitions, start=1):
-                if tr.sojourn is not None:
-                    _check_sojourn(tr.sojourn, f"{where} transition {ti}")
+                row = default if tr.sojourn is None else _check_sojourn(
+                    tr.sojourn, f"{where} transition {ti}")
+                moves += (len(actions) // 4, tr.to - 1, tr.prob, *row)
             tau = expected_sojourn(act)
             if not tau > 0.0:
                 raise GameValidationError(
                     f"{where}: nonpositive sojourn time {tau} (expected over destinations)"
                 )
+            actions += (pos - 1, ai - 1, act.reward, tau)
     if spec.reference_values is not None and len(spec.reference_values) != spec.n:
         raise GameValidationError(
             f"reference_values has {len(spec.reference_values)} entries, expected {spec.n}"
@@ -302,17 +338,26 @@ def validate(spec: GameSpec) -> ValidationReport:
     s2 = tuple(st.id for st in spec.states if st.controller == PLAYER_II)
     counts1 = tuple(len(spec.state(s).actions) for s in s1)
     counts2 = tuple(len(spec.state(s).actions) for s in s2)
-    report = ValidationReport(
-        s1=s1,
-        s2=s2,
-        player1_action_counts=counts1,
-        player2_action_counts=counts2,
-        d1=math.prod(counts1),
-        d2=math.prod(counts2),
-        warnings=tuple(warnings),
-    )
+    report = ValidationReport(s1=s1, s2=s2, player1_action_counts=counts1,
+                              player2_action_counts=counts2, d1=math.prod(counts1),
+                              d2=math.prod(counts2), warnings=tuple(warnings))
+    width = max(counts1 + counts2)
+    state, action, reward, tau = np.array(actions, dtype=float).reshape(-1, 4).T
+    moves = np.array(moves, dtype=float).reshape(-1, 6)
+    owner, dest = moves[:, :2].T.astype(np.intp)
+    tables = _Tables(width, (state * width + action).astype(np.intp), reward, tau,
+                     owner, dest, moves[:, 2], moves[:, 3:])
+    object.__setattr__(spec, "_tables", tables)
     object.__setattr__(spec, "_report", report)
     return report
+
+
+def _tables(spec: GameSpec) -> _Tables:
+    """The flat tables of a spec, validated first if it has not passed
+    :func:`validate` yet."""
+    if spec._tables is None:
+        validate(spec)
+    return spec._tables
 
 
 # ---------------------------------------------------------------------------

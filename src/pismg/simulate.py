@@ -14,8 +14,10 @@ order. ``deterministic`` sojourns consume no randomness; the
 analytic-only ``mean`` kind declares no shape, so it is simulated as a
 constant at its mean, which preserves the ratio-of-expectations target.
 
-A trajectory is computed in array passes and one Python step per block
-of epochs, and equals the epoch-by-epoch loop bit for bit:
+A pair's chain is compiled by array gathers from the flat tables that
+:func:`pismg.game.validate` keeps on the spec, with no Python step per
+transition. A trajectory is computed in array passes and one Python step
+per block of epochs, and equals the epoch-by-epoch loop bit for bit:
 
 - Every state's cumulative row is a subset of one sorted grid, so the
   grid puts each epoch's uniform in a bucket, and within a bucket every
@@ -62,8 +64,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameSpec
-from .strategies import PureStationaryStrategy, selected_action
+from .game import SOJOURN_KINDS, GameSpec, _tables
+from .strategies import PureStationaryStrategy, _choices
 
 # the largest (states x buckets) transition table a chain precomputes
 _TABLE_ENTRIES = 2**20
@@ -110,18 +112,6 @@ def _total(values: np.ndarray) -> float:
     ``cumsum`` adds sequentially, and adding 0.0 turns the -0.0 that a
     sum of negative zeros leaves into the loop's 0.0."""
     return float(np.cumsum(values, out=values)[-1]) + 0.0
-
-
-def _terms(model) -> tuple[int, float, float]:
-    """(kind, base, scale) of a sojourn model, kind 0 for one that draws
-    nothing: for a uniform draw v the holding time is base, -log1p(-v) /
-    scale (exponential, kind 1) or base + scale * v (uniform, kind 2)."""
-    if model.kind == "exponential":
-        return 1, 0.0, model.params[0]
-    if model.kind == "uniform":
-        a, b = model.params
-        return 2, a, b - a
-    return 0, model.params[0], 0.0
 
 
 def _readable(a: np.ndarray):
@@ -178,10 +168,15 @@ class _Chain:
     any number of trajectories.
 
     The transitions are the positive-probability ones of every state's
-    chosen action, in state order: ``dest`` holds each one's next state,
-    ``reward`` its state's reward, ``kind``, ``base`` and ``scale`` its
-    sojourn terms (see :func:`_terms`), and ``row_start`` the first
-    transition of every state. ``grid`` is the sorted union of the
+    chosen action, in state order, gathered from the flat tables the
+    spec's validation keeps (:func:`pismg.game.validate`); each state's
+    cumulative row is ``cumsum(w / w.sum())`` of its weights w, as the
+    per-epoch loop builds it. ``dest`` holds each transition's next
+    state, ``reward`` its state's reward, and ``row_start`` the first
+    transition of every state. ``kind`` is 0 for a sojourn that draws
+    nothing, 1 for an exponential and 2 for a uniform one, and for a
+    uniform draw v the holding time is ``base``, -log1p(-v) / ``scale``
+    or ``base`` + ``scale`` * v. ``grid`` is the sorted union of the
     cumulative rows' entries below 1, and a uniform u falls in bucket
     ``searchsorted(grid, u, "right")``, the count of grid entries <= u;
     there are ``stride`` buckets. An entry of row s counts from the
@@ -207,24 +202,15 @@ class _Chain:
 
     def __init__(self, spec: GameSpec, f: PureStationaryStrategy,
                  g: PureStationaryStrategy):
-        n = spec.n
-        rewards, cums, lengths, dests, terms = [], [], [], [], []
-        for st in spec.states:
-            act = selected_action(spec, st.id, f, g)
-            default = None if act.default_sojourn is None else _terms(act.default_sojourn)
-            probs = []
-            for tr in act.transitions:
-                if tr.prob > 0.0:
-                    probs.append(tr.prob)
-                    dests.append(tr.to - 1)
-                    terms.append(default if tr.sojourn is None else _terms(tr.sojourn))
-            weights = np.array(probs)
-            cumulative = np.cumsum(weights / weights.sum())
-            cumulative[-1] = 1.0
-            rewards.append(act.reward)
-            cums.append(cumulative)
-            lengths.append(len(probs))
-        cum = np.concatenate(cums)
+        n, t = spec.n, _tables(spec)
+        chosen = np.zeros(len(t.slot), dtype=bool)
+        chosen[np.searchsorted(t.slot, np.arange(n) * t.width + _choices(spec, f, g))] = True
+        # the chosen actions' positive transitions, in state order
+        moves = np.flatnonzero(chosen[t.owner] & (t.prob > 0.0))
+        lengths = np.bincount(t.slot[t.owner[moves]] // t.width, minlength=n)
+        ends = np.cumsum(lengths)
+        cum = np.concatenate([np.cumsum(w / w.sum()) for w in np.split(t.prob[moves], ends[:-1])])
+        cum[ends - 1] = 1.0
         inner = cum < 1.0
         grid = np.sort(cum[inner])
         # np.unique would import numpy.ma, about 1 MB
@@ -232,7 +218,7 @@ class _Chain:
         stride = self.stride = len(self.grid) + 1
         first = np.where(inner, np.searchsorted(self.grid, cum) + 1, stride)
         self.keys = np.repeat(np.arange(n), lengths) * stride + first
-        self.dest = np.array(dests, dtype=np.intp)
+        self.dest = t.dest[moves]
         self.table = self.cells = self.next = self.walk_keys = None
         self.span = 1
         if n * stride <= _TABLE_ENTRIES:
@@ -250,11 +236,14 @@ class _Chain:
             self.walk_keys, self.jump = _readable(self.keys), _readable(self.dest)
         # every transition's state: its reward, and the index of the
         # state's first transition
-        self.reward = np.repeat(np.array(rewards, dtype=float), lengths)
-        self.row_start = np.cumsum(lengths) - lengths
-        terms = np.fromiter(terms, dtype=[("kind", np.intp), ("base", float), ("scale", float)],
-                            count=len(terms))
-        self.kind, self.base, self.scale = terms["kind"], terms["base"], terms["scale"]
+        self.reward = t.reward[t.owner[moves]]
+        self.row_start = ends - lengths
+        kind, low, high = t.sojourn[moves].T
+        exponential = kind == SOJOURN_KINDS.index("exponential")
+        uniform = kind == SOJOURN_KINDS.index("uniform")
+        self.kind = exponential + 2 * uniform
+        self.base = np.where(exponential, 0.0, low)
+        self.scale = np.where(exponential, low, high - low)
 
     def _step(self, keys: np.ndarray) -> np.ndarray:
         """The transitions taken at ``keys``, each a 0-based state times

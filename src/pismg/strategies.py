@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationLimitError
-from .game import GameSpec, PLAYER_I, expected_sojourn
+from .game import GameSpec, PLAYER_I, _tables, validate
 
 ENUMERATION_CAP = 10**6
 
@@ -90,14 +90,21 @@ class InducedChain:
     tau: np.ndarray
 
 
+def _partition(spec: GameSpec, player: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The states ``player`` controls, ascending, and their action counts,
+    from the validation report."""
+    report = validate(spec)
+    if player == PLAYER_I:
+        return report.s1, report.player1_action_counts
+    return report.s2, report.player2_action_counts
+
+
 def controlled_states(spec: GameSpec, player: str) -> tuple[int, ...]:
-    return tuple(st.id for st in spec.states if st.controller == player)
+    return _partition(spec, player)[0]
 
 
 def strategy_count(spec: GameSpec, player: str) -> int:
-    return math.prod(
-        len(spec.state(s).actions) for s in controlled_states(spec, player)
-    )
+    return math.prod(_partition(spec, player)[1])
 
 
 def enumerate_pure(spec: GameSpec, player: str,
@@ -106,18 +113,17 @@ def enumerate_pure(spec: GameSpec, player: str,
 
     Refuses to materialize more than ``cap`` strategies; the raised
     :class:`EnumerationLimitError` carries the exact count."""
-    states = controlled_states(spec, player)
-    count = strategy_count(spec, player)
+    states, counts = _partition(spec, player)
+    count = math.prod(counts)
     if count > cap:
         raise EnumerationLimitError(
             f"player {player} has {count} pure stationary strategies, "
             f"above the cap of {cap}",
             count=count,
         )
-    radices = [range(len(spec.state(s).actions)) for s in states]
     return tuple(
         PureStationaryStrategy(player, states, combo, ordinal)
-        for ordinal, combo in enumerate(itertools.product(*radices))
+        for ordinal, combo in enumerate(itertools.product(*map(range, counts)))
     )
 
 
@@ -125,8 +131,7 @@ def strategy_from_ordinal(spec: GameSpec, player: str,
                           ordinal: int) -> PureStationaryStrategy:
     """Decode an ordinal without enumerating (mixed radix, lowest-indexed
     controlled state most significant)."""
-    states = controlled_states(spec, player)
-    radices = [len(spec.state(s).actions) for s in states]
+    states, radices = _partition(spec, player)
     total = math.prod(radices)
     if not 0 <= ordinal < total:
         raise ValueError(
@@ -143,15 +148,14 @@ def strategy_from_ordinal(spec: GameSpec, player: str,
 
 def ordinal_of(spec: GameSpec, player: str, actions: tuple[int, ...]) -> int:
     """Inverse of :func:`strategy_from_ordinal` on the choice tuple."""
-    states = controlled_states(spec, player)
+    states, counts = _partition(spec, player)
     if len(actions) != len(states):
         raise ValueError(
             f"player {player} controls {len(states)} states, got "
             f"{len(actions)} choices"
         )
     ordinal = 0
-    for s, a in zip(states, actions):
-        d = len(spec.state(s).actions)
+    for s, a, d in zip(states, actions, counts):
         if not 0 <= a < d:
             raise ValueError(f"state {s}: action index {a} out of range 0..{d - 1}")
         ordinal = ordinal * d + a
@@ -190,12 +194,10 @@ def strategy_from_labels(spec: GameSpec, player: str,
     )
 
 
-def selected_action(spec: GameSpec, state: int,
-                    f: PureStationaryStrategy, g: PureStationaryStrategy):
-    """The action played at ``state`` under the pair (f, g)."""
-    st = spec.state(state)
-    strat = f if st.controller == PLAYER_I else g
-    return st.actions[strat.action_at(state)]
+def _choices(spec: GameSpec, f: PureStationaryStrategy,
+             g: PureStationaryStrategy) -> list[int]:
+    """The action (0-based) each state plays under the pair (f, g)."""
+    return [(f if st.controller == PLAYER_I else g).action_at(st.id) for st in spec.states]
 
 
 def induce(spec: GameSpec, f: PureStationaryStrategy,
@@ -204,11 +206,8 @@ def induce(spec: GameSpec, f: PureStationaryStrategy,
     :func:`action_tables` under the action its controller's strategy
     chooses."""
     q, r, tau = action_tables(spec)
-    states = np.arange(spec.n)
-    actions = [(f if st.controller == PLAYER_I else g).action_at(st.id)
-               for st in spec.states]
-    return InducedChain(q=q[states, actions], r=r[states, actions],
-                        tau=tau[states, actions])
+    states, actions = np.arange(spec.n), _choices(spec, f, g)
+    return InducedChain(q=q[states, actions], r=r[states, actions], tau=tau[states, actions])
 
 
 def action_tables(spec: GameSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -216,25 +215,16 @@ def action_tables(spec: GameSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     state s, divided by its sum when that is not exactly 1 (validation
     already bounded the deviation), so it is stochastic to machine
     precision; ``r`` and ``tau`` hold the action's reward and expected
-    sojourn. Rows past a state's last action are zero."""
-    n = spec.n
-    width = max(len(st.actions) for st in spec.states)
-    r, tau = np.zeros((n, width)), np.zeros((n, width))
-    real = np.zeros(n * width, dtype=bool)
-    slots, heads, probs = [], [], []
-    for st in spec.states:
-        for a, act in enumerate(st.actions):
-            slot = (st.id - 1) * width + a
-            real[slot] = True
-            r[st.id - 1, a] = act.reward
-            tau[st.id - 1, a] = expected_sojourn(act)
-            for tr in act.transitions:
-                slots.append(slot)
-                heads.append(tr.to - 1)
-                probs.append(tr.prob)
+    sojourn. Rows past a state's last action are zero. Entry (s - 1, a)
+    is slot (s - 1) * width + a of the flat tables :func:`validate`
+    keeps, and all three are one scatter of them."""
+    t = _tables(spec)
+    n, width = spec.n, t.width
+    r, tau = np.zeros(n * width), np.zeros(n * width)
+    r[t.slot], tau[t.slot] = t.reward, t.tau
     rows = np.zeros((n * width, n))
-    rows[slots, heads] = probs
-    total = rows.sum(axis=1)
-    scale = real & (total != 1.0)
-    rows[scale] /= total[scale, None]
-    return rows.reshape(n, width, n), r, tau
+    rows[t.slot[t.owner], t.dest] = t.prob
+    total = rows.sum(axis=1)[t.slot]
+    scale = total != 1.0
+    rows[t.slot[scale]] /= total[scale, None]
+    return rows.reshape(n, width, n), r.reshape(n, width), tau.reshape(n, width)

@@ -8,6 +8,10 @@ sojourn then draws one more uniform from the same stream, in trajectory
 order (``math.log1p`` for exponential, ``a + (b - a) * v`` for uniform);
 reward and time are summed in epoch order from 0.0. The library's block
 path must give the same :class:`pismg.TrajectoryStats`, bit for bit.
+
+The oracle reads the spec's dataclasses, action by action and transition
+by transition, and shares no code with the flat tables the library
+compiles its chain from.
 """
 
 from __future__ import annotations
@@ -17,8 +21,14 @@ from bisect import bisect_right
 
 import numpy as np
 
-from pismg import TrajectoryStats
-from pismg.strategies import selected_action
+from pismg import PLAYER_I, TrajectoryStats
+
+
+def selected_action(spec, state: int, f, g):
+    """The action played at ``state`` under the pair (f, g)."""
+    st = spec.state(state)
+    strat = f if st.controller == PLAYER_I else g
+    return st.actions[strat.action_at(state)]
 
 
 def _table(spec, f, g):

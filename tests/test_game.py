@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from pismg import (
     payoff_vector,
     serialize_game,
     simulate,
+    solve,
     validate,
 )
 
@@ -249,11 +251,22 @@ class TestValidation:
         assert any("duplicate action labels" in w for w in report.warnings)
 
 
+class _Unreadable:
+    """Stands in for an action's transitions: any use of it fails."""
+
+    def _fail(self, *args):
+        raise AssertionError("an action's transitions were read after validation")
+
+    __iter__ = __len__ = __getitem__ = __bool__ = __contains__ = _fail
+
+
 class TestValidationOnce:
-    """A spec that passed :func:`validate` keeps its report: a second
-    call neither walks the transitions nor builds a new report. The memo
-    lives on the spec, so a spec built by ``dataclasses.replace`` is
-    validated afresh, and a failing spec raises on every call."""
+    """A spec that passed :func:`validate` keeps its report and its flat
+    tables: a second call neither walks the transitions nor builds a new
+    report, and the solver and the simulator read the tables alone. The
+    memo lives on the spec, so a spec built by ``dataclasses.replace`` is
+    validated afresh, and a failing spec keeps nothing and raises on
+    every call."""
 
     @staticmethod
     def _count_walks(monkeypatch):
@@ -280,9 +293,13 @@ class TestValidationOnce:
         spec = parse_game(example_path.read_text())
         calls = self._count_walks(monkeypatch)
         renamed = dataclasses.replace(spec, name="renamed")
+        assert renamed._report is None and renamed._tables is None
         report = validate(renamed)
         assert len(calls) == sum(len(st.actions) for st in spec.states)
         assert report == validate(spec) and report is not validate(spec)
+        assert renamed._tables is not spec._tables
+        for fresh, kept in zip(renamed._tables, spec._tables):
+            assert np.array_equal(fresh, kept)
         broken = dataclasses.replace(spec, reference_values=(1.0,))
         with pytest.raises(GameValidationError, match="reference_values has 1 entries"):
             validate(broken)
@@ -303,6 +320,26 @@ class TestValidationOnce:
             messages.append(str(exc.value))
         assert messages[0].startswith("state 1 action 1: transition probabilities sum to")
         assert messages == messages[:1] * 3
+        assert broken._report is None and broken._tables is None
+
+    def test_solver_and_simulator_read_no_transitions(self, example_path):
+        # with every action's transitions unreadable after parsing, a
+        # solve and a simulation still run, on the tables validate kept,
+        # and give the values of an untouched spec bit for bit
+        def run(spec):
+            f, g = enumerate_pure(spec, "I")[2], enumerate_pure(spec, "II")[1]
+            return solve(spec), estimate_payoff(spec, f, g, 1, 200, 3, 5)
+
+        want_report, want_estimate = run(parse_game(example_path.read_text()))
+        spec = parse_game(example_path.read_text())
+        for st in spec.states:
+            for act in st.actions:
+                object.__setattr__(act, "transitions", _Unreadable())
+        report, estimate = run(spec)
+        assert np.array_equal(report.payoffs, want_report.payoffs)
+        assert report.value == want_report.value
+        assert report.diagnostics == want_report.diagnostics
+        assert estimate == want_estimate
 
 
 def _unvalidated(transitions) -> GameSpec:

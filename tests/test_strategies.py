@@ -1,3 +1,7 @@
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,7 @@ from pismg import (
     Transition,
     controlled_states,
     enumerate_pure,
+    expected_sojourn,
     induce,
     ordinal_of,
     parse_game,
@@ -18,8 +23,11 @@ from pismg import (
     strategy_from_ordinal,
     validate_stochastic,
 )
+from pismg.strategies import action_tables
 
 import _corpus
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _mixed_radix_game():
@@ -180,3 +188,68 @@ class TestInduce:
             chain = induce(spec, f, g)
             validate_stochastic(chain.q)
             assert chain.tau.min() > 0.0
+
+
+def _walked_tables(spec):
+    """The action tables built by walking the spec's dataclasses, action
+    by action and transition by transition, each action's expected
+    sojourn computed from its transitions: the oracle for the scatter of
+    the flat tables that validation keeps."""
+    n = spec.n
+    width = max(len(st.actions) for st in spec.states)
+    r, tau = np.zeros((n, width)), np.zeros((n, width))
+    real = np.zeros(n * width, dtype=bool)
+    slots, heads, probs = [], [], []
+    for st in spec.states:
+        for a, act in enumerate(st.actions):
+            slot = (st.id - 1) * width + a
+            real[slot] = True
+            r[st.id - 1, a] = act.reward
+            tau[st.id - 1, a] = expected_sojourn(act)
+            for tr in act.transitions:
+                slots.append(slot)
+                heads.append(tr.to - 1)
+                probs.append(tr.prob)
+    rows = np.zeros((n * width, n))
+    rows[slots, heads] = probs
+    total = rows.sum(axis=1)
+    scale = real & (total != 1.0)
+    rows[scale] /= total[scale, None]
+    return rows.reshape(n, width, n), r, tau
+
+
+def _benchmark_games():
+    """The benchmark's games of every workload at two seeds."""
+    loader = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(gen)
+    for workload, count in (("corpus", 200), ("long", 3), ("wide", 2), ("simulate", 1)):
+        for seed in (101, 424242):
+            stream = gen.games(workload, seed)
+            for _ in range(count):
+                yield parse_game(json.dumps(next(stream)))
+
+
+def _data_games():
+    for path in sorted((ROOT / "tests" / "data").glob("*.json")):
+        if "states" in json.loads(path.read_text()):
+            yield parse_game(path.read_text())
+
+
+class TestActionTables:
+    """The scatter of the flat tables equals the walk of the dataclasses
+    bit for bit, on every kind of game the tests and the benchmark run."""
+
+    @pytest.mark.parametrize("games", [
+        lambda: [parse_game((ROOT / "example_s5.json").read_text()), *_data_games()],
+        lambda: _corpus.game_corpus(200, seed=424242),
+        _benchmark_games,
+    ], ids=["data", "corpus-200", "benchmark"])
+    def test_scatter_equals_walk(self, games):
+        count = 0
+        for spec in games():
+            for got, want in zip(action_tables(spec), _walked_tables(spec)):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), spec.name
+            count += 1
+        assert count >= 10
