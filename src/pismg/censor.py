@@ -22,10 +22,9 @@ The censoring solves its transient block, of up to n states, once per
 game by dense LU (:func:`pismg.markov._absorption`), where a Python loop
 of elimination steps would lose to LAPACK. Every stationary row comes
 from the one structural kernel, the masked GTH pass of
-:func:`pismg.markov._structural_stack`: the decision-free closed
-classes of a game run together as one block-diagonal chain, and the
-censored chains of a game's pairs,
-small and many, as chain-last stacks through
+:func:`pismg.markov._structural_stack`: the decision-free closed classes
+of a game run together as one block-diagonal chain, and the censored
+chains of a game's pairs, small and many, as chain-last stacks through
 :func:`pismg.markov.structural_limits`. The kernel checks the factors L
 and U of Q* as they come out (UQ = U, QL = L, UL = I, and L's rows and
 U's real rows probability vectors), which bounds the gap of each

@@ -338,9 +338,15 @@ def validate(spec: GameSpec) -> ValidationReport:
     s2 = tuple(st.id for st in spec.states if st.controller == PLAYER_II)
     counts1 = tuple(len(spec.state(s).actions) for s in s1)
     counts2 = tuple(len(spec.state(s).actions) for s in s2)
-    report = ValidationReport(s1=s1, s2=s2, player1_action_counts=counts1,
-                              player2_action_counts=counts2, d1=math.prod(counts1),
-                              d2=math.prod(counts2), warnings=tuple(warnings))
+    report = ValidationReport(
+        s1=s1,
+        s2=s2,
+        player1_action_counts=counts1,
+        player2_action_counts=counts2,
+        d1=math.prod(counts1),
+        d2=math.prod(counts2),
+        warnings=tuple(warnings),
+    )
     width = max(counts1 + counts2)
     state, action, reward, tau = np.array(actions, dtype=float).reshape(-1, 4).T
     moves = np.array(moves, dtype=float).reshape(-1, 6)
@@ -350,14 +356,6 @@ def validate(spec: GameSpec) -> ValidationReport:
     object.__setattr__(spec, "_tables", tables)
     object.__setattr__(spec, "_report", report)
     return report
-
-
-def _tables(spec: GameSpec) -> _Tables:
-    """The flat tables of a spec, validated first if it has not passed
-    :func:`validate` yet."""
-    if spec._tables is None:
-        validate(spec)
-    return spec._tables
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import SOJOURN_KINDS, GameSpec, _tables
+from .game import SOJOURN_KINDS, GameSpec, validate
 from .strategies import PureStationaryStrategy, _choices
 
 # the largest (states x buckets) transition table a chain precomputes
@@ -176,17 +176,18 @@ class _Chain:
     transition of every state. ``kind`` is 0 for a sojourn that draws
     nothing, 1 for an exponential and 2 for a uniform one, and for a
     uniform draw v the holding time is ``base``, -log1p(-v) / ``scale``
-    or ``base`` + ``scale`` * v. ``grid`` is the sorted union of the
-    cumulative rows' entries below 1, and a uniform u falls in bucket
-    ``searchsorted(grid, u, "right")``, the count of grid entries <= u;
-    there are ``stride`` buckets. An entry of row s counts from the
-    bucket after its grid index on, and an entry >= 1 never does, so the
-    ascending ``keys`` hold s * stride + that first bucket for every
-    entry (``stride`` for one >= 1). The transition state s takes in
-    bucket b is then ``searchsorted(keys, s * stride + b, "right")``: the
-    transitions of the rows before s plus the count of its entries <= u,
-    which is what ``bisect_right`` returns on the row. So far the chain
-    is linear in its transitions.
+    or ``base`` + ``scale`` * v (an exponential's ``base`` is not read).
+    ``grid`` is the sorted union of the cumulative rows' entries below
+    1, and a uniform u falls in bucket ``searchsorted(grid, u,
+    "right")``, the count of grid entries <= u; there are ``stride``
+    buckets. An entry of row s counts from the bucket after its grid
+    index on, and an entry >= 1 never does, so the ascending ``keys``
+    hold s * stride + that first bucket for every entry (``stride`` for
+    one >= 1). The transition state s takes in bucket b is then
+    ``searchsorted(keys, s * stride + b, "right")``: the transitions of
+    the rows before s plus the count of its entries <= u, which is what
+    ``bisect_right`` returns on the row. So far the chain is linear in
+    its transitions.
 
     Where the answers for every s * stride + b fit in ``_TABLE_ENTRIES``,
     ``table`` holds them and ``cells`` finds buckets (see
@@ -202,7 +203,8 @@ class _Chain:
 
     def __init__(self, spec: GameSpec, f: PureStationaryStrategy,
                  g: PureStationaryStrategy):
-        n, t = spec.n, _tables(spec)
+        validate(spec)
+        n, t = spec.n, spec._tables
         chosen = np.zeros(len(t.slot), dtype=bool)
         chosen[np.searchsorted(t.slot, np.arange(n) * t.width + _choices(spec, f, g))] = True
         # the chosen actions' positive transitions, in state order
@@ -238,12 +240,11 @@ class _Chain:
         # state's first transition
         self.reward = t.reward[t.owner[moves]]
         self.row_start = ends - lengths
-        kind, low, high = t.sojourn[moves].T
+        kind, self.base, high = t.sojourn[moves].T
         exponential = kind == SOJOURN_KINDS.index("exponential")
         uniform = kind == SOJOURN_KINDS.index("uniform")
         self.kind = exponential + 2 * uniform
-        self.base = np.where(exponential, 0.0, low)
-        self.scale = np.where(exponential, low, high - low)
+        self.scale = np.where(exponential, self.base, high - self.base)
 
     def _step(self, keys: np.ndarray) -> np.ndarray:
         """The transitions taken at ``keys``, each a 0-based state times

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EnumerationLimitError
-from .game import GameSpec, PLAYER_I, _tables, validate
+from .game import GameSpec, PLAYER_I, validate
 
 ENUMERATION_CAP = 10**6
 
@@ -90,13 +89,13 @@ class InducedChain:
     tau: np.ndarray
 
 
-def _partition(spec: GameSpec, player: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The states ``player`` controls, ascending, and their action counts,
-    from the validation report."""
+def _partition(spec: GameSpec, player: str) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The states ``player`` controls, ascending, their action counts and
+    the player's strategy count, from the validation report."""
     report = validate(spec)
     if player == PLAYER_I:
-        return report.s1, report.player1_action_counts
-    return report.s2, report.player2_action_counts
+        return report.s1, report.player1_action_counts, report.d1
+    return report.s2, report.player2_action_counts, report.d2
 
 
 def controlled_states(spec: GameSpec, player: str) -> tuple[int, ...]:
@@ -104,7 +103,7 @@ def controlled_states(spec: GameSpec, player: str) -> tuple[int, ...]:
 
 
 def strategy_count(spec: GameSpec, player: str) -> int:
-    return math.prod(_partition(spec, player)[1])
+    return _partition(spec, player)[2]
 
 
 def enumerate_pure(spec: GameSpec, player: str,
@@ -113,8 +112,7 @@ def enumerate_pure(spec: GameSpec, player: str,
 
     Refuses to materialize more than ``cap`` strategies; the raised
     :class:`EnumerationLimitError` carries the exact count."""
-    states, counts = _partition(spec, player)
-    count = math.prod(counts)
+    states, counts, count = _partition(spec, player)
     if count > cap:
         raise EnumerationLimitError(
             f"player {player} has {count} pure stationary strategies, "
@@ -131,8 +129,7 @@ def strategy_from_ordinal(spec: GameSpec, player: str,
                           ordinal: int) -> PureStationaryStrategy:
     """Decode an ordinal without enumerating (mixed radix, lowest-indexed
     controlled state most significant)."""
-    states, radices = _partition(spec, player)
-    total = math.prod(radices)
+    states, radices, total = _partition(spec, player)
     if not 0 <= ordinal < total:
         raise ValueError(
             f"ordinal {ordinal} out of range for player {player} "
@@ -148,7 +145,7 @@ def strategy_from_ordinal(spec: GameSpec, player: str,
 
 def ordinal_of(spec: GameSpec, player: str, actions: tuple[int, ...]) -> int:
     """Inverse of :func:`strategy_from_ordinal` on the choice tuple."""
-    states, counts = _partition(spec, player)
+    states, counts, _ = _partition(spec, player)
     if len(actions) != len(states):
         raise ValueError(
             f"player {player} controls {len(states)} states, got "
@@ -218,7 +215,8 @@ def action_tables(spec: GameSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sojourn. Rows past a state's last action are zero. Entry (s - 1, a)
     is slot (s - 1) * width + a of the flat tables :func:`validate`
     keeps, and all three are one scatter of them."""
-    t = _tables(spec)
+    validate(spec)
+    t = spec._tables
     n, width = spec.n, t.width
     r, tau = np.zeros(n * width), np.zeros(n * width)
     r[t.slot], tau[t.slot] = t.reward, t.tau
