@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationLimitError
-from .game import GameSpec, PLAYER_I, validate
+from .game import GameSpec, PLAYER_I, PLAYER_II, validate
 
 ENUMERATION_CAP = 10**6
 
@@ -91,11 +91,11 @@ class InducedChain:
 
 def _partition(spec: GameSpec, player: str) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """The states ``player`` controls, ascending, their action counts and
-    the player's strategy count, from the validation report."""
+    the player's strategy count, from the validation report; KeyError
+    for a player other than 'I' and 'II'."""
     report = validate(spec)
-    if player == PLAYER_I:
-        return report.s1, report.player1_action_counts, report.d1
-    return report.s2, report.player2_action_counts, report.d2
+    return {PLAYER_I: (report.s1, report.player1_action_counts, report.d1),
+            PLAYER_II: (report.s2, report.player2_action_counts, report.d2)}[player]
 
 
 def controlled_states(spec: GameSpec, player: str) -> tuple[int, ...]:
@@ -193,7 +193,10 @@ def strategy_from_labels(spec: GameSpec, player: str,
 
 def _choices(spec: GameSpec, f: PureStationaryStrategy,
              g: PureStationaryStrategy) -> list[int]:
-    """The action (0-based) each state plays under the pair (f, g)."""
+    """The action (0-based) each state plays under the pair (f, g), once
+    :func:`ordinal_of` has checked that each is an action of its state."""
+    for strat in (f, g):
+        ordinal_of(spec, strat.player, strat.actions)
     return [(f if st.controller == PLAYER_I else g).action_at(st.id) for st in spec.states]
 
 

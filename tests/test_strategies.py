@@ -9,15 +9,18 @@ from pismg import (
     ActionSpec,
     EnumerationLimitError,
     GameSpec,
+    PureStationaryStrategy,
     SojournModel,
     StateSpec,
     Transition,
     controlled_states,
     enumerate_pure,
+    estimate_payoff,
     expected_sojourn,
     induce,
     ordinal_of,
     parse_game,
+    simulate,
     strategy_count,
     strategy_from_labels,
     strategy_from_ordinal,
@@ -118,6 +121,32 @@ class TestEnumeration:
                         else:
                             with pytest.raises(ValueError, match="does not control"):
                                 strat.action_at(st.id)
+
+
+@pytest.mark.parametrize("helper", [
+    controlled_states, strategy_count, enumerate_pure,
+    lambda spec, player: strategy_from_ordinal(spec, player, 0),
+    lambda spec, player: ordinal_of(spec, player, ()),
+], ids=["controlled_states", "strategy_count", "enumerate_pure", "strategy_from_ordinal",
+        "ordinal_of"])
+def test_unknown_player_is_refused(example_spec, helper):
+    with pytest.raises(KeyError, match="'III'"):
+        helper(example_spec, "III")
+
+
+@pytest.mark.parametrize("action", [2, -1])
+def test_action_a_state_lacks_is_refused(example_spec, action):
+    # (1, 2) -> (action, 0) names no action of state 1 (two actions); a
+    # slot of the flat tables would silently read another state's action
+    f = PureStationaryStrategy("I", (1, 2), (action, 0), 0)
+    g = strategy_from_ordinal(example_spec, "II", 0)
+    message = f"state 1: action index {action} out of range 0..1"
+    for run in (lambda: induce(example_spec, f, g),
+                lambda: simulate(example_spec, f, g, 1, 10, 0),
+                lambda: estimate_payoff(example_spec, f, g, 1, 10, 2, 0)):
+        with pytest.raises(ValueError) as exc:
+            run()
+        assert str(exc.value) == message
 
 
 class TestOrdinalCodec:
