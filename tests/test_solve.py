@@ -1289,19 +1289,45 @@ def _weak_closed_class(d):
     ))
 
 
+def _weak_three_state_class(d, entry):
+    """Decision state 1 enters the one-action states 2 <-> 3 <-> 4, a
+    closed class coupled at d per round, at state ``entry`` under its
+    first action and at the other end under its second. With rewards 2,
+    3 and 4 the stationary row is (2/5, 2/5, 1/5), so every value is
+    14/5. The class's node reads state 2's row, so an entry at 4 enters
+    it away from that row."""
+    act = TestComponents._action
+    other = 6 - entry
+    return GameSpec("weak-three-state-class", (
+        StateSpec(1, "I", (act("in", 1.0, 1.0, {entry: 1.0}),
+                           act("across", 1.0, 1.0, {other: 1.0}))),
+        StateSpec(2, "II", (act("stay", 2.0, 1.0, {2: 1 - d, 3: d}),)),
+        StateSpec(3, "II", (act("stay", 3.0, 1.0, {2: d, 3: 1 - 2 * d, 4: d}),)),
+        StateSpec(4, "II", (act("stay", 4.0, 1.0, {3: 2 * d, 4: 1 - 2 * d}),)),
+    ))
+
+
+_WEAK_CLASSES = (
+    [pytest.param(_weak_closed_class, Fraction(7, 3), d, id=f"{d!r}")
+     for d in (10.0**-k for k in range(6, 12))]
+    + [pytest.param(functools.partial(_weak_three_state_class, entry=entry),
+                    Fraction(14, 5), d, id=f"three-states-at-{entry}-{d!r}")
+       for entry in (2, 4) for d in (10.0**-k for k in range(6, 12))])
+
+
 class TestWeakClosedClass:
     """The censoring's decision-free closed classes run through the GTH
     kernel, so a class coupled at d per round keeps every digit of its
-    stationary row."""
+    stationary row, whichever member a decision state enters."""
 
-    @pytest.mark.parametrize("d", [10.0**-k for k in range(6, 12)])
-    def test_matches_exact(self, d):
-        spec = _weak_closed_class(d)
+    @pytest.mark.parametrize("build, value, d", _WEAK_CLASSES)
+    def test_matches_exact(self, build, value, d):
+        spec = build(d)
         report = solve(spec)
         for f in enumerate_pure(spec, "I"):
             for g in enumerate_pure(spec, "II"):
                 for s, x in enumerate(exact_phi(spec, f, g)):
-                    assert x == Fraction(7, 3)
+                    assert x == value
                     got = Fraction(float(report.payoffs[f.ordinal, g.ordinal, s]))
                     assert abs(got - x) <= 2 * Fraction(np.spacing(float(x))), (f.label, s + 1)
 

@@ -20,6 +20,7 @@ from pismg import (
     induce,
     ordinal_of,
     parse_game,
+    payoff_vector,
     simulate,
     strategy_count,
     strategy_from_labels,
@@ -134,14 +135,19 @@ def test_unknown_player_is_refused(example_spec, helper):
         helper(example_spec, "III")
 
 
-@pytest.mark.parametrize("action", [2, -1])
-def test_action_a_state_lacks_is_refused(example_spec, action):
-    # (1, 2) -> (action, 0) names no action of state 1 (two actions); a
-    # slot of the flat tables would silently read another state's action
-    f = PureStationaryStrategy("I", (1, 2), (action, 0), 0)
+@pytest.mark.parametrize("states, actions, message", [
+    ((1, 2), (2, 0), "state 1: action index 2 out of range 0..1"),
+    ((1, 2), (-1, 0), "state 1: action index -1 out of range 0..1"),
+    ((2, 1), (0, 0), "player I controls states [1, 2], got [2, 1]"),
+], ids=["2", "-1", "states-out-of-order"])
+def test_action_a_state_lacks_is_refused(example_spec, states, actions, message):
+    # (1, 2) -> (2, 0) or (-1, 0) names no action of state 1 (two
+    # actions), and (2, 1) lists player I's states out of order; a slot
+    # of the flat tables would silently read another state's action
+    f = PureStationaryStrategy("I", states, actions, 0)
     g = strategy_from_ordinal(example_spec, "II", 0)
-    message = f"state 1: action index {action} out of range 0..1"
     for run in (lambda: induce(example_spec, f, g),
+                lambda: payoff_vector(example_spec, f, g),
                 lambda: simulate(example_spec, f, g, 1, 10, 0),
                 lambda: estimate_payoff(example_spec, f, g, 1, 10, 2, 0)):
         with pytest.raises(ValueError) as exc:
