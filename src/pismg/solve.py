@@ -92,6 +92,7 @@ from .markov import _max_abs, cesaro
 from .strategies import (
     PureStationaryStrategy,
     SemiStationaryStrategy,
+    _choices,
     enumerate_pure,
     induce,
 )
@@ -168,7 +169,8 @@ def payoff_vector(spec: GameSpec, f: PureStationaryStrategy,
                   g: PureStationaryStrategy) -> np.ndarray:
     """phi(s, f, g) for every initial state s, as an array indexed
     s - 1: the payoff tensor of the one pair, each component's chain a
-    stack of one."""
+    stack of one, once the pair is checked as :func:`induce` checks it."""
+    _choices(spec, f, g)
     return _payoff_tensor(spec, (f,), (g,))[0, 0]
 
 

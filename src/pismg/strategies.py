@@ -194,8 +194,14 @@ def strategy_from_labels(spec: GameSpec, player: str,
 def _choices(spec: GameSpec, f: PureStationaryStrategy,
              g: PureStationaryStrategy) -> list[int]:
     """The action (0-based) each state plays under the pair (f, g), once
-    :func:`ordinal_of` has checked that each is an action of its state."""
+    each strategy is checked to list exactly its player's controlled
+    states, in order, and :func:`ordinal_of` that each choice is an
+    action of its state."""
     for strat in (f, g):
+        states = controlled_states(spec, strat.player)
+        if tuple(strat.states) != states:
+            raise ValueError(f"player {strat.player} controls states {list(states)}, "
+                             f"got {list(strat.states)}")
         ordinal_of(spec, strat.player, strat.actions)
     return [(f if st.controller == PLAYER_I else g).action_at(st.id) for st in spec.states]
 
