@@ -168,10 +168,11 @@ def censor(rows, decision, values) -> tuple:
     node i and the j-th closed class node c + j. Returns ``(closed,
     exits, enters, accumulated, means)``: the closed classes' states;
     the (n, c + m) distribution of the first node each state enters (an
-    indicator row on the nodes' own states) and its 0/1 support from
-    path counts; the expected sum of each value column over the epochs
-    spent before that entry; and the (m, p) stationary per-epoch means
-    of the value columns on each closed class.
+    indicator row on the nodes' own states, so a state's row times the
+    exits is its censored row) and its 0/1 support from path counts; the
+    expected sum of each value column over the epochs spent before that
+    entry; and the (m, p) stationary per-epoch means of the value
+    columns on each closed class.
 
     Only the rows outside ``decision`` are read. With the decision
     states made sinks, a decision-free state is closed when every state
@@ -271,10 +272,16 @@ class _CensoredGame:
     node x's censored row under action a, ``edges[x, a]`` its 0/1 graph
     from path counts, and ``values[:, x, a]`` the reward, epochs and
     time the full chain accumulates from leaving node x until it enters
-    the next node. A closed-class node has one action, which stays put,
-    with its class's per-epoch means. Decision state ``decision[i]`` is
-    node i. ``states[x]`` lists the 0-based states node x stands for, so
-    an error names a class by its states.
+    the next node. Decision state ``decision[i]`` is node i.
+    ``states[x]`` lists the 0-based states node x stands for, so an error
+    names a class by its states.
+
+    Every node is built from the rows of one state, the first of
+    ``states[x]``, by the same products with the exit rows. A
+    closed-class node reads its smallest member, whose one action enters
+    only its own class, and every member's exit row is the class's node:
+    so that action stays put, with the member's row sum as its weight,
+    1 within rounding. Its values are then its class's per-epoch means.
 
     A state that enters one node only takes that node's payoff; the
     states that may enter several, ``mixed``, mix the nodes' limits by
@@ -302,22 +309,19 @@ class _CensoredGame:
         closed, exits, enters, accumulated, means = censor(
             q[:, 0], self.decision, table[:, :, 0].T)
         self.states = [(x,) for x in self.decision.tolist()] + [c.tolist() for c in closed]
-        chosen = q[self.decision]
-        c, s = len(self.decision), len(self.states)
-        # the decision nodes' censored rows, then the closed classes' one
-        # action each, which stays put
-        self.q = np.zeros((s, q.shape[1], s))
-        self.q[:c] = chosen @ exits
-        self.q[np.arange(c, s), 0, np.arange(c, s)] = 1.0
-        self.edges = self.q > 0
-        self.edges[:c] = (chosen > EPS_EDGE).astype(float) @ enters > 0
-        self.values = np.zeros((3, s, q.shape[1]))
+        # each node's rows are those of one state: its decision state, or
+        # its class's smallest member, whose exits row is the class's node,
+        # so that node's one action stays put
+        nodes = [x[0] for x in self.states]
+        chosen = q[nodes]
+        self.q = chosen @ exits
+        self.edges = (chosen > EPS_EDGE) @ enters > 0
         # a node's value may overflow to inf as phi may; payoffs then
         # weighs it only where its weight is positive, and names the first
         # state whose payoff it leaves infinite
         with np.errstate(over="ignore"):
-            self.values[:, :c] = table[:, self.decision] + (chosen @ accumulated).transpose(2, 0, 1)
-        self.values[:, c:, 0] = means.T
+            self.values = table[:, nodes] + (chosen @ accumulated).transpose(2, 0, 1)
+        self.values[:, len(self.decision):, 0] = means.T
         self.overflowed = not np.isfinite(self.values).all()
         self.rows = enters.argmax(axis=1)
         self.mixed = np.flatnonzero(enters.sum(axis=1) > 1)
