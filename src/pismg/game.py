@@ -165,9 +165,9 @@ class _Tables(NamedTuple):
     (0-based) of state s, ``reward`` its reward and ``tau`` its expected
     sojourn. Per transition, ``owner`` is the index of its action,
     ``dest`` its 0-based destination, ``prob`` its probability as given,
-    and the row of ``sojourn`` the index in ``SOJOURN_KINDS`` (a float)
-    and the first and last parameter of the model it draws its holding
-    time from: its own, else its action's default."""
+    and its holding time as ``draw`` and the two rows of ``sojourn``,
+    base and scale, the form :func:`_check_sojourn` returns for the
+    model it draws from: its own, else its action's default."""
 
     width: int
     slot: np.ndarray
@@ -176,6 +176,7 @@ class _Tables(NamedTuple):
     owner: np.ndarray
     dest: np.ndarray
     prob: np.ndarray
+    draw: np.ndarray
     sojourn: np.ndarray
 
 
@@ -210,8 +211,11 @@ def _state_id(x) -> bool:
 
 
 def _check_sojourn(model: SojournModel, where: str) -> tuple[int, float, float]:
-    """Checks a model and returns its row of the tables: the index of
-    its kind in ``SOJOURN_KINDS``, its first and its last parameter."""
+    """Checks a model and returns its holding time as ``(draw, base,
+    scale)``, the form a simulation draws it in: for draw 0 the constant
+    ``base`` (``mean``, as the kind declares no shape, and
+    ``deterministic``); for draw 1 an exponential of rate ``scale``; for
+    draw 2 ``base`` plus ``scale`` times a uniform on [0, 1)."""
     # a model built in code, not parsed, may have any kind, arity and
     # parameter type
     arity = len(_SOJOURN_PARAMS.get(model.kind, ()))
@@ -223,18 +227,17 @@ def _check_sojourn(model: SojournModel, where: str) -> tuple[int, float, float]:
     for p in model.params:
         if not _real(p):
             raise GameValidationError(f"{where}: sojourn parameter {p!r} is not a number")
-    if model.kind != "uniform" and not model.params[0] > 0.0:
+    a, b = model.params[0], model.params[-1]
+    if model.kind != "uniform" and not a > 0.0:
         what = {"mean": "mean", "deterministic": "time", "exponential": "rate"}[model.kind]
-        raise GameValidationError(f"{where}: nonpositive sojourn {what} {model.params[0]}")
-    if model.kind == "uniform":
-        a, b = model.params
-        if a < 0.0 or b <= a:
-            raise GameValidationError(
-                f"{where}: uniform sojourn needs 0 <= a < b, got a={a}, b={b}"
-            )
+        raise GameValidationError(f"{where}: nonpositive sojourn {what} {a}")
+    if model.kind == "uniform" and (a < 0.0 or b <= a):
+        raise GameValidationError(f"{where}: uniform sojourn needs 0 <= a < b, got a={a}, b={b}")
     if not all(math.isfinite(p) for p in model.params):
         raise GameValidationError(f"{where}: non-finite sojourn parameter")
-    return SOJOURN_KINDS.index(model.kind), model.params[0], model.params[-1]
+    if model.kind == "uniform":
+        return 2, a, float(b) - float(a)
+    return (1, 0.0, a) if model.kind == "exponential" else (0, a, 0.0)
 
 
 def validate(spec: GameSpec) -> ValidationReport:
@@ -350,9 +353,10 @@ def validate(spec: GameSpec) -> ValidationReport:
     width = max(counts1 + counts2)
     state, action, reward, tau = np.array(actions, dtype=float).reshape(-1, 4).T
     moves = np.array(moves, dtype=float).reshape(-1, 6)
-    owner, dest = moves[:, :2].T.astype(np.intp)
+    owner, dest, draw = moves.T[[0, 1, 3]].astype(np.intp)
+    # copies, so the (T, 6) block is freed
     tables = _Tables(width, (state * width + action).astype(np.intp), reward, tau,
-                     owner, dest, moves[:, 2], moves[:, 3:])
+                     owner, dest, moves[:, 2].copy(), draw, moves[:, 4:].T.copy())
     object.__setattr__(spec, "_tables", tables)
     object.__setattr__(spec, "_report", report)
     return report

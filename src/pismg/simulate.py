@@ -16,8 +16,11 @@ constant at its mean, which preserves the ratio-of-expectations target.
 
 A pair's chain is compiled by array gathers from the flat tables that
 :func:`pismg.game.validate` keeps on the spec, with no Python step per
-transition. A trajectory is computed in array passes and one Python step
-per block of epochs, and equals the epoch-by-epoch loop bit for bit:
+transition. The tables hold each transition's holding time in the form
+it is drawn in, a constant, an exponential rate or a uniform's base and
+width, so no sojourn kind of the file format is decoded here. A
+trajectory is computed in array passes and one Python step per block of
+epochs, and equals the epoch-by-epoch loop bit for bit:
 
 - Every state's cumulative row is a subset of one sorted grid, so the
   grid puts each epoch's uniform in a bucket, and within a bucket every
@@ -64,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import SOJOURN_KINDS, GameSpec, validate
+from .game import GameSpec, validate
 from .strategies import PureStationaryStrategy, _choices
 
 # the largest (states x buckets) transition table a chain precomputes
@@ -173,10 +176,11 @@ class _Chain:
     cumulative row is ``cumsum(w / w.sum())`` of its weights w, as the
     per-epoch loop builds it. ``dest`` holds each transition's next
     state, ``reward`` its state's reward, and ``row_start`` the first
-    transition of every state. ``kind`` is 0 for a sojourn that draws
-    nothing, 1 for an exponential and 2 for a uniform one, and for a
-    uniform draw v the holding time is ``base``, -log1p(-v) / ``scale``
-    or ``base`` + ``scale`` * v (an exponential's ``base`` is not read).
+    transition of every state. ``kind``, ``base`` and ``scale`` are the
+    tables' ``draw`` and ``sojourn`` rows (see
+    :func:`pismg.game._check_sojourn`): for a uniform draw v the holding
+    time is ``base``, -log1p(-v) / ``scale`` or ``base`` + ``scale`` * v
+    for kind 0, 1 and 2 (an exponential's ``base`` is not read).
     ``grid`` is the sorted union of the cumulative rows' entries below
     1, and a uniform u falls in bucket ``searchsorted(grid, u,
     "right")``, the count of grid entries <= u; there are ``stride``
@@ -240,11 +244,8 @@ class _Chain:
         # state's first transition
         self.reward = t.reward[t.owner[moves]]
         self.row_start = ends - lengths
-        kind, self.base, high = t.sojourn[moves].T
-        exponential = kind == SOJOURN_KINDS.index("exponential")
-        uniform = kind == SOJOURN_KINDS.index("uniform")
-        self.kind = exponential + 2 * uniform
-        self.scale = np.where(exponential, self.base, high - self.base)
+        self.kind = t.draw[moves]
+        self.base, self.scale = t.sojourn[:, moves]
 
     def _step(self, keys: np.ndarray) -> np.ndarray:
         """The transitions taken at ``keys``, each a 0-based state times
