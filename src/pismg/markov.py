@@ -180,18 +180,6 @@ def char_poly(q) -> np.ndarray:
     return c
 
 
-def _divide_by_unit_root(p: np.ndarray) -> tuple[np.ndarray, float]:
-    """Synthetic division of p by (z - 1); returns (quotient, remainder).
-    The remainder equals p(1)."""
-    deg = p.size - 1
-    b = np.empty(deg)
-    b[deg - 1] = p[deg]
-    for k in range(deg - 1, 0, -1):
-        b[k - 1] = p[k] + b[k]
-    rem = p[0] + b[0]
-    return b, float(rem)
-
-
 def deflate_unit_root(p, tol: float = DEFLATION_TOL) -> tuple[int, np.ndarray]:
     """Strip the maximal (z - 1)^m1 factor from p.
 
@@ -199,7 +187,12 @@ def deflate_unit_root(p, tol: float = DEFLATION_TOL) -> tuple[int, np.ndarray]:
     |rem| <= tol * max(1, max|p_k|). Returns (m1, quotient). Raises if
     p(1) is not numerically zero (the matrix behind p was not
     stochastic) or if the deflated quotient still nearly vanishes at 1
-    (multiplicity too ill-conditioned to trust)."""
+    (multiplicity too ill-conditioned to trust).
+
+    Each division by (z - 1) is numpy's ``polydiv``, synthetic division
+    from the top coefficient down, whose remainder is p(1) as that
+    recurrence sums it. It drops zero top coefficients first, so they
+    change neither m1 nor the quotient's other coefficients."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 2:
         raise NumericalError("deflation needs a polynomial of degree >= 1")
@@ -213,8 +206,8 @@ def deflate_unit_root(p, tol: float = DEFLATION_TOL) -> tuple[int, np.ndarray]:
     current = p
     m1 = 0
     while current.size > 1:
-        quotient, rem = _divide_by_unit_root(current)
-        if abs(rem) > threshold:
+        quotient, rem = npoly.polydiv(current, [-1.0, 1.0])
+        if abs(float(rem[0])) > threshold:
             break
         current = quotient
         m1 += 1
