@@ -9,6 +9,7 @@ from pismg import enumerate_pure, parse_game
 from pismg.cli import build_parser, main
 
 from _exact import exact_phi
+from _golden import GOLDEN, command
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -337,74 +338,6 @@ class TestSimulateCommand:
         )
 
 
-# Expected CLI outputs, one file in tests/data per case. "{game}" is the
-# game file: example_s5.json, or tests/data/<game>.json for the two-sinks
-# game of test_solve.py, whose state-1 matrix violates the all-pairs 2x2
-# certificate, and for the unreachable-from-choices game of test_solve.py
-# (one_action), whose one-action states are the transient states 3, 6
-# and 7 and the decision-free closed class {4, 5}, and for the decoupled
-# game, two independent two-state sub-games, one per player, that the
-# one-action state 5 links. Regenerate a file with
-# `pismg <argv> > tests/data/<file>`.
-GOLDEN = [
-    ("solve_example_s5.txt", "example", ["solve", "{game}", "--no-banner", "--emit-matrices"]),
-    ("solve_example_s5.json", "example",
-     ["solve", "{game}", "--no-banner", "--emit-matrices", "--format", "json"]),
-    ("solve_two_sinks.txt", "two_sinks", ["solve", "{game}", "--no-banner", "--emit-matrices"]),
-    ("solve_one_action.txt", "one_action",
-     ["solve", "{game}", "--no-banner", "--emit-matrices"]),
-    ("solve_two_sinks.json", "two_sinks",
-     ["solve", "{game}", "--no-banner", "--emit-matrices", "--format", "json"]),
-    ("solve_decoupled.txt", "decoupled", ["solve", "{game}", "--no-banner", "--emit-matrices"]),
-    # one-action cycles around and away from a decision state, and a
-    # closed class entered only through transient states
-    ("solve_cycles.txt", "cycles", ["solve", "{game}", "--no-banner", "--emit-matrices"]),
-    # a loop that escapes with probability 1e-10 per round: the
-    # absorption solve keeps its digits, and every value is 2
-    ("solve_thin_loop.txt", "thin_loop", ["solve", "{game}", "--no-banner", "--emit-matrices"]),
-    # the decision pair (couple, couple) closes a class of two states
-    # coupled at 1e-10 per round: GTH state reduction keeps every digit
-    # of its stationary row (see test_weak_coupling_golden_is_exact)
-    ("solve_weak_coupling.json", "weak_coupling",
-     ["solve", "{game}", "--no-banner", "--emit-matrices", "--format", "json"]),
-    # decision state 1 enters a one-action class of two states coupled at
-    # 1e-10 per round: its stationary row keeps every digit, and every
-    # value is 7/3 within an ulp
-    ("solve_weak_closed_class.json", "weak_closed_class",
-     ["solve", "{game}", "--no-banner", "--emit-matrices", "--format", "json"]),
-    # a node value that overflows where its state is transient: every
-    # value is 1 and every matrix entry 1 or 2
-    ("solve_transient_overflow.txt", "transient_overflow",
-     ["solve", "{game}", "--no-banner", "--emit-matrices"]),
-    # uniform, deterministic and mean sojourns as transition overrides:
-    # the expected sojourns of actions whose transitions override their
-    # default model
-    ("solve_uniform_sojourns.txt", "uniform_sojourns",
-     ["solve", "{game}", "--no-banner", "--emit-matrices"]),
-    ("validate_example_s5.json", "example", ["validate", "{game}", "--format", "json"]),
-    ("simulate_example_s5.json", "example",
-     ["simulate", "{game}", "--max", "2", "--min", "0", "--start", "1",
-      "--horizon", "1000", "--reps", "10", "--seed", "3", "--format", "json"]),
-    # uniform, deterministic and mean sojourns, as action defaults and as
-    # transition overrides, and a probability-0 transition: the sojourn
-    # kind each transition draws is pinned with no libm call in the bytes
-    ("simulate_uniform_sojourns.json", "uniform_sojourns",
-     ["simulate", "{game}", "--max", "0", "--min", "0", "--start", "2",
-      "--horizon", "1000", "--reps", "10", "--seed", "5", "--format", "json"]),
-    # the grid of this pair is {0.3, 0.5, 0.6}, not dyadic, and 1001
-    # epochs end in a part of a group: pins the last epochs of a
-    # trajectory and the uniforms that fall between grid points
-    ("simulate_uniform_sojourns_1001.json", "uniform_sojourns",
-     ["simulate", "{game}", "--max", "1", "--min", "0", "--start", "2",
-      "--horizon", "1001", "--reps", "10", "--seed", "9", "--format", "json"]),
-    # 40 distinct grid points on 20 states: the pair has a table, but a
-    # map of two-epoch blocks would not fit, so its blocks are one epoch
-    ("simulate_one_epoch_blocks.json", "one_epoch_blocks",
-     ["simulate", "{game}", "--max", "0", "--min", "0", "--start", "1",
-      "--horizon", "1001", "--reps", "10", "--seed", "11", "--format", "json"]),
-]
-
-
 def _assert_same_json(got, want, where="$"):
     """Keys, strings, ints, bools and nulls exactly; floats within 1e-12
     relative, since LAPACK builds may differ in the last ulp."""
@@ -423,10 +356,11 @@ def _assert_same_json(got, want, where="$"):
 
 
 class TestGoldenOutput:
+    # the cases of tests/_golden.py, whose floats in JSON may differ here
+    # by 1e-12 relative; run as a script, it compares every case exactly
     @pytest.mark.parametrize("name, game, argv", GOLDEN, ids=[c[0] for c in GOLDEN])
-    def test_matches_expected(self, capsys, example_path, name, game, argv):
-        path = example_path if game == "example" else DATA / f"{game}.json"
-        code, out, err = _run(capsys, *(a.format(game=path) for a in argv))
+    def test_matches_expected(self, capsys, name, game, argv):
+        code, out, err = _run(capsys, *command(game, argv))
         assert code == 0 and err == ""
         want = (DATA / name).read_text()
         if name.endswith(".json"):
