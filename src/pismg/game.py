@@ -232,7 +232,9 @@ def _check_sojourn(model: SojournModel, where: str) -> tuple[int, float, float]:
         what = {"mean": "mean", "deterministic": "time", "exponential": "rate"}[model.kind]
         raise GameValidationError(f"{where}: nonpositive sojourn {what} {a}")
     if model.kind == "uniform" and (a < 0.0 or b <= a):
-        raise GameValidationError(f"{where}: uniform sojourn needs 0 <= a < b, got a={a}, b={b}")
+        raise GameValidationError(
+            f"{where}: uniform sojourn needs 0 <= a < b, got a={a}, b={b}"
+        )
     if not all(math.isfinite(p) for p in model.params):
         raise GameValidationError(f"{where}: non-finite sojourn parameter")
     if model.kind == "uniform":
