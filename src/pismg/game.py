@@ -164,10 +164,10 @@ class _Tables(NamedTuple):
     count. Per action, ``slot`` is (s - 1) * width + a for action a
     (0-based) of state s, ``reward`` its reward and ``tau`` its expected
     sojourn. Per transition, ``owner`` is the index of its action,
-    ``dest`` its 0-based destination, ``prob`` its probability as given,
-    and its holding time as ``draw`` and the two rows of ``sojourn``,
-    base and scale, the form :func:`_check_sojourn` returns for the
-    model it draws from: its own, else its action's default."""
+    ``dest`` its 0-based destination, ``draw``, ``base`` and ``scale``
+    its holding time in the form :func:`_check_sojourn` returns for the
+    model it draws from (its own, else its action's default), and
+    ``prob`` its probability as given."""
 
     width: int
     slot: np.ndarray
@@ -175,9 +175,10 @@ class _Tables(NamedTuple):
     tau: np.ndarray
     owner: np.ndarray
     dest: np.ndarray
-    prob: np.ndarray
     draw: np.ndarray
-    sojourn: np.ndarray
+    base: np.ndarray
+    scale: np.ndarray
+    prob: np.ndarray
 
 
 def expected_sojourn(action: ActionSpec) -> float:
@@ -260,8 +261,8 @@ def validate(spec: GameSpec) -> ValidationReport:
         raise GameValidationError("game must have at least one state")
     warnings: list[str] = []
     # the tables (see _Tables) as the checks pass them: (state, action,
-    # reward, tau) per action, and (action, destination, probability,
-    # sojourn row) per transition
+    # reward, tau) per action, and (action, destination, draw, base,
+    # scale, probability) per transition
     actions, moves = [], []
     for pos, st in enumerate(spec.states, start=1):
         if st.id != pos:
@@ -323,7 +324,7 @@ def validate(spec: GameSpec) -> ValidationReport:
             for ti, tr in enumerate(act.transitions, start=1):
                 row = default if tr.sojourn is None else _check_sojourn(
                     tr.sojourn, f"{where} transition {ti}")
-                moves += (len(actions) // 4, tr.to - 1, tr.prob, *row)
+                moves += (len(actions) // 4, tr.to - 1, *row, tr.prob)
             tau = expected_sojourn(act)
             if not tau > 0.0:
                 raise GameValidationError(
@@ -355,10 +356,9 @@ def validate(spec: GameSpec) -> ValidationReport:
     width = max(counts1 + counts2)
     state, action, reward, tau = np.array(actions, dtype=float).reshape(-1, 4).T
     moves = np.array(moves, dtype=float).reshape(-1, 6)
-    owner, dest, draw = moves.T[[0, 1, 3]].astype(np.intp)
-    # copies, so the (T, 6) block is freed
+    # the float columns copied, so the (T, 6) block is freed
     tables = _Tables(width, (state * width + action).astype(np.intp), reward, tau,
-                     owner, dest, moves[:, 2].copy(), draw, moves[:, 4:].T.copy())
+                     *moves[:, :3].T.astype(np.intp), *moves[:, 3:].T.copy())
     object.__setattr__(spec, "_tables", tables)
     object.__setattr__(spec, "_report", report)
     return report

@@ -177,7 +177,7 @@ class _Chain:
     per-epoch loop builds it. ``dest`` holds each transition's next
     state, ``reward`` its state's reward, and ``row_start`` the first
     transition of every state. ``kind``, ``base`` and ``scale`` are the
-    tables' ``draw`` and ``sojourn`` rows (see
+    tables' ``draw``, ``base`` and ``scale`` (see
     :func:`pismg.game._check_sojourn`): for a uniform draw v the holding
     time is ``base``, -log1p(-v) / ``scale`` or ``base`` + ``scale`` * v
     for kind 0, 1 and 2 (an exponential's ``base`` is not read).
@@ -244,8 +244,7 @@ class _Chain:
         # state's first transition
         self.reward = t.reward[t.owner[moves]]
         self.row_start = ends - lengths
-        self.kind = t.draw[moves]
-        self.base, self.scale = t.sojourn[:, moves]
+        self.kind, self.base, self.scale = t.draw[moves], t.base[moves], t.scale[moves]
 
     def _step(self, keys: np.ndarray) -> np.ndarray:
         """The transitions taken at ``keys``, each a 0-based state times
