@@ -1289,30 +1289,27 @@ def _weak_closed_class(d):
     ))
 
 
-def _weak_three_state_class(d, entry):
+def _weak_three_state_class(d):
     """Decision state 1 enters the one-action states 2 <-> 3 <-> 4, a
-    closed class coupled at d per round, at state ``entry`` under its
-    first action and at the other end under its second. With rewards 2,
-    3 and 4 the stationary row is (2/5, 2/5, 1/5), so every value is
-    14/5. The class's node reads state 2's row, so an entry at 4 enters
-    it away from that row."""
+    closed class coupled at d per round, at state 2 under its first
+    action and at state 4 under its second. With rewards 2, 3 and 4 the
+    stationary row is (2/5, 2/5, 1/5), so every value is 14/5. The
+    class's node reads state 2's row, so the second action enters the
+    class away from that row."""
     act = TestComponents._action
-    other = 6 - entry
     return GameSpec("weak-three-state-class", (
-        StateSpec(1, "I", (act("in", 1.0, 1.0, {entry: 1.0}),
-                           act("across", 1.0, 1.0, {other: 1.0}))),
+        StateSpec(1, "I", (act("near", 1.0, 1.0, {2: 1.0}), act("far", 1.0, 1.0, {4: 1.0}))),
         StateSpec(2, "II", (act("stay", 2.0, 1.0, {2: 1 - d, 3: d}),)),
         StateSpec(3, "II", (act("stay", 3.0, 1.0, {2: d, 3: 1 - 2 * d, 4: d}),)),
         StateSpec(4, "II", (act("stay", 4.0, 1.0, {3: 2 * d, 4: 1 - 2 * d}),)),
     ))
 
 
-_WEAK_CLASSES = (
-    [pytest.param(_weak_closed_class, Fraction(7, 3), d, id=f"{d!r}")
-     for d in (10.0**-k for k in range(6, 12))]
-    + [pytest.param(functools.partial(_weak_three_state_class, entry=entry),
-                    Fraction(14, 5), d, id=f"three-states-at-{entry}-{d!r}")
-       for entry in (2, 4) for d in (10.0**-k for k in range(6, 12))])
+_WEAK_CLASSES = [
+    pytest.param(build, value, d, id=prefix + repr(d))
+    for build, value, prefix in ((_weak_closed_class, Fraction(7, 3), ""),
+                                 (_weak_three_state_class, Fraction(14, 5), "three-states-"))
+    for d in (10.0**-k for k in range(6, 12))]
 
 
 class TestWeakClosedClass:
