@@ -277,11 +277,14 @@ class _CensoredGame:
     names a class by its states.
 
     Every node is built from the rows of one state, the first of
-    ``states[x]``, by the same products with the exit rows. A
-    closed-class node reads its smallest member, whose one action enters
-    only its own class, and every member's exit row is the class's node:
-    so that action stays put, with the member's row sum as its weight,
-    1 within rounding. Its values are then its class's per-epoch means.
+    ``states[x]``: a decision state, or a closed class's smallest member,
+    whose one action enters only its own class. A node's rows are that
+    state's rows times the exit rows, but a class node's one action
+    takes the member's own exit row, which stays put with weight exactly
+    1: the member's row may send up to EPS_EDGE out of its class, which
+    no edge carries, and that mass on another node would still add to
+    the node's stationary weight in the kernel. A class node's values
+    are its class's per-epoch means.
 
     A state that enters one node only takes that node's payoff; the
     states that may enter several, ``mixed``, mix the nodes' limits by
@@ -310,23 +313,26 @@ class _CensoredGame:
             q[:, 0], self.decision, table[:, :, 0].T)
         self.states = [(x,) for x in self.decision.tolist()] + [c.tolist() for c in closed]
         # each node's rows are those of one state: its decision state, or
-        # its class's smallest member, whose exits row is the class's node,
-        # so that node's one action stays put
+        # its class's smallest member
         nodes = [x[0] for x in self.states]
+        c = len(self.decision)
         chosen = q[nodes]
         self.q = chosen @ exits
+        # a class node's one action stays put exactly, as its member's
+        # exits row does, whatever mass at or below EPS_EDGE the member's
+        # own row sends out of the class
+        self.q[c:, 0] = exits[nodes[c:]]
         self.edges = (chosen > EPS_EDGE) @ enters > 0
         # a node's value may overflow to inf as phi may; payoffs then
         # weighs it only where its weight is positive, and names the first
         # state whose payoff it leaves infinite
         with np.errstate(over="ignore"):
             self.values = table[:, nodes] + (chosen @ accumulated).transpose(2, 0, 1)
-        self.values[:, len(self.decision):, 0] = means.T
+        self.values[:, c:, 0] = means.T
         self.overflowed = not np.isfinite(self.values).all()
         self.rows = enters.argmax(axis=1)
         self.mixed = np.flatnonzero(enters.sum(axis=1) > 1)
-        self.exits = exits[self.mixed]
-        self.enters = enters[self.mixed]
+        self.exits, self.enters = exits[self.mixed], enters[self.mixed]
 
     def actions(self, fs, gs) -> np.ndarray:
         """Every pair's action at each node, pairs in ordinal order: the

@@ -1328,6 +1328,31 @@ class TestWeakClosedClass:
                     got = Fraction(float(report.payoffs[f.ordinal, g.ordinal, s]))
                     assert abs(got - x) <= 2 * Fraction(np.spacing(float(x))), (f.label, s + 1)
 
+    @staticmethod
+    def _leaking_class(leak, d):
+        """Decision states 1 and 2 trade d per round under their first
+        actions, a class whose inner state is 2; state 1's second action
+        enters the one-action state 3, which sends ``leak`` to state 2.
+        At or below EPS_EDGE that is no edge, so {3} is a closed class."""
+        act = TestComponents._action
+        return GameSpec("leaking-class", (
+            StateSpec(1, "I", (act("couple", 1.0, 1.0, {1: 1 - d, 2: d}),
+                               act("leave", 1.0, 1.0, {3: 1.0}))),
+            StateSpec(2, "II", (act("couple", 3.0, 1.0, {1: d, 2: 1 - d}),
+                                act("stay", 3.0, 1.0, {2: 1.0}))),
+            StateSpec(3, "I", (act("stay", 5.0, 1.0, {3: 1 - leak, 2: leak}),)),
+        ))
+
+    @pytest.mark.parametrize("leak", [EPS_EDGE, 1e-13])
+    @pytest.mark.parametrize("d", [1e-8, 1e-10])
+    def test_leak_out_of_a_class_moves_no_other_class(self, leak, d):
+        # the leak is a hundredth of d at most: carried onto state 2's
+        # node, it would raise 2's stationary weight in {1, 2} by as much
+        leaking = solve(self._leaking_class(leak, d))
+        assert leaking.payoffs[0, 0, 0] == 2.0
+        np.testing.assert_array_equal(
+            leaking.payoffs, solve(self._leaking_class(0.0, d)).payoffs)
+
     def test_golden_is_this_game(self):
         # tests/data/weak_closed_class.json pins the CLI output at d = 1e-10
         data = Path(__file__).parent / "data" / "weak_closed_class.json"
