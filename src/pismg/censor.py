@@ -332,7 +332,8 @@ class _CensoredGame:
         self.overflowed = not np.isfinite(self.values).all()
         self.rows = enters.argmax(axis=1)
         self.mixed = np.flatnonzero(enters.sum(axis=1) > 1)
-        self.exits, self.enters = exits[self.mixed], enters[self.mixed]
+        self.exits = exits[self.mixed]
+        self.enters = enters[self.mixed]
 
     def actions(self, fs, gs) -> np.ndarray:
         """Every pair's action at each node, pairs in ordinal order: the
