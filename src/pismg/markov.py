@@ -488,40 +488,38 @@ def _check_factors(qs: np.ndarray, lower: np.ndarray, upper: np.ndarray,
         Q*Q - Q* = L(UQ - U),  QQ* - Q* = (QL - L)U,  Q*Q* - Q* = L(UL - I)U.
 
     The products take O(n^2 k) per chain, where forming Q* and checking
-    its identities take O(n^3), and multiply chain-first copies, where
-    matmul runs fastest. Each check reduces over the whole stack, and only
-    a failing one per class: a reduction along a short trailing axis costs
-    more than the products."""
-    qf, low, up = _chain_first(qs), _chain_first(lower), _chain_first(upper)
+    its identities take O(n^3). They are einsums over the chain-last
+    stacks as they are, with no chain-first copy. einsum forms these
+    residuals only, never a number that is returned, since its sums may
+    round apart from the kernel's. Each check reduces over the whole
+    stack, and only a failing one per class: a reduction along a short
+    trailing axis costs more than the products."""
     real = member.any(axis=0)
-    # each gap, and the axis its per-class residual takes the largest
+    # each gap, and the axis its (class, chain) residual takes the largest
     # entry along; the range residual is per class and chain already
     checks = (
-        ("stationary residual", abs(up @ qf - up), 2),
-        ("absorption residual", abs(qf @ low - low), 1),
-        ("projection residual", abs(up @ low - np.eye(len(upper)) * real.T[..., None]), 2),
+        ("stationary residual", abs(np.einsum("ksc,stc->ktc", upper, qs) - upper), 1),
+        ("absorption residual", abs(np.einsum("stc,tkc->skc", qs, lower) - lower), 0),
+        ("projection residual", abs(np.einsum("ksc,sjc->kjc", upper, lower)
+                                    - np.eye(len(upper))[..., None] * real[:, None]), 1),
         ("range residual", np.maximum.reduce([
             -lower.min(axis=0), -upper.min(axis=1), upper.max(axis=1) - 1.0,
-            abs(upper.sum(axis=1) - real)]).T, None),
+            abs(upper.sum(axis=1) - real)]), None),
     )
     for label, gap, axis in checks:
         # written so that a NaN fails
         if not gap.max() <= EPS_PROJ:
             residual = gap if axis is None else gap.max(axis=axis)
-            c, k = np.argwhere(~(residual <= EPS_PROJ))[0]
+            # the first chain with a failing class, and its first one
+            c, k = np.argwhere(~(residual.T <= EPS_PROJ))[0]
             raise NumericalError(
-                f"numerically degenerate chain: {label} {float(residual[c, k])!r} for class "
+                f"numerically degenerate chain: {label} {float(residual[k, c])!r} for class "
                 f"{_class_name(np.flatnonzero(member[:, k, c]), states)}"
             )
     if not (abs(lower.sum(axis=1) - 1.0) <= EPS_PROJ).all():
         raise NumericalError(
             "numerically degenerate chain: absorption rows do not sum to 1"
         )
-
-
-def _chain_first(a: np.ndarray) -> np.ndarray:
-    """A C-ordered (m, p, q) copy of the chain-last (p, q, m) stack ``a``."""
-    return np.ascontiguousarray(a.transpose(2, 0, 1))
 
 
 def structural_limits(qs, edges=None, states=None

@@ -345,10 +345,13 @@ def check_all_2x2(entries, eps: float | None = None) -> SaddleCertificate:
     column comes first ``y > x + eps``, and the two can round apart. So
     the overlap test runs in each form and a row pair is flagged when
     either holds. Row pairs are taken in lexicographic order, in blocks
-    of at most ``_CHUNK_ENTRIES // (2 D2)``; each flagged row pair is
-    confirmed with the block test on its C(D2, 2) column pairs, and the
-    first confirmed block is the violation. The whole sweep costs
-    O(D1^2 D2 log D2).
+    of at most ``_CHUNK_ENTRIES // (2 D2)``; when they fill more than one
+    block, the blocks start at four row pairs and double, so a matrix
+    that fails early pays for about twice the row pairs up to its first
+    violation, not a whole block. Each flagged row pair is confirmed with
+    the block test on its C(D2, 2) column pairs, and the first confirmed
+    block is the violation; the verdict and violation do not depend on
+    the blocks. The whole sweep costs O(D1^2 D2 log D2).
 
     Since ``eps >= 0``, a block with two equal rows or two equal columns
     fails both strict tests, and a row pair's flag depends only on the
@@ -381,13 +384,20 @@ def check_all_2x2(entries, eps: float | None = None) -> SaddleCertificate:
     # tiny matrices feel
     rows_i, rows_j = np.nonzero(np.less.outer(np.arange(d1), np.arange(d1))
                                 & (first_row[:, None] != first_row))
+    # the column pairs j < j' that confirm a flagged row pair, in the same way
+    cols_i, cols_j = np.nonzero(np.less.outer(np.arange(d2), np.arange(d2)))
     distinct = a[:, cols]
     step = max(1, _CHUNK_ENTRIES // (2 * cols.size))
-    for lo in range(0, rows_i.size, step):
-        block_i, block_j = rows_i[lo:lo + step], rows_j[lo:lo + step]
+    # row pairs that fill more than one block start in a block of four and
+    # double up to step, so a sweep that fails early stops near its first
+    # violation
+    size = step if rows_i.size <= step else min(step, 4)
+    lo = 0
+    while lo < rows_i.size:
+        block_i, block_j = rows_i[lo:lo + size], rows_j[lo:lo + size]
+        lo, size = lo + size, min(2 * size, step)
         for k in np.flatnonzero(_overlap(distinct[block_i], distinct[block_j], eps)):
             top, bot = a[block_i[k]], a[block_j[k]]
-            cols_i, cols_j = np.triu_indices(d2, k=1)
             tl, tr = top[cols_i], top[cols_j]
             bl, br = bot[cols_i], bot[cols_j]
             bad = ((np.maximum(tl, br) < np.minimum(tr, bl) - eps)

@@ -382,6 +382,132 @@ class TestCheckFactors:
         assert self._message(self.LEAKY, plant) == "absorption rows do not sum to 1"
 
 
+def _class_names(member, c):
+    """``for class (...)`` of each class of chain c, in class order."""
+    return [f"for class {tuple(np.flatnonzero(member[:, k, c]).tolist())}"
+            for k in range(member.shape[1]) if member[:, k, c].any()]
+
+
+class TestCheckFactorsOnStacks:
+    """The factor checks on a stack of 1025 random multichain chains with
+    one faulty chain in the middle: the stack fails naming that chain's
+    class, with the residual that the chain reports alone, and the clean
+    stack passes."""
+
+    M = 1025
+
+    def _stack(self, n, seed, middle=None):
+        rng = np.random.default_rng(seed)
+        qs = np.stack([_multichain(rng, n) for _ in range(self.M)], axis=2)
+        if middle is not None:
+            qs[..., self.M // 2] = middle
+        lower, upper, reaches, recurrent = MARKOV_MODULE._structural_stack(qs)
+        member = reaches & recurrent[:, None]
+        # clean: the stack's own factors pass
+        MARKOV_MODULE._check_factors(qs, lower, upper, member)
+        return qs, lower.copy(), upper.copy(), member
+
+    @staticmethod
+    def _messages(qs, lower, upper, member, c):
+        """The failure of the whole stack and of chain c alone."""
+        out = []
+        for chains in (slice(None), slice(c, c + 1)):
+            with pytest.raises(NumericalError) as exc:
+                MARKOV_MODULE._check_factors(qs[..., chains], lower[..., chains],
+                                             upper[..., chains], member[..., chains])
+            out.append(str(exc.value).removeprefix("numerically degenerate chain: "))
+        return out
+
+    # the faults of TestCheckFactors, planted on the same chains
+    @pytest.mark.parametrize("q, plant, expected", [
+        ([[0.5, 0.5], [0.5, 0.5]], "first_state_row", "stationary residual 0.5 for class (0, 1)"),
+        (FOUR_STATE, "absorption_column", "absorption residual 0.25 for class (0, 1)"),
+        (IDENTITY2, "swapped_classes", "projection residual 1.0 for class (0,)"),
+        (TestCheckFactors.LEAKY, "negative_weight",
+         f"range residual {TestCheckFactors.FAULT!r} for class (1,)"),
+    ])
+    def test_planted_fault_in_the_middle(self, q, plant, expected):
+        q = np.array(q, dtype=float)
+        qs, lower, upper, member = self._stack(len(q), 41, middle=q)
+        c = self.M // 2
+        classes = len(_class_names(member, c))
+        getattr(self, f"_{plant}")(lower[:, :classes, c], upper[:classes, :, c])
+        assert self._messages(qs, lower, upper, member, c) == [expected, expected]
+
+    @staticmethod
+    def _first_state_row(lower, upper):
+        upper[0] = [1.0, 0.0]
+
+    @staticmethod
+    def _absorption_column(lower, upper):
+        lower[3] = [0.75, 0.25]
+
+    @staticmethod
+    def _swapped_classes(lower, upper):
+        lower[:] = lower[:, ::-1]
+
+    @staticmethod
+    def _negative_weight(lower, upper):
+        upper[0, :2] = [-TestCheckFactors.FAULT, 1 + TestCheckFactors.FAULT]
+
+    @staticmethod
+    def _plant(fault, lower, upper, member):
+        """Plant ``fault`` into one chain's factors, given as (n, k) and
+        (k, n) views with its real classes only. Returns the labels the
+        check may report and the class it must name (None: any of the
+        chain's), or None when the chain cannot take the fault."""
+        sizes = member.sum(axis=0)
+        transient = np.flatnonzero(~member.any(axis=1))
+        k = int(sizes.argmax())
+        states = np.flatnonzero(member[:, k])
+        if fault == "stationary-row" and len(states) >= 2:
+            # the first state's indicator: an irreducible class of two or
+            # more states has no absorbing state
+            upper[k] = 0.0
+            upper[k, states[0]] = 1.0
+            return ("stationary residual",), k
+        if fault == "negative-weight" and len(states) >= 2:
+            upper[k, states[:2]] = [-1e-6, upper[k, states[:2]].sum() + 1e-6]
+            return ("stationary residual", "range residual"), k
+        if fault == "swapped-classes" and len(sizes) >= 2:
+            lower[:] = lower[:, ::-1]
+            return ("projection residual",), 0
+        if fault == "leak-into-class" and len(sizes) >= 2 and transient.size == 0:
+            # L's column 0 takes mass on class 1, which is closed, so
+            # QL = L still holds; UL - I is wrong at row 1, column 0 only,
+            # and the residual is per row of U
+            lower[member[:, 1], 0] += 0.5
+            return ("projection residual",), 1
+        spread = np.ptp(lower[transient], axis=1) > 0.01 if transient.size else []
+        if fault == "absorption-column" and np.any(spread):
+            t = transient[np.argmax(spread)]
+            lower[t] = np.roll(lower[t], 1)
+            return ("absorption residual",), None
+        return None
+
+    @pytest.mark.parametrize("n", [3, 6, 9, 15])
+    @pytest.mark.parametrize("fault", ["stationary-row", "absorption-column", "swapped-classes",
+                                       "negative-weight", "leak-into-class"])
+    def test_planted_fault_in_a_random_chain(self, n, fault):
+        # residuals of random chains are not exact: the stack reports the
+        # chain's own bits, and the class the fault is planted in. The
+        # fault goes into the first chain from the middle that can take it
+        qs, lower, upper, member = self._stack(n, 100 + n)
+        for c in range(self.M // 2, self.M):
+            names = _class_names(member, c)
+            planted = self._plant(fault, lower[:, :len(names), c], upper[:len(names), :, c],
+                                  member[:, :len(names), c])
+            if planted is not None:
+                break
+        else:
+            pytest.fail("no chain takes the fault")
+        labels, k = planted
+        whole, alone = self._messages(qs, lower, upper, member, c)
+        assert whole == alone
+        assert whole.startswith(labels)
+        assert any(whole.endswith(name) for name in (names if k is None else names[k:k + 1]))
+
+
 def _fixpoint_closure(reach):
     # square until a product changes nothing
     while True:
@@ -675,7 +801,7 @@ def _multichain(rng, n: int) -> np.ndarray:
     k = int(rng.integers(1, min(3, n) + 1))
     t = int(rng.integers(0, n - k + 1))
     cuts = np.sort(rng.choice(np.arange(t + 1, n), size=k - 1, replace=False))
-    classes = np.split(np.arange(t, n), cuts)
+    classes = np.split(np.arange(t, n), cuts - t)
     weight = 10.0 ** rng.uniform(-9, 0, (n, n))
     support = np.zeros((n, n), dtype=bool)
     for cls in classes:

@@ -106,6 +106,35 @@ def _first_saddle_free_2x2(a, eps):
     return None
 
 
+def _one_swap(rng, d1: int, d2: int, rows=None) -> np.ndarray:
+    """A d1 x d2 matrix with one saddle-free block, at the 1-based
+    ``rows`` (i, i') and columns (1, 2), or none when ``rows`` is None.
+    Entries are r_i + c_j with the r_i a permutation of 0..d1-1 and the
+    c_j in [0.05, 0.45], so every other block has a saddle: a row pair
+    whose r differ moves every column the same way. Row i' repeats row i
+    with columns 1 and 2 swapped, 0.05 and 0.45 apart."""
+    c = np.concatenate([[0.05, 0.45], rng.uniform(0.05, 0.45, d2 - 2)])
+    a = rng.permutation(d1).astype(float)[:, None] + c
+    if rows is not None:
+        i, i2 = rows
+        a[i2 - 1] = a[i - 1, [1, 0, *range(2, d2)]]
+    return a
+
+
+def _recording_overlap(monkeypatch):
+    """Replace the sweep's overlap filter with one that records the
+    number of row pairs of each call."""
+    sizes = []
+    overlap = SOLVE_MODULE._overlap
+
+    def recording(top, bot, eps):
+        sizes.append(len(top))
+        return overlap(top, bot, eps)
+
+    monkeypatch.setattr(SOLVE_MODULE, "_overlap", recording)
+    return sizes
+
+
 def _phi_by_method(spec, method, **cesaro_options):
     """phi(s, f, g) at [f.ordinal, g.ordinal, s - 1] with each pair's Q*
     from ``cesaro(q, method, ...)`` on its own chain: a cross-check of a
@@ -406,6 +435,65 @@ class TestCertificate2x2:
         distinct = a[:, [0, 1, 3]]
         assert np.array_equal(np.concatenate([top for top, _ in seen]), distinct[rows_i])
         assert np.array_equal(np.concatenate([bot for _, bot in seen]), distinct[rows_j])
+
+    @pytest.mark.parametrize("rows", [(1, 2), (1, 11), (1, 40), (2, 3)])
+    def test_blocks_grow_to_the_first_violation(self, monkeypatch, rows):
+        # 4950 unequal row pairs of 100 distinct columns fill blocks of
+        # 163; the sweep starts with a few and stops near its violation,
+        # never passing more than the first block and twice the violating
+        # row pair's position (its place in lexicographic order)
+        a = _one_swap(np.random.default_rng(31), 100, 100, rows)
+        sizes = _recording_overlap(monkeypatch)
+        assert check_all_2x2(a) == SaddleCertificate(False, (*rows, 1, 2))
+        i, i2 = rows[0] - 1, rows[1] - 1
+        position = sum(100 - 1 - r for r in range(i)) + i2 - i - 1
+        assert sum(sizes) <= sizes[0] + 2 * position
+        assert sum(sizes) < SOLVE_MODULE._CHUNK_ENTRIES // 200 == 163
+
+    def test_full_sweep_blocks_cover_every_row_pair_once(self, monkeypatch):
+        # the blocks grow, run in lexicographic order and stay within the
+        # chunk of entries that bounds the sweep's memory
+        a = _one_swap(np.random.default_rng(32), 100, 100)
+        seen = []
+        overlap = SOLVE_MODULE._overlap
+
+        def recording(top, bot, eps):
+            seen.append((top.copy(), bot.copy()))
+            return overlap(top, bot, eps)
+
+        monkeypatch.setattr(SOLVE_MODULE, "_overlap", recording)
+        assert check_all_2x2(a) == SaddleCertificate(True, None)
+        sizes = [len(top) for top, _ in seen]
+        # the last block holds what is left
+        assert sizes[:-1] == sorted(sizes[:-1]) and sizes[0] < max(sizes) == 163
+        assert all(2 * top.size <= SOLVE_MODULE._CHUNK_ENTRIES for top, _ in seen)
+        rows_i, rows_j = np.triu_indices(100, k=1)
+        assert np.array_equal(np.concatenate([top for top, _ in seen]), a[rows_i])
+        assert np.array_equal(np.concatenate([bot for _, bot in seen]), a[rows_j])
+
+    @pytest.mark.parametrize("rows", [None, (1, 2), (11, 18)], ids=["pass", "first", "last"])
+    def test_one_block_makes_one_overlap_call(self, monkeypatch, rows):
+        # 18 distinct rows make 153 row pairs, within one block of 163 on
+        # 100 columns: one call, as every long and corpus matrix makes
+        a = _one_swap(np.random.default_rng(33), 18, 100, rows)
+        sizes = _recording_overlap(monkeypatch)
+        cert = check_all_2x2(a)
+        assert cert == SaddleCertificate(rows is None, None if rows is None else (*rows, 1, 2))
+        assert sizes == [153]
+
+    @pytest.mark.parametrize("rows", [None, (11, 13), (2, 60), (40, 41)])
+    def test_matches_four_loop_reference_past_the_third_block(self, monkeypatch, rows):
+        # at the default chunk, 8 columns hold 2048 row pairs per block and
+        # 70 rows make 2415, so the blocks grow; the violation at (11, 13)
+        # lies in the eighth, as the first one of a random wide game can
+        a = _one_swap(np.random.default_rng(34), 70, 8, rows)
+        for eps in (0.0, 0.3, None) if rows else (0.0,):
+            sizes = _recording_overlap(monkeypatch)
+            cert = check_all_2x2(a, eps)
+            expected = _first_saddle_free_2x2(a, saddle_tolerance(a) if eps is None else eps)
+            assert (cert.passed, cert.violation) == (expected is None, expected)
+            assert expected == (None if rows is None else (*rows, 1, 2))
+            assert len(sizes) > 3
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
     def test_default_eps_rejects_non_finite(self, bad):
